@@ -6,115 +6,15 @@ specialization to graphene p-n junctions at oblique incidence, and a
 gated-sheet transport simulator (I-V families, angular current profiles).
 """
 
-from kleinstep.common import Convention, SingularityError
-from kleinstep.device import (
-    AngularProfilePoint,
-    DeviceParams,
-    IVPoint,
-    angular_current_profile,
-    carrier_type,
-    iv_curve,
-    sheet_conductivity,
-)
-from kleinstep.dirac import (
-    Kinematics1D,
-    Spinor2,
-    Spinor4,
-    current_density,
-    dirac_hamiltonian,
-    hamiltonian_residual,
-    hamiltonian_residual4,
-    local_wavevector,
-    make_spinor2,
-    make_spinor4,
-    momentum,
-    normalization_factor,
-)
-from kleinstep.graphene import (
-    DEFAULT_MATERIAL,
-    HBAR_VF_EV_NM,
-    AngleKinematics,
-    BarrierSolution,
-    BarrierSpec,
-    GrapheneMaterial,
-    angle_kinematics,
-    barrier_transmission,
-    critical_angle,
-    energy_from_wavelength,
-    solve_barrier,
-    t_common,
-    t_paper,
-    transmission_probability,
-)
-from kleinstep.step import (
-    BasisKind,
-    PiecewiseSpinorWave,
-    PlaneWaveTerm,
-    Regime,
-    StepProblem,
-    StepScatteringSolution,
-    classify_regime,
-    group_velocity_region2,
-    kappa,
-    kappa_prime,
-    mode_current,
-    mode_current_closed_form,
-    rt_from_kappa,
-    scattering_basis_state,
-    solve_step_numeric,
-)
+from kleinstep import common, device, dirac, graphene, step
+from kleinstep.common import *  # noqa: F401,F403
+from kleinstep.device import *  # noqa: F401,F403
+from kleinstep.dirac import *  # noqa: F401,F403
+from kleinstep.graphene import *  # noqa: F401,F403
+from kleinstep.step import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleKinematics",
-    "AngularProfilePoint",
-    "BarrierSolution",
-    "BarrierSpec",
-    "BasisKind",
-    "Convention",
-    "DEFAULT_MATERIAL",
-    "DeviceParams",
-    "GrapheneMaterial",
-    "HBAR_VF_EV_NM",
-    "IVPoint",
-    "Kinematics1D",
-    "PiecewiseSpinorWave",
-    "PlaneWaveTerm",
-    "Regime",
-    "SingularityError",
-    "Spinor2",
-    "Spinor4",
-    "StepProblem",
-    "StepScatteringSolution",
-    "angle_kinematics",
-    "angular_current_profile",
-    "barrier_transmission",
-    "carrier_type",
-    "classify_regime",
-    "critical_angle",
-    "current_density",
-    "dirac_hamiltonian",
-    "energy_from_wavelength",
-    "group_velocity_region2",
-    "hamiltonian_residual",
-    "hamiltonian_residual4",
-    "iv_curve",
-    "kappa",
-    "kappa_prime",
-    "local_wavevector",
-    "make_spinor2",
-    "make_spinor4",
-    "mode_current",
-    "mode_current_closed_form",
-    "momentum",
-    "normalization_factor",
-    "rt_from_kappa",
-    "scattering_basis_state",
-    "sheet_conductivity",
-    "solve_barrier",
-    "solve_step_numeric",
-    "t_common",
-    "t_paper",
-    "transmission_probability",
+    name for module in (common, dirac, step, graphene, device) for name in module.__all__
 ]

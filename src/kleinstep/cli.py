@@ -11,7 +11,7 @@ parameters, timestamp) in '#' comment lines (CSV) or a "manifest" field
 (JSON), suppressible with --no-manifest.
 
 Exit codes: 0 success, 1 numerical failure (a singular denominator without
---allow-singular, or an unwritable output), 2 usage error.
+--allow-singular, or an unwritable output), 2 usage error (nan/inf included).
 """
 
 import argparse
@@ -58,9 +58,12 @@ class _UsageError(Exception):
 
 def _float_scalar(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise _UsageError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise _UsageError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _int_scalar(text: str) -> int:
@@ -116,7 +119,7 @@ def _bool(text) -> bool:
     raise _UsageError(f"expected a boolean, got {text!r}")
 
 
-# ------------------------------------------------------- command registry
+# ------------------------------------------------------------ parameters
 
 
 @dataclass(frozen=True)
@@ -144,67 +147,9 @@ _COMMON_PARAMS = [
 _CONVENTION = _Param("convention", _choice(("paper", "common")), default="paper",
                      help="transmitted-wave convention")
 
-_COMMANDS: dict[str, list[_Param]] = {
-    "step-rt": [
-        _Param("E", _values, required=True, help="incident energy (value/list/range)"),
-        _Param("m", _float_scalar, required=True, help="rest mass"),
-        _Param("V0", _float_scalar, required=True, help="step height"),
-        _CONVENTION,
-    ],
-    "step-compare": [
-        _Param("E", _values, required=True, help="incident energies"),
-        _Param("m", _values, required=True, help="rest masses"),
-        _Param("V0", _values, required=True, help="step heights"),
-    ],
-    "spinor-check": [
-        _Param("m", _float_scalar, required=True, help="rest mass"),
-        _Param("eps", _values, required=True, help="local energies E - V"),
-    ],
-    "graphene-angle": [
-        _Param("E", _float_scalar, help="Fermi energy in eV"),
-        _Param("lambdaF", _float_scalar, help="Fermi wavelength in nm"),
-        _Param("V0", _float_scalar, required=True, help="step height in eV"),
-        _Param("theta", _values, required=True, help="incidence angles in degrees"),
-        _Param("hbar-vF", _float_scalar, default=HBAR_VF_EV_NM, help="eV nm"),
-    ],
-    "barrier": [
-        _Param("E", _float_scalar, help="Fermi energy in eV"),
-        _Param("lambdaF", _float_scalar, help="Fermi wavelength in nm"),
-        _Param("V0", _float_scalar, required=True, help="barrier height in eV"),
-        _Param("D", _values, required=True, help="barrier widths in nm"),
-        _Param("theta", _float_scalar, default=0.0, help="incidence angle in degrees"),
-        _Param("hbar-vF", _float_scalar, default=HBAR_VF_EV_NM, help="eV nm"),
-    ],
-    "iv-curve": [
-        _Param("Vb", _values, default=[0.1, 0.2, 0.3], help="back-gate voltages"),
-        _Param("V", _values, help="explicit bias grid in volts"),
-        _Param("V-min", _float_scalar, default=0.0, help="bias grid start"),
-        _Param("V-max", _float_scalar, default=5e-3, help="bias grid end"),
-        _Param("n", _int_scalar, default=101, help="bias grid size"),
-        _Param("mobility", _float_scalar, default=15000.0, help="cm^2/(V s)"),
-        _Param("alpha", _float_scalar, default=7.3e10, help="carriers per cm^2 per V"),
-        _Param("aspect-ratio", _float_scalar, default=1.0, help="W/L"),
-    ],
-    "angular-current": [
-        _Param("lambdaF", _float_scalar, default=50.0, help="Fermi wavelength in nm"),
-        _Param("V0", _float_scalar, default=0.3, help="step height in eV"),
-        _Param("theta-max", _float_scalar, default=85.0, help="half-width of the angle grid, deg"),
-        _Param("n", _int_scalar, default=171, help="number of angles"),
-        _Param("hbar-vF", _float_scalar, default=HBAR_VF_EV_NM, help="eV nm"),
-    ],
-}
-
-_COLUMNS = {
-    "step-rt": ["E", "m", "V0", "convention", "regime", "kappa",
-                "r_re", "r_im", "t_re", "t_im", "R", "T"],
-    "step-compare": ["E", "m", "V0", "kappa", "R_paper", "T_paper",
-                     "kappa_prime", "R_common", "T_common", "regime"],
-    "spinor-check": ["eps", "k_re", "k_im", "m", "residual2", "residual4", "current"],
-    "graphene-angle": ["theta_deg", "ky", "kxII", "thetaII_deg", "T_paper", "T_common"],
-    "barrier": ["E", "V0", "D", "theta_deg", "T_paper", "T_common"],
-    "iv-curve": ["Vb", "V", "I"],
-    "angular-current": ["theta_deg", "T", "relative_current"],
-}
+_FERMI_ENERGY = _Param("E", _float_scalar, help="Fermi energy in eV")
+_FERMI_WAVELENGTH = _Param("lambdaF", _float_scalar, help="Fermi wavelength in nm")
+_HBAR_VF = _Param("hbar-vF", _float_scalar, default=HBAR_VF_EV_NM, help="eV nm")
 
 
 @dataclass(frozen=True)
@@ -266,9 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="step-barrier scattering, graphene junctions, gated-device sweeps",
     )
     subparsers = parser.add_subparsers(dest="command", metavar="command")
-    for command, params in _COMMANDS.items():
-        sub = subparsers.add_parser(command, help=f"{command} sweep")
-        for param in params + _COMMON_PARAMS:
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=f"{name} sweep")
+        for param in command.params + _COMMON_PARAMS:
             if param.convert is _bool:
                 sub.add_argument(f"--{param.name}", dest=param.dest, default=None,
                                  action="store_const", const=True, help=param.help)
@@ -306,7 +251,7 @@ def parse_args(argv=None) -> SweepRequest:
     config = _load_config(namespace.config) if namespace.config else {}
 
     resolved: dict = {}
-    for param in _COMMANDS[command] + _COMMON_PARAMS:
+    for param in _COMMANDS[command].params + _COMMON_PARAMS:
         raw = getattr(namespace, param.dest)
         if raw is None:
             raw = config.get(param.dest)
@@ -477,26 +422,72 @@ def _rows_angular_current(request: SweepRequest) -> list[dict]:
         params["V0"], [math.radians(t) for t in thetas_deg],
         lambda_F=params["lambdaF"], material=material,
     )
-    energy = energy_from_wavelength(params["lambdaF"], material)
-    rows = []
-    for theta_deg, point in zip(thetas_deg, profile):
-        ak = angle_kinematics(energy, params["V0"], point.theta, material)
-        transmission = transmission_probability(t_paper(ak), ak)
-        rows.append({
-            "theta_deg": theta_deg, "T": transmission,
-            "relative_current": point.relative_current,
-        })
-    return rows
+    return [
+        {"theta_deg": theta_deg, "T": point.transmission,
+         "relative_current": point.relative_current}
+        for theta_deg, point in zip(thetas_deg, profile)
+    ]
 
 
-_COMPUTE = {
-    "step-rt": _rows_step_rt,
-    "step-compare": _rows_step_compare,
-    "spinor-check": _rows_spinor_check,
-    "graphene-angle": _rows_graphene_angle,
-    "barrier": _rows_barrier,
-    "iv-curve": _rows_iv_curve,
-    "angular-current": _rows_angular_current,
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its flags, its output columns and the sweep that makes its rows."""
+
+    params: list[_Param]
+    columns: list[str]
+    rows: Callable[[SweepRequest], list[dict]]
+
+
+_COMMANDS = {
+    "step-rt": _Command([
+        _Param("E", _values, required=True, help="incident energy (value/list/range)"),
+        _Param("m", _float_scalar, required=True, help="rest mass"),
+        _Param("V0", _float_scalar, required=True, help="step height"),
+        _CONVENTION,
+    ], ["E", "m", "V0", "convention", "regime", "kappa",
+        "r_re", "r_im", "t_re", "t_im", "R", "T"], _rows_step_rt),
+    "step-compare": _Command([
+        _Param("E", _values, required=True, help="incident energies"),
+        _Param("m", _values, required=True, help="rest masses"),
+        _Param("V0", _values, required=True, help="step heights"),
+    ], ["E", "m", "V0", "kappa", "R_paper", "T_paper",
+        "kappa_prime", "R_common", "T_common", "regime"], _rows_step_compare),
+    "spinor-check": _Command([
+        _Param("m", _float_scalar, required=True, help="rest mass"),
+        _Param("eps", _values, required=True, help="local energies E - V"),
+    ], ["eps", "k_re", "k_im", "m", "residual2", "residual4", "current"], _rows_spinor_check),
+    "graphene-angle": _Command([
+        _FERMI_ENERGY,
+        _FERMI_WAVELENGTH,
+        _Param("V0", _float_scalar, required=True, help="step height in eV"),
+        _Param("theta", _values, required=True, help="incidence angles in degrees"),
+        _HBAR_VF,
+    ], ["theta_deg", "ky", "kxII", "thetaII_deg", "T_paper", "T_common"], _rows_graphene_angle),
+    "barrier": _Command([
+        _FERMI_ENERGY,
+        _FERMI_WAVELENGTH,
+        _Param("V0", _float_scalar, required=True, help="barrier height in eV"),
+        _Param("D", _values, required=True, help="barrier widths in nm"),
+        _Param("theta", _float_scalar, default=0.0, help="incidence angle in degrees"),
+        _HBAR_VF,
+    ], ["E", "V0", "D", "theta_deg", "T_paper", "T_common"], _rows_barrier),
+    "iv-curve": _Command([
+        _Param("Vb", _values, default=[0.1, 0.2, 0.3], help="back-gate voltages"),
+        _Param("V", _values, help="explicit bias grid in volts"),
+        _Param("V-min", _float_scalar, default=0.0, help="bias grid start"),
+        _Param("V-max", _float_scalar, default=5e-3, help="bias grid end"),
+        _Param("n", _int_scalar, default=101, help="bias grid size"),
+        _Param("mobility", _float_scalar, default=15000.0, help="cm^2/(V s)"),
+        _Param("alpha", _float_scalar, default=7.3e10, help="carriers per cm^2 per V"),
+        _Param("aspect-ratio", _float_scalar, default=1.0, help="W/L"),
+    ], ["Vb", "V", "I"], _rows_iv_curve),
+    "angular-current": _Command([
+        _Param("lambdaF", _float_scalar, default=50.0, help="Fermi wavelength in nm"),
+        _Param("V0", _float_scalar, default=0.3, help="step height in eV"),
+        _Param("theta-max", _float_scalar, default=85.0, help="half-width of the angle grid, deg"),
+        _Param("n", _int_scalar, default=171, help="number of angles"),
+        _HBAR_VF,
+    ], ["theta_deg", "T", "relative_current"], _rows_angular_current),
 }
 
 
@@ -533,7 +524,7 @@ def render_json(columns: list[str], rows: list[dict], manifest: RunManifest | No
 
 def emit(request: SweepRequest, rows: list[dict]) -> int:
     """Render and write one sweep; returns the process exit code."""
-    columns = _COLUMNS[request.command]
+    columns = _COMMANDS[request.command].columns
     manifest = None
     if not request.no_manifest:
         manifest = RunManifest(__version__, request.command, request.params)
@@ -561,7 +552,7 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
     try:
-        rows = _COMPUTE[request.command](request)
+        rows = _COMMANDS[request.command].rows(request)
     except SingularityError as exc:
         print(f"{PROG}: numerical failure: {exc}", file=sys.stderr)
         print(f"{PROG}: rerun with --allow-singular to emit unbounded values",

@@ -1,5 +1,6 @@
-"""Shared tags and error types used across the scattering modules."""
+"""Shared tags, error types and input checks used across the scattering modules."""
 
+import math
 from enum import Enum
 
 __all__ = ["Convention", "SingularityError"]
@@ -31,3 +32,10 @@ class SingularityError(ArithmeticError):
         if detail:
             message += f" ({detail})"
         super().__init__(message)
+
+
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming the first keyword argument that is nan or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")

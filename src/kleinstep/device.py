@@ -10,6 +10,7 @@ step transmission.
 
 from dataclasses import dataclass
 
+from kleinstep.common import require_finite
 from kleinstep.graphene import (
     DEFAULT_MATERIAL,
     GrapheneMaterial,
@@ -44,6 +45,7 @@ class DeviceParams:
     elementary_charge: float = ELEMENTARY_CHARGE
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if not self.mobility > 0:
             raise ValueError("mobility must be positive")
         if not self.gate_coefficient > 0:
@@ -62,6 +64,7 @@ class IVPoint:
 class AngularProfilePoint:
     theta: float  # radians
     relative_current: float  # I(theta) / I(0)
+    transmission: float  # current-labelled step transmission T(theta)
 
 
 def carrier_type(params: DeviceParams) -> str:
@@ -98,6 +101,8 @@ def angular_current_profile(
 ) -> list[AngularProfilePoint]:
     """I(theta)/I(0) across the step, from the current-labelled transmission.
 
+    Each point also carries the transmission T(theta) it was computed from.
+
     Exactly one of lambda_F (nm) or E (eV) fixes the Fermi level.  Angles
     beyond the critical angle carry no transmitted wave and raise ValueError
     (the default device parameters have none).
@@ -116,7 +121,8 @@ def angular_current_profile(
         return transmission_probability(t_paper(ak), ak)
 
     reference = transmission(0.0)
-    return [
-        AngularProfilePoint(float(theta), transmission(float(theta)) / reference)
-        for theta in theta_grid
-    ]
+    points = []
+    for theta in theta_grid:
+        value = transmission(float(theta))
+        points.append(AngularProfilePoint(float(theta), value / reference, value))
+    return points

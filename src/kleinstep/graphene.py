@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kleinstep.common import Convention, SingularityError
+from kleinstep.common import Convention, SingularityError, require_finite
 
 __all__ = [
     "AngleKinematics",
     "BarrierSolution",
-    "BarrierSpec",
     "DEFAULT_MATERIAL",
     "GrapheneMaterial",
     "HBAR_VF_EV_NM",
@@ -52,6 +51,7 @@ class GrapheneMaterial:
     hbar_vF: float = HBAR_VF_EV_NM  # eV nm
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if not self.hbar_vF > 0:
             raise ValueError("hbar_vF must be positive")
 
@@ -77,18 +77,6 @@ class AngleKinematics:
     propagating: bool
 
 
-@dataclass(frozen=True)
-class BarrierSpec:
-    """Step of height V0, optionally with a finite width D (nm)."""
-
-    V0: float
-    D: float | None = None
-
-    def __post_init__(self):
-        if self.D is not None and not self.D > 0:
-            raise ValueError("barrier width D must be positive when given")
-
-
 def energy_from_wavelength(lambda_F: float, material: GrapheneMaterial = DEFAULT_MATERIAL) -> float:
     """Fermi energy for a Fermi wavelength lambda_F (nm): E = hbar v_F 2 pi / lambda_F."""
     if not lambda_F > 0:
@@ -100,6 +88,7 @@ def angle_kinematics(
     E: float, V0: float, theta_I: float, material: GrapheneMaterial = DEFAULT_MATERIAL
 ) -> AngleKinematics:
     """Kinematics for incidence angle theta_I in (-pi/2, pi/2), electron side E > 0."""
+    require_finite(E=E, V0=V0, theta_I=theta_I)
     if not E > 0:
         raise ValueError("electron incidence only: E must be positive")
     if not abs(theta_I) < math.pi / 2:
@@ -205,36 +194,28 @@ def solve_barrier(
     The interior pair of states is referenced at its own interface (the
     growing/decaying exponentials never exceed unit magnitude), so the 4x4
     system stays well conditioned for evanescent interiors.  E = V0 makes
-    the interior spinors degenerate and raises ValueError.
+    the interior spinors degenerate and raises ValueError.  The interior
+    wavevector (or decay rate) is angle_kinematics' k_xII.
     """
-    if not E > 0:
-        raise ValueError("electron incidence only: E must be positive")
+    ak = angle_kinematics(E, V0, theta_I, material)
+    require_finite(D=D)
     if not D > 0:
         raise ValueError("barrier width D must be positive")
-    if not abs(theta_I) < math.pi / 2:
-        raise ValueError("incidence angle must lie in (-pi/2, pi/2)")
-    hv = material.hbar_vF
-    eps2 = E - V0
-    if eps2 == 0.0:
+    if ak.s_II == 0:
         raise ValueError("E = V0: interior states are degenerate at the Dirac point")
     convention = Convention(convention)
+    hv = material.hbar_vF
+    eps2 = E - V0
+    k_y = ak.k_y
+    k_1 = ak.k_F * math.cos(theta_I)
 
-    k_F = E / hv
-    k_y = k_F * math.sin(theta_I)
-    k_1 = k_F * math.cos(theta_I)
-    kx_sq = (eps2 / hv) ** 2 - k_y * k_y
-
-    if kx_sq > 0:
-        interior_propagating = True
-        k_x2 = math.sqrt(kx_sq)
+    if not ak.propagating:
+        k_fwd = 1j * ak.k_xII  # decaying to the right; same for both conventions
+    elif ak.s_II < 0 and convention is Convention.PAPER:
         # hole-like interior: the conventions disagree on which state is forward
-        if eps2 < 0 and convention is Convention.PAPER:
-            k_fwd = complex(-k_x2)
-        else:
-            k_fwd = complex(k_x2)
+        k_fwd = complex(-ak.k_xII)
     else:
-        interior_propagating = False
-        k_fwd = 1j * math.sqrt(-kx_sq)  # decaying to the right; same for both conventions
+        k_fwd = complex(ak.k_xII)
 
     fwd1 = np.array([1.0, _lower_component(hv, k_1, k_y, E)], dtype=complex)
     bwd1 = np.array([1.0, _lower_component(hv, -k_1, k_y, E)], dtype=complex)
@@ -255,7 +236,7 @@ def solve_barrier(
     r, _, _, t = np.linalg.solve(matrix, rhs)
 
     return BarrierSolution(
-        complex(r), complex(t), float(abs(r) ** 2), float(abs(t) ** 2), interior_propagating
+        complex(r), complex(t), float(abs(r) ** 2), float(abs(t) ** 2), ak.propagating
     )
 
 

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from kleinstep.common import Convention, SingularityError
+from kleinstep.common import Convention, SingularityError, require_finite
 from kleinstep.dirac import (
     Spinor2,
     current_density,
@@ -70,6 +70,7 @@ class StepProblem:
     V0: float
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.m < 0:
             raise ValueError("mass must be nonnegative")
         if self.V0 <= 0:

@@ -121,6 +121,19 @@ class TestUsageErrors:
         assert code == 2
         assert "E > m" in err
 
+    @pytest.mark.parametrize("args,value", [
+        (["graphene-angle", "--E", "0.08", "--V0", "nan", "--theta", "10"], "nan"),
+        (["graphene-angle", "--E", "0.08", "--V0", "0.3", "--theta=-inf"], "-inf"),
+        (["iv-curve", "--Vb", "nan"], "nan"),
+        (["barrier", "--E", "0.08", "--V0", "0.3", "--D", "inf"], "inf"),
+        (["barrier", "--E", "0.08", "--V0", "0.3", "--D", "1:inf:3"], "inf"),
+        (["step-rt", "--E", "2", "--m", "1", "--V0", "nan"], "nan"),
+    ])
+    def test_non_finite_value_is_usage_error(self, capsys, args, value):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err == f"kleinstep: error: expected a finite number, got '{value}'\n"
+
     def test_both_energy_and_wavelength(self, capsys):
         code, _, err = run(
             capsys, "graphene-angle", "--E", "0.08", "--lambdaF", "50",

@@ -12,6 +12,12 @@ from kleinstep.device import (
     iv_curve,
     sheet_conductivity,
 )
+from kleinstep.graphene import (
+    angle_kinematics,
+    energy_from_wavelength,
+    t_paper,
+    transmission_probability,
+)
 
 # frozen from tests/oracles.py: alpha |V_b| e mu at V_b = 0.2 V
 SIGMA_02_REF = 3.50876682846e-05
@@ -71,6 +77,10 @@ def test_angular_profile_reference_points():
     assert profile[0].relative_current == 1.0
     assert profile[1].relative_current == pytest.approx(T_45_REF, rel=1e-12)
     assert profile[2].relative_current == pytest.approx(T_80_REF, rel=1e-12)
+    energy = energy_from_wavelength(50.0)
+    for point in profile:
+        ak = angle_kinematics(energy, 0.3, point.theta)
+        assert point.transmission == transmission_probability(t_paper(ak), ak)
 
 
 def test_angular_profile_even_and_bounded():
@@ -89,8 +99,6 @@ def test_lambda_and_energy_are_exclusive():
 
 
 def test_energy_input_equivalent_to_wavelength():
-    from kleinstep.graphene import energy_from_wavelength
-
     direct = angular_current_profile(0.3, [0.5], E=energy_from_wavelength(50.0))
     via_wavelength = angular_current_profile(0.3, [0.5], lambda_F=50.0)
     assert direct[0].relative_current == via_wavelength[0].relative_current

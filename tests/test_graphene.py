@@ -10,7 +10,6 @@ from kleinstep.common import Convention, SingularityError
 from kleinstep.graphene import (
     DEFAULT_MATERIAL,
     HBAR_VF_EV_NM,
-    BarrierSpec,
     GrapheneMaterial,
     angle_kinematics,
     barrier_transmission,
@@ -255,13 +254,6 @@ class TestBarrier:
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
             barrier_transmission(E_FERMI, V0, -1.0, 0.0)
-
-
-def test_barrier_spec_validation():
-    assert BarrierSpec(0.3).D is None
-    assert BarrierSpec(0.3, 50.0).D == 50.0
-    with pytest.raises(ValueError):
-        BarrierSpec(0.3, 0.0)
 
 
 def test_custom_material_scales_out_of_probability():
