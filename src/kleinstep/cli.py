@@ -108,10 +108,8 @@ def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
     return convert
 
 
-def _bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    lowered = str(text).strip().lower()
+def _bool(text: str) -> bool:
+    lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):

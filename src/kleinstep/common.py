@@ -1,6 +1,6 @@
 """Shared tags, error types and input checks used across the scattering modules."""
 
-import math
+import cmath
 from enum import Enum
 
 __all__ = ["Convention", "SingularityError"]
@@ -34,8 +34,12 @@ class SingularityError(ArithmeticError):
         super().__init__(message)
 
 
-def require_finite(**values: float) -> None:
-    """Raise ValueError naming the first keyword argument that is nan or infinite."""
+def require_finite(**values: complex) -> None:
+    """Raise ValueError naming the first keyword argument that is nan or infinite.
+
+    Real and complex values are both accepted; a complex value must have a
+    finite real and imaginary part.
+    """
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not cmath.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")

@@ -7,6 +7,8 @@ blocks.  Spin-conserving propagation along z couples only components (1, 3),
 so the working objects are two-component spinors with the reduced
 Hamiltonian  H = [[m, k], [k, -m]];  its on-shell eigenvector (k, eps - m)
 covers both energy branches, including negative local energy eps = E - V.
+A two-component spinor is a plain (upper, lower) tuple of complex numbers;
+a four-component spinor is a complex numpy array of shape (4,).
 
 The wavevector ``k`` may be imaginary (evanescent solutions, decay rate
 kappa_ev with k = i*kappa_ev); everything downstream works with complex k.
@@ -17,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from kleinstep.common import require_finite
+
 __all__ = [
     "ALPHA_X",
     "ALPHA_Y",
     "ALPHA_Z",
     "BETA",
     "Kinematics1D",
-    "Spinor2",
-    "Spinor4",
     "current_density",
     "dirac_hamiltonian",
     "hamiltonian_residual",
@@ -64,41 +66,6 @@ class Kinematics1D:
     propagating: bool
 
 
-@dataclass(frozen=True)
-class Spinor2:
-    upper: complex
-    lower: complex
-
-    def __post_init__(self):
-        for c in (self.upper, self.lower):
-            c = complex(c)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("spinor components must be finite")
-        if self.upper == 0 and self.lower == 0:
-            raise ValueError("zero spinor")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.upper, self.lower], dtype=complex)
-
-
-@dataclass(frozen=True)
-class Spinor4:
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
-
-    def __post_init__(self):
-        comps = [complex(c) for c in (self.c1, self.c2, self.c3, self.c4)]
-        if any(not (math.isfinite(c.real) and math.isfinite(c.imag)) for c in comps):
-            raise ValueError("spinor components must be finite")
-        if all(c == 0 for c in comps):
-            raise ValueError("zero spinor")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3, self.c4], dtype=complex)
-
-
 def momentum(E: float, m: float) -> float:
     """Free momentum magnitude p = sqrt(E^2 - m^2).
 
@@ -135,36 +102,43 @@ def _check_onshell(eps: float, ksq: complex, m: float):
         )
 
 
-def make_spinor2(eps: float, k: complex, m: float) -> Spinor2:
+def make_spinor2(eps: float, k: complex, m: float) -> tuple[complex, complex]:
     """On-shell eigenvector (k, eps - m) of H = [[m, k], [k, -m]].
 
     eps is the local energy E - V (either sign); k is the signed wavevector,
     imaginary for evanescent solutions.  The rest frame k = 0, eps = +m is
     the one point where (k, eps - m) degenerates to zero; the proportional
-    form (eps + m, k) = (2m, 0) is returned there instead.
+    form (eps + m, k) = (2m, 0) is returned there instead.  At eps = k = m = 0
+    both forms vanish and ValueError("zero spinor") is raised.
     """
+    require_finite(eps=eps, k=k, m=m)
     k = complex(k)
     _check_onshell(eps, k * k, m)
     upper, lower = k, complex(eps - m)
     if upper == 0 and lower == 0:
         # rest frame: fall back to the (eps + m, k) form
-        return Spinor2(complex(eps + m), k)
-    return Spinor2(upper, lower)
+        upper, lower = complex(eps + m), k
+        if upper == 0:
+            raise ValueError("zero spinor")
+    return upper, lower
 
 
-def hamiltonian_residual(psi: Spinor2, eps: float, k: complex, m: float) -> float:
-    """||H psi - eps psi|| / ||psi|| for the reduced Hamiltonian at wavevector k."""
-    v = psi.as_array()
+def _eigen_residual(psi, h: np.ndarray, energy: float) -> float:
+    v = np.asarray(psi, dtype=complex)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("zero spinor")
-    h = np.array([[m, k], [k, -m]], dtype=complex)
-    return float(np.linalg.norm(h @ v - eps * v)) / norm
+    return float(np.linalg.norm(h @ v - energy * v)) / norm
 
 
-def current_density(psi: Spinor2) -> float:
+def hamiltonian_residual(psi, eps: float, k: complex, m: float) -> float:
+    """||H psi - eps psi|| / ||psi|| for the reduced Hamiltonian at wavevector k."""
+    return _eigen_residual(psi, np.array([[m, k], [k, -m]], dtype=complex), eps)
+
+
+def current_density(psi) -> float:
     """z-current psi^dag alpha_z psi = 2 Re(conj(upper) * lower); sign = direction."""
-    return 2.0 * (psi.upper.conjugate() * psi.lower).real
+    return 2.0 * (psi[0].conjugate() * psi[1]).real
 
 
 def dirac_hamiltonian(p, m: float) -> np.ndarray:
@@ -189,7 +163,7 @@ def make_spinor4(
     branch: str = "positive",
     spin: str = "up",
     normalize: bool = False,
-) -> Spinor4:
+) -> np.ndarray:
     """Free-particle four-spinor for energy magnitude E, momentum 3-vector p.
 
     The negative branch substitutes the signed energy -E into the column, so
@@ -203,10 +177,11 @@ def make_spinor4(
         raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
     if spin not in ("up", "down"):
         raise ValueError(f"spin must be 'up' or 'down', got {spin!r}")
+    px, py, pz = (float(c) for c in p)
+    require_finite(E=E, m=m, px=px, py=py, pz=pz)
     if m < 0:
         raise ValueError("mass must be nonnegative")
     E = abs(float(E))
-    px, py, pz = (float(c) for c in p)
     psq = px * px + py * py + pz * pz
     scale = max(E * E, psq + m * m, 1e-300)
     if abs(E * E - (psq + m * m)) > _ONSHELL_RTOL * scale:
@@ -214,22 +189,17 @@ def make_spinor4(
             f"inconsistent (E, p, m): E^2 = {E * E} but p^2 + m^2 = {psq + m * m}"
         )
     e = E if branch == "positive" else -E
-    column = _SPINOR4_COLUMNS[(branch, spin)](e, px, py, pz, m)
-    psi = Spinor4(*(complex(c) for c in column))
+    psi = np.array(_SPINOR4_COLUMNS[(branch, spin)](e, px, py, pz, m), dtype=complex)
+    if not psi.any():
+        raise ValueError("zero spinor")
     if normalize:
-        factor = 1.0 / (math.sqrt(2.0 * math.pi) * float(np.linalg.norm(psi.as_array())))
-        psi = Spinor4(*(factor * c for c in psi.as_array()))
+        psi = 1.0 / (math.sqrt(2.0 * math.pi) * float(np.linalg.norm(psi))) * psi
     return psi
 
 
-def hamiltonian_residual4(psi: Spinor4, energy: float, p, m: float) -> float:
+def hamiltonian_residual4(psi, energy: float, p, m: float) -> float:
     """||H4 psi - energy psi|| / ||psi|| with the signed eigenvalue ``energy``."""
-    v = psi.as_array()
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("zero spinor")
-    h = dirac_hamiltonian(p, m)
-    return float(np.linalg.norm(h @ v - energy * v)) / norm
+    return _eigen_residual(psi, dirac_hamiltonian(p, m), energy)
 
 
 def normalization_factor(region: str, E: float, m: float, V0: float | None = None) -> float:

@@ -79,6 +79,7 @@ class AngleKinematics:
 
 def energy_from_wavelength(lambda_F: float, material: GrapheneMaterial = DEFAULT_MATERIAL) -> float:
     """Fermi energy for a Fermi wavelength lambda_F (nm): E = hbar v_F 2 pi / lambda_F."""
+    require_finite(lambda_F=lambda_F)
     if not lambda_F > 0:
         raise ValueError("Fermi wavelength must be positive")
     return material.hbar_vF * 2.0 * math.pi / lambda_F
@@ -153,6 +154,7 @@ def transmission_probability(t: complex, ak: AngleKinematics) -> float:
 
 def critical_angle(E: float, V0: float) -> float | None:
     """arcsin(|E - V0| / E) when |E - V0| < E, else None (all angles propagate)."""
+    require_finite(E=E, V0=V0)
     if not E > 0:
         raise ValueError("electron incidence only: E must be positive")
     ratio = abs(E - V0) / E

@@ -36,7 +36,7 @@ from kleinstep.step import (
     solve_step_numeric,
 )
 
-from oracles import graphene_T_paper, sheet_sigma
+from oracles import graphene_T_paper, sheet_sigma, step_kappa_ratio_form
 
 # pre-registered straight-line oracle values (tests/oracles.py, run before the build)
 ORACLE_T45 = 0.7279251574477086
@@ -103,6 +103,25 @@ def test_criterion_02_dual_path_agreement():
             sol = solve_step_numeric(prob, Convention.PAPER)
             worst = max(worst, abs(sol.R - closed_r), abs(sol.T - closed_t))
         assert worst < 1e-10, f"worst dual-path deviation {worst:.3e}"
+
+
+def test_criterion_02_kappa_printed_forms_agree():
+    with criterion(2, "kappa's closed root equals the printed ratio form"):
+        problems, kappas = klein_grid()
+        for prob, k in zip(problems, kappas):
+            ratio = step_kappa_ratio_form(prob.E, prob.m, prob.V0)
+            # the absolute floor keeps the check meaningful as kappa -> 0
+            assert abs(ratio - k) <= 1e-12 * max(1.0, k), (prob, ratio, k)
+
+
+def test_criterion_02_kappa_prime_identity():
+    with criterion(2, "kappa' < 0 and kappa * kappa' = -1 on the grid"):
+        problems, kappas = klein_grid()
+        for prob, k in zip(problems, kappas):
+            kp = kappa_prime(prob)
+            assert kp < 0.0, (prob, kp)
+            if prob.m > 0:
+                assert abs(k * kp + 1.0) <= 1e-9, (prob, k, kp)
 
 
 def test_criterion_03_kappa_inversion_invariance():

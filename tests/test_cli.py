@@ -134,6 +134,12 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == f"kleinstep: error: expected a finite number, got '{value}'\n"
 
+    def test_zero_spinor_is_usage_error(self, capsys):
+        # massless rest frame eps = k = m = 0 has no nonzero spinor
+        code, out, err = run(capsys, "spinor-check", "--m", "0", "--eps", "0", "--no-manifest")
+        assert (code, out) == (2, "")
+        assert err == "kleinstep: error: zero spinor\n"
+
     def test_both_energy_and_wavelength(self, capsys):
         code, _, err = run(
             capsys, "graphene-angle", "--E", "0.08", "--lambdaF", "50",

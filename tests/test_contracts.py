@@ -7,7 +7,14 @@ import pytest
 import kleinstep
 from kleinstep import common, device, dirac, graphene, step
 from kleinstep.device import DeviceParams
-from kleinstep.graphene import GrapheneMaterial, angle_kinematics, solve_barrier
+from kleinstep.dirac import make_spinor2, make_spinor4
+from kleinstep.graphene import (
+    GrapheneMaterial,
+    angle_kinematics,
+    critical_angle,
+    energy_from_wavelength,
+    solve_barrier,
+)
 from kleinstep.step import StepProblem
 
 MODULES = (common, dirac, step, graphene, device)
@@ -33,6 +40,15 @@ NON_FINITE_CASES = [
     (angle_kinematics, (0.08, 0.3, math.nan), {}, "theta_I"),
     (solve_barrier, (0.08, 0.3, math.inf, 0.1), {}, "D"),
     (solve_barrier, (0.08, math.nan, 10.0, 0.1), {}, "V0"),
+    (critical_angle, (1.0, math.nan), {}, "V0"),
+    (critical_angle, (math.inf, 0.3), {}, "E"),
+    (energy_from_wavelength, (math.inf,), {}, "lambda_F"),
+    (energy_from_wavelength, (math.nan,), {}, "lambda_F"),
+    (make_spinor2, (math.inf, 1.0, 0.0), {}, "eps"),
+    (make_spinor2, (2.0, complex(math.inf, 0.0), 1.0), {}, "k"),
+    (make_spinor2, (2.0, complex(1.0, math.nan), 1.0), {}, "k"),
+    (make_spinor2, (2.0, 1.0, math.nan), {}, "m"),
+    (make_spinor4, (math.inf, (0.0, 0.0, 0.0), 0.0), {}, "E"),
 ]
 
 

@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 
 from kleinstep.dirac import (
     Kinematics1D,
-    Spinor2,
-    Spinor4,
     current_density,
     dirac_hamiltonian,
     hamiltonian_residual,
@@ -71,27 +69,26 @@ class TestLocalWavevector:
 class TestSpinor2:
     def test_positive_branch(self):
         sp = make_spinor2(2.0, SQRT3, 1.0)
-        assert sp.upper == pytest.approx(SQRT3)
-        assert sp.lower == pytest.approx(1.0)
+        assert isinstance(sp, tuple) and len(sp) == 2
+        assert sp[0] == pytest.approx(SQRT3)
+        assert sp[1] == pytest.approx(1.0)
 
     def test_negative_branch_klein_region(self):
         # region II of a step with E=2, V0=5: local energy -3
         sp = make_spinor2(-3.0, SQRT8, 1.0)
-        assert sp.upper == pytest.approx(SQRT8)
-        assert sp.lower == pytest.approx(-4.0)
+        assert sp[0] == pytest.approx(SQRT8)
+        assert sp[1] == pytest.approx(-4.0)
 
     def test_massless(self):
-        sp = make_spinor2(1.0, 1.0, 0.0)
-        assert (sp.upper, sp.lower) == (1.0, 1.0)
+        assert make_spinor2(1.0, 1.0, 0.0) == (1.0, 1.0)
 
     def test_rest_frame_fallback(self):
-        sp = make_spinor2(1.0, 0.0, 1.0)
-        assert (sp.upper, sp.lower) == (2.0, 0.0)
+        assert make_spinor2(1.0, 0.0, 1.0) == (2.0, 0.0)
 
     def test_evanescent_complex_wavevector(self):
         kin = local_wavevector(2.0, 2.5, 1.0)
         sp = make_spinor2(-0.5, 1j * kin.k, 1.0)
-        assert sp.upper == 1j * kin.k
+        assert sp[0] == 1j * kin.k
         assert hamiltonian_residual(sp, -0.5, 1j * kin.k, 1.0) < 1e-12
 
     def test_off_shell_rejected(self):
@@ -99,24 +96,30 @@ class TestSpinor2:
             make_spinor2(2.0, 1.0, 1.0)
 
     def test_zero_spinor_rejected(self):
-        with pytest.raises(ValueError):
-            Spinor2(0.0, 0.0)
+        # massless rest frame: both (k, eps - m) and (eps + m, k) vanish
+        with pytest.raises(ValueError, match="zero spinor"):
+            make_spinor2(0.0, 0.0, 0.0)
 
 
 class TestResidualAndCurrent:
     def test_eigenvector(self):
-        assert hamiltonian_residual(Spinor2(SQRT3, 1.0), 2.0, SQRT3, 1.0) <= 1e-12
+        assert hamiltonian_residual((SQRT3, 1.0), 2.0, SQRT3, 1.0) <= 1e-12
 
     def test_deliberate_mismatch(self):
-        assert hamiltonian_residual(Spinor2(1.0, 0.0), 1.0, 1.0, 1.0) > 0.1
+        assert hamiltonian_residual((1.0, 0.0), 1.0, 1.0, 1.0) > 0.1
 
     def test_massless_eigenvector(self):
-        assert hamiltonian_residual(Spinor2(1.0, 1.0), 1.0, 1.0, 0.0) == 0.0
+        assert hamiltonian_residual((1.0, 1.0), 1.0, 1.0, 0.0) == 0.0
+
+    def test_zero_spinor_residual_rejected(self):
+        with pytest.raises(ValueError, match="zero spinor"):
+            hamiltonian_residual((0.0, 0.0), 1.0, 1.0, 0.0)
 
     def test_current_values(self):
-        assert current_density(Spinor2(SQRT3, 1.0)) == pytest.approx(2 * SQRT3)
-        assert current_density(Spinor2(1.0, -1.0)) == -2.0
-        assert current_density(Spinor2(1.0, 1j)) == 0.0
+        assert current_density((SQRT3, 1.0)) == pytest.approx(2 * SQRT3)
+        assert current_density((1.0, -1.0)) == -2.0
+        assert current_density((1.0, 1j)) == 0.0
+        assert current_density(np.array([1.0, -1.0], dtype=complex)) == -2.0
 
     @given(
         st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
@@ -124,10 +127,8 @@ class TestResidualAndCurrent:
         st.floats(-50, 50),
     )
     def test_current_bilinearity(self, c, a, b):
-        if c == 0 or (a == 0 and b == 0):
-            return
-        psi = Spinor2(a + 0.3j, b - 0.7j)
-        scaled = Spinor2(c * psi.upper, c * psi.lower)
+        psi = (a + 0.3j, b - 0.7j)
+        scaled = (c * psi[0], c * psi[1])
         assert current_density(scaled) == pytest.approx(
             abs(c) ** 2 * current_density(psi), rel=1e-12, abs=1e-12
         )
@@ -155,16 +156,22 @@ class TestSpinor4:
     def test_positive_up_column(self):
         psi = make_spinor4(math.sqrt(2.0), (0.0, 0.0, 1.0), 1.0, "positive", "up")
         expected = np.array([math.sqrt(2.0) + 1.0, 0.0, 1.0, 0.0])
-        np.testing.assert_allclose(psi.as_array(), expected, rtol=1e-14)
+        assert psi.shape == (4,) and psi.dtype == complex
+        np.testing.assert_allclose(psi, expected, rtol=1e-14)
 
     def test_negative_up_column_uses_signed_energy(self):
         psi = make_spinor4(math.sqrt(2.0), (0.0, 0.0, 1.0), 1.0, "negative", "up")
         expected = np.array([1.0, 0.0, -math.sqrt(2.0) - 1.0, 0.0])
-        np.testing.assert_allclose(psi.as_array(), expected, rtol=1e-14)
+        np.testing.assert_allclose(psi, expected, rtol=1e-14)
 
     def test_rest_frame(self):
         psi = make_spinor4(1.0, (0.0, 0.0, 0.0), 1.0, "positive", "up")
-        np.testing.assert_allclose(psi.as_array(), [2.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(psi, [2.0, 0.0, 0.0, 0.0])
+
+    def test_zero_spinor_rejected(self):
+        # massless rest frame: every column vanishes
+        with pytest.raises(ValueError, match="zero spinor"):
+            make_spinor4(0.0, (0.0, 0.0, 0.0), 0.0)
 
     def test_inconsistent_triple_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
@@ -203,9 +210,9 @@ class TestSpinor4:
             unit = make_spinor4(E, (0, 0, pz), m, branch, "up", normalize=True)
             n_closed = 1.0 / math.sqrt(2 * math.pi * 2 * E * (E + m))
             np.testing.assert_allclose(
-                unit.as_array(), n_closed * raw.as_array(), rtol=1e-12
+                unit, n_closed * raw, rtol=1e-12
             )
-            assert np.linalg.norm(unit.as_array()) == pytest.approx(
+            assert np.linalg.norm(unit) == pytest.approx(
                 1 / math.sqrt(2 * math.pi), rel=1e-14
             )
 
@@ -246,5 +253,7 @@ def test_kinematics_record_fields():
 
 
 def test_spinor4_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Spinor4(math.inf, 0, 0, 0)
+    with pytest.raises(ValueError, match="E must be finite"):
+        make_spinor4(math.inf, (0, 0, 0), 0)
+    with pytest.raises(ValueError, match="pz must be finite"):
+        make_spinor4(1.0, (0, 0, math.nan), 1.0)

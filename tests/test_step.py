@@ -61,6 +61,35 @@ class TestRegimes:
         with pytest.raises(ValueError, match="E > m"):
             StepProblem(1.0, 1.0, 5.0)
 
+    def test_threshold_is_relative_to_scale(self):
+        # the reference Klein point shrunk to 1e-14: no threshold lies within
+        # 1e-12 of the problem's own scale, so it must stay a Klein step
+        prob = StepProblem(2e-14, 1e-14, 5e-14)
+        assert classify_regime(prob) is Regime.KLEIN
+        sol = solve_step_numeric(prob)
+        assert (sol.R, sol.T) == pytest.approx(RT_PAPER_REF, rel=1e-12)
+
+    def test_near_threshold_detected_at_large_scale(self):
+        scale = 1e6
+        prob = StepProblem(6.0 * scale * (1.0 + 1e-13), 1.0 * scale, 5.0 * scale)
+        assert classify_regime(prob) is Regime.THRESHOLD_UPPER
+
+    @given(
+        st.sampled_from([(2.0, 1.0, 5.0), (7.0, 1.0, 5.0), (2.0, 1.0, 2.5), (6.0, 1.0, 5.0),
+                         (4.0, 1.0, 5.0)])
+        | klein_problems().map(lambda prob: (prob.E, prob.m, prob.V0)),
+        st.floats(-15.0, 15.0),
+        st.sampled_from(list(Convention)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rt_invariant_under_energy_scale(self, point, exponent, convention):
+        scale = 10.0**exponent
+        base = solve_step_numeric(StepProblem(*point), convention)
+        scaled = solve_step_numeric(StepProblem(*(scale * x for x in point)), convention)
+        assert scaled.regime is base.regime
+        assert scaled.R == pytest.approx(base.R, rel=1e-9, abs=1e-12)
+        assert scaled.T == pytest.approx(base.T, rel=1e-9, abs=1e-12)
+
 
 class TestKappa:
     def test_reference_point(self):
