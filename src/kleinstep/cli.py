@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable
 
+import numpy as np
+
 from kleinstep import __version__
-from kleinstep.common import Convention, SingularityError
+from kleinstep.common import Convention, SingularityError, first_point
 from kleinstep.device import DeviceParams, angular_current_profile, iv_curve
 from kleinstep.dirac import (
     current_density,
@@ -282,76 +284,88 @@ def _resolve_fermi_energy(params: dict, material: GrapheneMaterial) -> float:
     return energy_from_wavelength(params["lambdaF"], material)
 
 
-def _rows_step_rt(request: SweepRequest) -> list[dict]:
+def _regime_names(regimes: np.ndarray) -> list[str]:
+    return [regime.value for regime in regimes.tolist()]
+
+
+def _raise_if_singular(problem: StepProblem, solution) -> None:
+    """Raise the SingularityError of an array solution's first singular cell.
+
+    Singular cells are the ones that carry kappa_value = -1; solving that one
+    cell as a scalar problem raises the library's own error.
+    """
+    singular = solution.kappa_value == -1.0
+    if singular.any():
+        point = first_point(singular, problem.E, problem.m, problem.V0)
+        solve_step_numeric(StepProblem(*point), solution.convention)
+
+
+def _rows_step_rt(request: SweepRequest) -> dict:
     params = request.params
     convention = Convention(params["convention"])
-    rows = []
-    for E in params["E"]:
-        problem = StepProblem(E, params["m"], params["V0"])
-        sol = solve_step_numeric(problem, convention)
-        rows.append({
-            "E": E, "m": params["m"], "V0": params["V0"],
-            "convention": convention.value, "regime": sol.regime.value,
-            "kappa": sol.kappa_value,
-            "r_re": sol.r.real, "r_im": sol.r.imag,
-            "t_re": sol.t.real, "t_im": sol.t.imag,
-            "R": sol.R, "T": sol.T,
-        })
-    return rows
+    problem = StepProblem(np.array(params["E"], dtype=float), params["m"], params["V0"])
+    sol = solve_step_numeric(problem, convention)
+    _raise_if_singular(problem, sol)
+    count = len(params["E"])
+    return {
+        "E": params["E"], "m": [params["m"]] * count, "V0": [params["V0"]] * count,
+        "convention": [convention.value] * count, "regime": _regime_names(sol.regime),
+        "kappa": sol.kappa_value,
+        "r_re": sol.r.real, "r_im": sol.r.imag,
+        "t_re": sol.t.real, "t_im": sol.t.imag,
+        "R": sol.R, "T": sol.T,
+    }
 
 
-def _rows_step_compare(request: SweepRequest) -> list[dict]:
-    rows = []
-    for E in request.params["E"]:
-        for m in request.params["m"]:
-            for V0 in request.params["V0"]:
-                problem = StepProblem(E, m, V0)
-                paper = solve_step_numeric(problem, Convention.PAPER)
-                try:
-                    common = solve_step_numeric(problem, Convention.COMMON)
-                    r_common, t_common_coeff = common.R, common.T
-                    kp = common.kappa_value if common.regime is Regime.KLEIN else math.nan
-                except SingularityError:
-                    if not request.allow_singular:
-                        raise
-                    kp, r_common, t_common_coeff = -1.0, math.inf, -math.inf
-                rows.append({
-                    "E": E, "m": m, "V0": V0,
-                    "kappa": paper.kappa_value,
-                    "R_paper": paper.R, "T_paper": paper.T,
-                    "kappa_prime": kp,
-                    "R_common": r_common, "T_common": t_common_coeff,
-                    "regime": paper.regime.value,
-                })
-    return rows
+def _rows_step_compare(request: SweepRequest) -> dict:
+    grid = np.meshgrid(*(np.array(request.params[name], dtype=float) for name in ("E", "m", "V0")),
+                       indexing="ij")
+    problem = StepProblem(*(axis.ravel() for axis in grid))
+    paper = solve_step_numeric(problem, Convention.PAPER)
+    common = solve_step_numeric(problem, Convention.COMMON)
+    if not request.allow_singular:
+        _raise_if_singular(problem, common)
+    # singular cells already hold the --allow-singular values: kappa' = -1, R = inf, T = -inf
+    return {
+        "E": problem.E, "m": problem.m, "V0": problem.V0,
+        "kappa": paper.kappa_value,
+        "R_paper": paper.R, "T_paper": paper.T,
+        "kappa_prime": np.where(common.regime == Regime.KLEIN, common.kappa_value, math.nan),
+        "R_common": common.R, "T_common": common.T,
+        "regime": _regime_names(paper.regime),
+    }
 
 
-def _rows_spinor_check(request: SweepRequest) -> list[dict]:
+def _rows_spinor_check(request: SweepRequest) -> dict:
     m = request.params["m"]
-    rows = []
-    for eps in request.params["eps"]:
-        gap = eps * eps - m * m
-        k = math.sqrt(gap) if gap >= 0 else 1j * math.sqrt(-gap)
-        spinor = make_spinor2(eps, k, m)
-        residual2 = hamiltonian_residual(spinor, eps, k, m)
-        if gap >= 0 and eps != 0:
-            branch = "positive" if eps > 0 else "negative"
-            p_vec = (0.0, 0.0, math.sqrt(gap))
-            psi4 = make_spinor4(abs(eps), p_vec, m, branch=branch)
-            residual4 = hamiltonian_residual4(psi4, eps, p_vec, m)
-        else:
-            residual4 = math.nan
-        rows.append({
-            "eps": eps,
-            "k_re": complex(k).real, "k_im": complex(k).imag,
-            "m": m,
-            "residual2": residual2, "residual4": residual4,
-            "current": current_density(spinor),
-        })
-    return rows
+    eps = np.array(request.params["eps"], dtype=float)
+    gap = eps * eps - m * m
+    root = np.sqrt(np.abs(gap))
+    k = np.where(gap >= 0, root, 1j * root)
+    spinor = make_spinor2(eps, k, m)
+    residual4 = np.full(eps.shape, math.nan)
+    for branch, cells in (("positive", (gap >= 0) & (eps > 0)),
+                          ("negative", (gap >= 0) & (eps < 0))):
+        p_vec = (0.0, 0.0, root[cells])
+        psi4 = make_spinor4(np.abs(eps[cells]), p_vec, m, branch=branch)
+        residual4[cells] = hamiltonian_residual4(psi4, eps[cells], p_vec, m)
+    return {
+        "eps": request.params["eps"],
+        "k_re": k.real, "k_im": k.imag,
+        "m": [m] * eps.size,
+        "residual2": hamiltonian_residual(spinor, eps, k, m), "residual4": residual4,
+        "current": current_density(spinor),
+    }
 
 
-def _rows_graphene_angle(request: SweepRequest) -> list[dict]:
+def _table(request: SweepRequest, rows: list[tuple]) -> dict:
+    """Row tuples of a per-point loop as columns, keyed by the command's column names."""
+    columns = _COMMANDS[request.command].columns
+    cells = zip(*rows) if rows else ([] for _ in columns)
+    return {name: list(values) for name, values in zip(columns, cells)}
+
+
+def _rows_graphene_angle(request: SweepRequest) -> dict:
     params = request.params
     material = GrapheneMaterial(params["hbar_vF"])
     energy = _resolve_fermi_energy(params, material)
@@ -359,10 +373,7 @@ def _rows_graphene_angle(request: SweepRequest) -> list[dict]:
     for theta_deg in params["theta"]:
         ak = angle_kinematics(energy, params["V0"], math.radians(theta_deg), material)
         if not ak.propagating:
-            rows.append({
-                "theta_deg": theta_deg, "ky": ak.k_y, "kxII": math.nan,
-                "thetaII_deg": math.nan, "T_paper": 0.0, "T_common": 0.0,
-            })
+            rows.append((theta_deg, ak.k_y, math.nan, math.nan, 0.0, 0.0))
             continue
         transmission_paper = transmission_probability(t_paper(ak), ak)
         try:
@@ -371,32 +382,27 @@ def _rows_graphene_angle(request: SweepRequest) -> list[dict]:
             if not request.allow_singular:
                 raise
             transmission_common = math.inf
-        rows.append({
-            "theta_deg": theta_deg, "ky": ak.k_y, "kxII": ak.k_xII,
-            "thetaII_deg": math.degrees(ak.theta_II),
-            "T_paper": transmission_paper, "T_common": transmission_common,
-        })
-    return rows
+        rows.append((theta_deg, ak.k_y, ak.k_xII, math.degrees(ak.theta_II),
+                     transmission_paper, transmission_common))
+    return _table(request, rows)
 
 
-def _rows_barrier(request: SweepRequest) -> list[dict]:
+def _rows_barrier(request: SweepRequest) -> dict:
     params = request.params
     material = GrapheneMaterial(params["hbar_vF"])
     energy = _resolve_fermi_energy(params, material)
     theta = math.radians(params["theta"])
     rows = []
     for width in params["D"]:
-        rows.append({
-            "E": energy, "V0": params["V0"], "D": width, "theta_deg": params["theta"],
-            "T_paper": solve_barrier(energy, params["V0"], width, theta,
-                                     Convention.PAPER, material).T,
-            "T_common": solve_barrier(energy, params["V0"], width, theta,
-                                      Convention.COMMON, material).T,
-        })
-    return rows
+        rows.append((
+            energy, params["V0"], width, params["theta"],
+            solve_barrier(energy, params["V0"], width, theta, Convention.PAPER, material).T,
+            solve_barrier(energy, params["V0"], width, theta, Convention.COMMON, material).T,
+        ))
+    return _table(request, rows)
 
 
-def _rows_iv_curve(request: SweepRequest) -> list[dict]:
+def _rows_iv_curve(request: SweepRequest) -> dict:
     params = request.params
     grid = params["V"] if params["V"] is not None else _linspace(
         params["V_min"], params["V_max"], params["n"]
@@ -407,12 +413,11 @@ def _rows_iv_curve(request: SweepRequest) -> list[dict]:
             mobility=params["mobility"], gate_coefficient=params["alpha"],
             back_gate=v_back, aspect_ratio=params["aspect_ratio"],
         )
-        for point in iv_curve(device, grid):
-            rows.append({"Vb": v_back, "V": point.V, "I": point.I})
-    return rows
+        rows.extend((v_back, point.V, point.I) for point in iv_curve(device, grid))
+    return _table(request, rows)
 
 
-def _rows_angular_current(request: SweepRequest) -> list[dict]:
+def _rows_angular_current(request: SweepRequest) -> dict:
     params = request.params
     material = GrapheneMaterial(params["hbar_vF"])
     thetas_deg = _linspace(-params["theta_max"], params["theta_max"], params["n"])
@@ -420,20 +425,23 @@ def _rows_angular_current(request: SweepRequest) -> list[dict]:
         params["V0"], [math.radians(t) for t in thetas_deg],
         lambda_F=params["lambdaF"], material=material,
     )
-    return [
-        {"theta_deg": theta_deg, "T": point.transmission,
-         "relative_current": point.relative_current}
+    return _table(request, [
+        (theta_deg, point.transmission, point.relative_current)
         for theta_deg, point in zip(thetas_deg, profile)
-    ]
+    ])
 
 
 @dataclass(frozen=True)
 class _Command:
-    """One subcommand: its flags, its output columns and the sweep that makes its rows."""
+    """One subcommand: its flags, its output columns and the sweep that makes its rows.
+
+    ``rows`` returns the sweep as a table: column name -> one sequence (list
+    or numpy array) of cells per column, all of one length, in sweep order.
+    """
 
     params: list[_Param]
     columns: list[str]
-    rows: Callable[[SweepRequest], list[dict]]
+    rows: Callable[[SweepRequest], dict]
 
 
 _COMMANDS = {
@@ -492,42 +500,70 @@ _COMMANDS = {
 # ------------------------------------------------------------- emission
 
 
-def _format_cell(value) -> str:
+# sweeps are turned into Python values and text this many rows at a time
+_RENDER_SLICE = 1024
+
+
+def _csv_cell(value) -> str:
     if isinstance(value, float):
         return format(value, ".9g")
     return str(value)
 
 
-def _round9(value):
-    if isinstance(value, float) and math.isfinite(value):
-        return float(format(value, ".9g"))
-    return value
+def _json_cell(value) -> str:
+    """The text json.dumps writes for a cell, floats rounded to 9 significant digits."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(float(format(value, ".9g")))
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    return json.dumps(value)
 
 
-def render_csv(columns: list[str], rows: list[dict], manifest: RunManifest | None) -> str:
+def _rendered_slices(columns: list[str], table: dict, prefixes: list[str], cell):
+    """Per slice of rows, one list of cell texts per column, each behind its prefix."""
+    count = len(table[columns[0]]) if columns else 0
+    for start in range(0, count, _RENDER_SLICE):
+        texts = []
+        for name, prefix in zip(columns, prefixes):
+            values = table[name][start:start + _RENDER_SLICE]
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
+            texts.append([prefix + cell(value) for value in values])
+        yield texts
+
+
+def render_csv(columns: list[str], table: dict, manifest: RunManifest | None) -> str:
     lines = manifest.comment_lines() if manifest else []
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(row[col]) for col in columns))
+    for texts in _rendered_slices(columns, table, [""] * len(columns), _csv_cell):
+        lines.append("\n".join(map(",".join, zip(*texts))))
     return "\n".join(lines) + "\n"
 
 
-def render_json(columns: list[str], rows: list[dict], manifest: RunManifest | None) -> str:
-    payload: dict = {}
+def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -> str:
+    """The bytes of json.dumps({"manifest": ..., "rows": [...]}, indent=2), written by hand."""
+    head = "{\n"
     if manifest:
-        payload["manifest"] = manifest.as_dict()
-    payload["rows"] = [{col: _round9(row[col]) for col in columns} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+        head += '  "manifest": ' + json.dumps(manifest.as_dict(), indent=2).replace("\n", "\n  ")
+        head += ",\n"
+    prefixes = [f"      {json.dumps(name)}: " for name in columns]
+    slices = [
+        ",\n".join("    {\n" + ",\n".join(cells) + "\n    }" for cells in zip(*texts))
+        for texts in _rendered_slices(columns, table, prefixes, _json_cell)
+    ]
+    if not slices:
+        return head + '  "rows": []\n}\n'
+    return head + '  "rows": [\n' + ",\n".join(slices) + "\n  ]\n}\n"
 
 
-def emit(request: SweepRequest, rows: list[dict]) -> int:
-    """Render and write one sweep; returns the process exit code."""
+def emit(request: SweepRequest, table: dict) -> int:
+    """Render and write one sweep table; returns the process exit code."""
     columns = _COMMANDS[request.command].columns
     manifest = None
     if not request.no_manifest:
         manifest = RunManifest(__version__, request.command, request.params)
     render = render_csv if request.format == "csv" else render_json
-    text = render(columns, rows, manifest)
+    text = render(columns, table, manifest)
     if request.output:
         try:
             with open(request.output, "w", encoding="utf-8", newline="") as handle:
@@ -550,11 +586,14 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
     try:
-        rows = _COMMANDS[request.command].rows(request)
+        table = _COMMANDS[request.command].rows(request)
     except SingularityError as exc:
         print(f"{PROG}: numerical failure: {exc}", file=sys.stderr)
         print(f"{PROG}: rerun with --allow-singular to emit unbounded values",
               file=sys.stderr)
+        return 1
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not the user's
+        print(f"{PROG}: numerical failure: {exc}", file=sys.stderr)
         return 1
     except _UsageError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
@@ -562,7 +601,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # parameter domain errors
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    return emit(request, rows)
+    return emit(request, table)
 
 
 if __name__ == "__main__":

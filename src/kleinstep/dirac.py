@@ -10,6 +10,11 @@ covers both energy branches, including negative local energy eps = E - V.
 A two-component spinor is a plain (upper, lower) tuple of complex numbers;
 a four-component spinor is a complex numpy array of shape (4,).
 
+Every function also takes numpy arrays that broadcast together and then
+works cell by cell: a 2-spinor becomes an (upper, lower) pair of arrays, a
+4-spinor an array of shape (..., 4).  Scalars are the 0-d case and come back
+as Python numbers.
+
 The wavevector ``k`` may be imaginary (evanescent solutions, decay rate
 kappa_ev with k = i*kappa_ev); everything downstream works with complex k.
 """
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kleinstep.common import require_finite
+from kleinstep.common import broadcast, first_point, require_finite, unwrap
 
 __all__ = [
     "ALPHA_X",
@@ -62,7 +67,7 @@ class Kinematics1D:
     E: float
     m: float
     V: float
-    k: float
+    k: float  # or an array, with ``propagating`` the matching bool array
     propagating: bool
 
 
@@ -72,30 +77,36 @@ def momentum(E: float, m: float) -> float:
     Raises ValueError for |E| < m: there is no free propagating state there,
     use local_wavevector() for the evanescent classification.
     """
-    if m < 0:
-        raise ValueError("mass must be nonnegative")
-    if abs(E) < m:
+    E, m = broadcast(np.asarray(E, dtype=float), np.asarray(m, dtype=float))
+    _require_mass(m)
+    below = np.abs(E) < m
+    if below.any():
+        E, m = first_point(below, E, m)
         raise ValueError(
             f"|E| = {abs(E)} < m = {m}: evanescent kinematics, "
             "use local_wavevector() instead"
         )
-    return math.sqrt(E * E - m * m)
+    return unwrap(np.sqrt(E * E - m * m))
 
 
 def local_wavevector(E: float, V: float, m: float) -> Kinematics1D:
     """Kinematics at constant potential V: q = sqrt((E-V)^2 - m^2) or decay rate."""
-    if m < 0:
+    _require_mass(m)
+    eps = np.asarray(E, dtype=float) - V
+    gap = eps * eps - np.asarray(m, dtype=float) ** 2
+    return Kinematics1D(E, m, V, unwrap(np.sqrt(np.abs(gap))), unwrap(gap >= 0))
+
+
+def _require_mass(m):
+    if np.any(np.asarray(m) < 0):
         raise ValueError("mass must be nonnegative")
-    eps = E - V
-    gap = eps * eps - m * m
-    if gap >= 0:
-        return Kinematics1D(E, m, V, math.sqrt(gap), True)
-    return Kinematics1D(E, m, V, math.sqrt(-gap), False)
 
 
-def _check_onshell(eps: float, ksq: complex, m: float):
-    scale = max(abs(eps) ** 2, m * m, abs(ksq), 1e-300)
-    if abs(eps * eps - (ksq + m * m)) > _ONSHELL_RTOL * scale:
+def _check_onshell(eps: np.ndarray, ksq: np.ndarray, m: np.ndarray):
+    scale = np.maximum(np.maximum(eps * eps, m * m), np.maximum(np.abs(ksq), 1e-300))
+    off = np.abs(eps * eps - (ksq + m * m)) > _ONSHELL_RTOL * scale
+    if off.any():
+        eps, ksq, m = first_point(off, eps, ksq, m)
         raise ValueError(
             f"off-shell spinor request: eps={eps}, k^2={ksq}, m={m} "
             "violate eps^2 = k^2 + m^2"
@@ -112,38 +123,62 @@ def make_spinor2(eps: float, k: complex, m: float) -> tuple[complex, complex]:
     both forms vanish and ValueError("zero spinor") is raised.
     """
     require_finite(eps=eps, k=k, m=m)
-    k = complex(k)
+    eps, k, m = broadcast(
+        np.asarray(eps, dtype=float), np.asarray(k, dtype=complex), np.asarray(m, dtype=float)
+    )
     _check_onshell(eps, k * k, m)
-    upper, lower = k, complex(eps - m)
-    if upper == 0 and lower == 0:
+    upper, lower = k, (eps - m).astype(complex)
+    rest = (upper == 0) & (lower == 0)
+    if rest.any():
         # rest frame: fall back to the (eps + m, k) form
-        upper, lower = complex(eps + m), k
-        if upper == 0:
+        upper, lower = np.where(rest, eps + m, upper), np.where(rest, k, lower)
+        if np.any(rest & (upper == 0)):
             raise ValueError("zero spinor")
-    return upper, lower
+    return unwrap(upper), unwrap(lower)
 
 
-def _eigen_residual(psi, h: np.ndarray, energy: float) -> float:
-    v = np.asarray(psi, dtype=complex)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+def _norm(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm over the last axis, one vector at a time.
+
+    Each vector goes through the same two BLAS dot products that
+    np.linalg.norm makes for a single vector, so a batch of norms equals the
+    one-vector norms bit for bit.
+    """
+    def dot(x):
+        return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+
+    return np.sqrt(dot(v.real) + dot(v.imag))
+
+
+def _eigen_residual(v: np.ndarray, h: np.ndarray, energy) -> float:
+    norm = _norm(v)
+    if np.any(norm == 0.0):
         raise ValueError("zero spinor")
-    return float(np.linalg.norm(h @ v - energy * v)) / norm
+    hv = np.matmul(h, v[..., None])[..., 0]
+    return unwrap(_norm(hv - np.asarray(energy, dtype=float)[..., None] * v) / norm)
 
 
 def hamiltonian_residual(psi, eps: float, k: complex, m: float) -> float:
     """||H psi - eps psi|| / ||psi|| for the reduced Hamiltonian at wavevector k."""
-    return _eigen_residual(psi, np.array([[m, k], [k, -m]], dtype=complex), eps)
+    k, m = broadcast(np.asarray(k, dtype=complex), np.asarray(m, dtype=float))
+    h = np.empty(k.shape + (2, 2), dtype=complex)
+    h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1] = m, k, k, -m
+    v = np.stack(broadcast(*(np.asarray(c, dtype=complex) for c in psi)), axis=-1)
+    return _eigen_residual(v, h, eps)
 
 
 def current_density(psi) -> float:
     """z-current psi^dag alpha_z psi = 2 Re(conj(upper) * lower); sign = direction."""
-    return 2.0 * (psi[0].conjugate() * psi[1]).real
+    upper, lower = psi[0], psi[1]
+    return 2.0 * (upper.real * lower.real + upper.imag * lower.imag)
 
 
 def dirac_hamiltonian(p, m: float) -> np.ndarray:
-    """Full 4x4 Hamiltonian alpha . p + beta m in the Dirac representation."""
-    px, py, pz = (float(c) for c in p)
+    """Full 4x4 Hamiltonian alpha . p + beta m in the Dirac representation.
+
+    Array momentum components and masses give a stack of shape (..., 4, 4).
+    """
+    px, py, pz, m = (np.asarray(c, dtype=float)[..., None, None] for c in (*p, m))
     return px * ALPHA_X + py * ALPHA_Y + pz * ALPHA_Z + m * BETA
 
 
@@ -177,29 +212,31 @@ def make_spinor4(
         raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
     if spin not in ("up", "down"):
         raise ValueError(f"spin must be 'up' or 'down', got {spin!r}")
-    px, py, pz = (float(c) for c in p)
+    E, px, py, pz, m = broadcast(*(np.asarray(c, dtype=float) for c in (E, *p, m)))
     require_finite(E=E, m=m, px=px, py=py, pz=pz)
-    if m < 0:
-        raise ValueError("mass must be nonnegative")
-    E = abs(float(E))
+    _require_mass(m)
+    E = np.abs(E)
     psq = px * px + py * py + pz * pz
-    scale = max(E * E, psq + m * m, 1e-300)
-    if abs(E * E - (psq + m * m)) > _ONSHELL_RTOL * scale:
+    scale = np.maximum(np.maximum(E * E, psq + m * m), 1e-300)
+    off = np.abs(E * E - (psq + m * m)) > _ONSHELL_RTOL * scale
+    if off.any():
+        E, psq, m = first_point(off, E, psq, m)
         raise ValueError(
             f"inconsistent (E, p, m): E^2 = {E * E} but p^2 + m^2 = {psq + m * m}"
         )
     e = E if branch == "positive" else -E
-    psi = np.array(_SPINOR4_COLUMNS[(branch, spin)](e, px, py, pz, m), dtype=complex)
-    if not psi.any():
+    column = _SPINOR4_COLUMNS[(branch, spin)](e, px, py, pz, m)
+    psi = np.stack(broadcast(*(np.asarray(c, dtype=complex) for c in column)), axis=-1)
+    if not psi.any(axis=-1).all():
         raise ValueError("zero spinor")
     if normalize:
-        psi = 1.0 / (math.sqrt(2.0 * math.pi) * float(np.linalg.norm(psi))) * psi
+        psi = (1.0 / (math.sqrt(2.0 * math.pi) * _norm(psi)))[..., None] * psi
     return psi
 
 
 def hamiltonian_residual4(psi, energy: float, p, m: float) -> float:
     """||H4 psi - energy psi|| / ||psi|| with the signed eigenvalue ``energy``."""
-    return _eigen_residual(psi, dirac_hamiltonian(p, m), energy)
+    return _eigen_residual(np.asarray(psi, dtype=complex), dirac_hamiltonian(p, m), energy)
 
 
 def normalization_factor(region: str, E: float, m: float, V0: float | None = None) -> float:

@@ -22,7 +22,14 @@ from enum import Enum
 
 import numpy as np
 
-from kleinstep.common import Convention, SingularityError, require_finite
+from kleinstep.common import (
+    Convention,
+    SingularityError,
+    broadcast,
+    first_point,
+    require_finite,
+    unwrap,
+)
 from kleinstep.dirac import (
     current_density,
     local_wavevector,
@@ -62,23 +69,46 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class StepProblem:
-    """Incident energy E > m, rest mass m >= 0, step height V0 > 0."""
+    """Incident energy E > m, rest mass m >= 0, step height V0 > 0.
+
+    E, m and V0 may be numpy arrays that broadcast together; each cell is
+    then one problem, and the first invalid cell in C order is the one named
+    in the error.
+    """
 
     E: float
     m: float
     V0: float
 
     def __post_init__(self):
-        require_finite(**vars(self))
-        if self.m < 0:
-            raise ValueError("mass must be nonnegative")
-        if self.V0 <= 0:
-            raise ValueError("step height V0 must be positive")
-        if not self.E > self.m:
-            raise ValueError(
-                f"incident wave must propagate in region I: need E > m, "
-                f"got E = {self.E}, m = {self.m}"
-            )
+        if np.ndim(self.E) == np.ndim(self.m) == np.ndim(self.V0) == 0:
+            _validate(self.E, self.m, self.V0)
+            return
+        E, m, V0 = _arrays(self)
+        valid = np.isfinite(E) & np.isfinite(m) & np.isfinite(V0) & (m >= 0) & (V0 > 0) & (E > m)
+        if not valid.all():
+            _validate(*first_point(~valid, E, m, V0))
+
+
+def _validate(E, m, V0):
+    require_finite(E=E, m=m, V0=V0)
+    if m < 0:
+        raise ValueError("mass must be nonnegative")
+    if V0 <= 0:
+        raise ValueError("step height V0 must be positive")
+    if not E > m:
+        raise ValueError(
+            f"incident wave must propagate in region I: need E > m, "
+            f"got E = {E}, m = {m}"
+        )
+
+
+def _arrays(problem: StepProblem) -> list[np.ndarray]:
+    """E, m and V0 broadcast together; a scalar problem gives numpy scalars.
+
+    numpy runs the same expressions on scalars as on arrays, only faster.
+    """
+    return [x[()] for x in broadcast(*(np.asarray(x, dtype=float) for x in vars(problem).values()))]
 
 
 @dataclass(frozen=True)
@@ -88,6 +118,11 @@ class StepScatteringSolution:
     kappa_value is the convention's matching parameter where it exists
     (nan in the evanescent regime, inf at the upper threshold).  T is the
     signed transmitted/incident current ratio; R the reflected one.
+
+    For an array problem every field except ``convention`` is an array of
+    the problem's shape, ``regime`` one of Regime members.  A singular cell
+    (the massless Klein step under COMMON) then holds kappa_value = -1,
+    R = inf, T = -inf and r = t = nan instead of raising.
     """
 
     convention: Convention
@@ -99,23 +134,40 @@ class StepScatteringSolution:
     regime: Regime
 
 
+def _classify(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> np.ndarray:
+    """The regime of every cell, as an object array of Regime members."""
+    tolerance = _THRESHOLD_RTOL * np.maximum(np.maximum(E, m), V0)
+    top, bottom = V0 + m, V0 - m
+    regimes = np.full(E.shape, Regime.EVANESCENT, dtype=object)
+    regimes[E > top] = Regime.ABOVE_BARRIER
+    regimes[E < bottom] = Regime.KLEIN
+    # thresholds last: they take precedence, the upper one over the lower
+    regimes[np.abs(E - bottom) <= tolerance] = Regime.THRESHOLD_LOWER
+    regimes[np.abs(E - top) <= tolerance] = Regime.THRESHOLD_UPPER
+    return regimes
+
+
+def _require_regimes(regimes: np.ndarray, allowed: np.ndarray, message: str):
+    if not allowed.all():
+        (regime,) = first_point(~allowed, regimes)
+        raise ValueError(f"{message}, got {regime}")
+
+
 def classify_regime(problem: StepProblem) -> Regime:
-    """Exactly one regime per problem.
+    """Exactly one regime per problem (per cell for an array problem).
 
     Thresholds are detected within 1e-12 of the problem's own scale
     max(E, m, V0), so the regime is invariant under an overall energy scale.
     """
-    E, m, V0 = problem.E, problem.m, problem.V0
-    tolerance = _THRESHOLD_RTOL * max(E, m, V0)
-    if abs(E - (V0 + m)) <= tolerance:
-        return Regime.THRESHOLD_UPPER
-    if abs(E - (V0 - m)) <= tolerance:
-        return Regime.THRESHOLD_LOWER
-    if E > V0 + m:
-        return Regime.ABOVE_BARRIER
-    if E < V0 - m:
-        return Regime.KLEIN
-    return Regime.EVANESCENT
+    return unwrap(_classify(*_arrays(problem)))
+
+
+def _kappa_klein(E, m, V0):
+    return np.sqrt((V0 - E - m) * (E - m) / ((V0 - E + m) * (E + m)))
+
+
+def _kappa_prime_klein(E, m, V0, p, q):
+    return q * (E + m) / (p * (E + m - V0))
 
 
 def kappa(problem: StepProblem) -> float:
@@ -125,13 +177,13 @@ def kappa(problem: StepProblem) -> float:
     printed ratio form (-q/p)(E-m)/(E-V0-m).  At the lower threshold (q = 0)
     the limit 0 is returned.
     """
-    regime = classify_regime(problem)
-    if regime is Regime.THRESHOLD_LOWER:
-        return 0.0
-    if regime is not Regime.KLEIN:
-        raise ValueError(f"kappa is defined in the Klein regime only, got {regime}")
-    E, m, V0 = problem.E, problem.m, problem.V0
-    return math.sqrt((V0 - E - m) * (E - m) / ((V0 - E + m) * (E + m)))
+    E, m, V0 = _arrays(problem)
+    regimes = _classify(E, m, V0)
+    klein = regimes == Regime.KLEIN
+    _require_regimes(regimes, klein | (regimes == Regime.THRESHOLD_LOWER),
+                     "kappa is defined in the Klein regime only")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return unwrap(np.where(klein, _kappa_klein(E, m, V0), 0.0))
 
 
 def kappa_prime(problem: StepProblem) -> float:
@@ -139,26 +191,32 @@ def kappa_prime(problem: StepProblem) -> float:
 
     Klein zone only; always negative there, with kappa * kappa' = -1.
     """
-    regime = classify_regime(problem)
-    if regime is not Regime.KLEIN:
-        raise ValueError(f"kappa_prime is defined in the Klein regime only, got {regime}")
-    E, m, V0 = problem.E, problem.m, problem.V0
+    E, m, V0 = _arrays(problem)
+    regimes = _classify(E, m, V0)
+    _require_regimes(regimes, regimes == Regime.KLEIN,
+                     "kappa_prime is defined in the Klein regime only")
     p = momentum(E, m)
     q = local_wavevector(E, V0, m).k
-    return q * (E + m) / (p * (E + m - V0))
+    return unwrap(_kappa_prime_klein(E, m, V0, p, q))
 
 
 def rt_from_kappa(x: float) -> tuple[float, float]:
     """R = ((1-x)/(1+x))^2 and T = 4x/(1+x)^2; R + T = 1 identically.
 
     x = -1 is the singular point of the momentum-labelled convention in the
-    massless limit and raises SingularityError.
+    massless limit and raises SingularityError.  An array x gives the limits
+    R = inf, T = -inf in its x = -1 cells instead, so one singular cell does
+    not end a sweep.
     """
-    if 1.0 + x == 0.0:
+    x = np.asarray(x, dtype=float)[()]
+    if x.ndim == 0 and 1.0 + x == 0.0:
         raise SingularityError("1 + kappa", "R and T diverge at kappa = -1")
-    r_coeff = ((1.0 - x) / (1.0 + x)) ** 2
-    t_coeff = 4.0 * x / (1.0 + x) ** 2
-    return r_coeff, t_coeff
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio, denominator = (1.0 - x) / (1.0 + x), 1.0 + x
+        # squares as products: a numpy scalar's ** 2 is pow(), an array's is x * x
+        r_coeff = ratio * ratio
+        t_coeff = 4.0 * x / (denominator * denominator)
+    return unwrap(r_coeff), unwrap(t_coeff)
 
 
 def solve_step_numeric(
@@ -171,58 +229,76 @@ def solve_step_numeric(
     when evanescent (then R = 1, T = 0 with a decaying region-II amplitude).
     Threshold regimes return the explicit limiting values; the massless
     Klein step under COMMON is genuinely singular and raises.
+
+    An array problem is matched in one batched solve over all of its
+    non-threshold, non-singular cells; see StepScatteringSolution for what
+    its singular cells hold.
     """
-    regime = classify_regime(problem)
-    E, m, V0 = problem.E, problem.m, problem.V0
+    E, m, V0 = _arrays(problem)
+    shape = E.shape
+    E, m, V0 = E.ravel(), m.ravel(), V0.ravel()
+    regimes = _classify(E, m, V0)
+    klein = regimes == Regime.KLEIN
     p = momentum(E, m)
-    kin2 = local_wavevector(E, V0, m)
+    q = local_wavevector(E, V0, m).k
     eps2 = E - V0
 
-    if regime is Regime.THRESHOLD_UPPER:
-        # region-II spinor degenerates to zero; limit from both sides is total reflection
-        return StepScatteringSolution(
-            convention, math.inf, complex(-1.0), complex(math.inf), 1.0, 0.0, regime
-        )
-    if regime is Regime.THRESHOLD_LOWER:
-        # q = 0: matching gives r = 1 and a zero-current region-II amplitude
-        t_limit = complex(-(E - m) / m) if m > 0 else complex(math.inf)
-        return StepScatteringSolution(
-            convention, 0.0, complex(1.0), t_limit, 1.0, 0.0, regime
-        )
-
-    if regime is Regime.KLEIN:
+    with np.errstate(invalid="ignore", divide="ignore"):
         if convention is Convention.PAPER:
-            kappa_value = kappa(problem)
-            k2 = -kin2.k
+            klein_kappa = _kappa_klein(E, m, V0)
         else:
-            kappa_value = kappa_prime(problem)
-            if 1.0 + kappa_value == 0.0:
-                raise SingularityError(
-                    "1 + kappa_prime",
-                    "massless Klein step in the momentum-labelled convention",
-                )
-            k2 = complex(kin2.k)
-    elif regime is Regime.ABOVE_BARRIER:
-        kappa_value = kin2.k * (E - m) / (p * (eps2 - m))
-        k2 = complex(kin2.k)
-    else:  # EVANESCENT
-        kappa_value = math.nan
-        k2 = 1j * kin2.k
+            klein_kappa = _kappa_prime_klein(E, m, V0, p, q)
+        kappa_value = np.where(klein, klein_kappa, np.where(
+            regimes == Regime.ABOVE_BARRIER, q * (E - m) / (p * (eps2 - m)), np.nan))
+    upper = regimes == Regime.THRESHOLD_UPPER
+    lower = regimes == Regime.THRESHOLD_LOWER
+    kappa_value[upper], kappa_value[lower] = np.inf, 0.0
+    singular = klein & (1.0 + kappa_value == 0.0)
+    if singular.any() and not shape:
+        raise SingularityError(
+            "1 + kappa_prime", "massless Klein step in the momentum-labelled convention"
+        )
 
-    inc = make_spinor2(E, p, m)
-    refl = make_spinor2(E, -p, m)
-    trans = make_spinor2(eps2, k2, m)
+    r = np.empty(E.size, dtype=complex)
+    t = np.empty(E.size, dtype=complex)
+    big_r = np.ones(E.size)
+    big_t = np.zeros(E.size)
+    # region-II spinor degenerates to zero at the upper threshold; the limit
+    # from both sides is total reflection
+    r[upper], t[upper] = -1.0, np.inf
+    # q = 0 at the lower threshold: matching gives r = 1 and a zero-current
+    # region-II amplitude
+    r[lower], t[lower] = 1.0, -(E[lower] - m[lower]) / m[lower]
+    r[singular], t[singular] = np.nan, np.nan
+    big_r[singular], big_t[singular] = np.inf, -np.inf
 
-    matrix = np.array([[refl[0], -trans[0]], [refl[1], -trans[1]]], dtype=complex)
-    rhs = np.array([-inc[0], -inc[1]], dtype=complex)
-    r, t = np.linalg.solve(matrix, rhs)
+    cells = ~(upper | lower | singular)
+    if cells.any():
+        E, m, p, q, eps2 = E[cells], m[cells], p[cells], q[cells], eps2[cells]
+        forward = -q if convention is Convention.PAPER else q
+        k2 = np.where(regimes[cells] == Regime.EVANESCENT, 1j * q,
+                      np.where(klein[cells], forward, q))
 
-    j_inc = current_density(inc)
-    big_r = abs(r) ** 2 * abs(current_density(refl) / j_inc)
-    big_t = abs(t) ** 2 * current_density(trans) / j_inc
-    return StepScatteringSolution(
-        convention, float(kappa_value), complex(r), complex(t), float(big_r), float(big_t), regime
-    )
+        inc = make_spinor2(E, p, m)
+        refl = make_spinor2(E, -p, m)
+        trans = make_spinor2(eps2, k2, m)
+
+        matrix = np.empty((E.size, 2, 2), dtype=complex)
+        matrix[:, 0, 0], matrix[:, 0, 1] = refl[0], -trans[0]
+        matrix[:, 1, 0], matrix[:, 1, 1] = refl[1], -trans[1]
+        # right-hand side as (N, 2, 1): numpy 2 reads a 2-D b as a stack of matrices
+        rhs = -np.stack(inc, axis=-1)[..., None]
+        r_cells, t_cells = np.linalg.solve(matrix, rhs)[..., 0].T
+
+        j_inc = current_density(inc)
+        r[cells], t[cells] = r_cells, t_cells
+        big_r[cells] = np.hypot(r_cells.real, r_cells.imag) ** 2 * np.abs(
+            current_density(refl) / j_inc
+        )
+        big_t[cells] = np.hypot(t_cells.real, t_cells.imag) ** 2 * current_density(trans) / j_inc
+
+    fields = (kappa_value, r, t, big_r, big_t, regimes)
+    return StepScatteringSolution(convention, *(unwrap(field.reshape(shape)) for field in fields))
 
 
 def group_velocity_region2(problem: StepProblem) -> float:

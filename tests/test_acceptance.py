@@ -105,6 +105,19 @@ def test_criterion_02_dual_path_agreement():
         assert worst < 1e-10, f"worst dual-path deviation {worst:.3e}"
 
 
+def test_criterion_02_dual_path_agreement_one_array_call():
+    with criterion(2, "the whole grid in one array call reproduces closed-form R, T"):
+        problems, kappas = klein_grid()
+        grid = StepProblem(*(np.array([getattr(p, name) for p in problems])
+                             for name in ("E", "m", "V0")))
+        grid_kappas = kappa(grid)
+        assert grid_kappas.tolist() == kappas
+        closed_r, closed_t = rt_from_kappa(grid_kappas)
+        sol = solve_step_numeric(grid, Convention.PAPER)
+        worst = max(np.max(np.abs(sol.R - closed_r)), np.max(np.abs(sol.T - closed_t)))
+        assert worst < 1e-10, f"worst dual-path deviation {worst:.3e}"
+
+
 def test_criterion_02_kappa_printed_forms_agree():
     with criterion(2, "kappa's closed root equals the printed ratio form"):
         problems, kappas = klein_grid()

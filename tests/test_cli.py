@@ -1,10 +1,13 @@
 """CLI behavior: columns, formatting, determinism, exit codes, config handling."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from kleinstep.cli import main
+from kleinstep import cli
+from kleinstep.cli import RunManifest, main, render_csv, render_json
 
 from oracles import rt_pair, step_kappa, step_kappa_prime
 
@@ -266,3 +269,96 @@ def test_stdout_matches_file_output(tmp_path, capsys):
     path = tmp_path / "out.csv"
     assert main(args + ["--output", str(path)]) == 0
     assert path.read_text() == out
+
+
+# ------------------------------------------------------------- rendering
+
+
+def _reference_json(columns, table, manifest):
+    """The renderer's contract: json.dumps of the payload, floats rounded to 9 digits."""
+    def cell(value):
+        if isinstance(value, float) and math.isfinite(value):
+            return float(format(value, ".9g"))
+        return value
+
+    cells = [list(np.asarray(table[name], dtype=object)) for name in columns]
+    payload = {"manifest": manifest.as_dict()} if manifest else {}
+    payload["rows"] = [{name: cell(value) for name, value in zip(columns, row)}
+                       for row in zip(*cells)]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+SPECIAL_TABLE = {
+    "x": np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0 / 3.0, 2.5e-320, -7.0]),
+    "label": ["klein", "a \"quoted\" name", "tab\there", "unicode \u00e9", "", "x", "y", "z"],
+    "y": [1e300, -1e-300, 123456789.5, 0.1, math.nan, 1.0, -2.0, 3.0],
+}
+MANIFEST = RunManifest("0.1.0", "step-rt", {"E": [1.0, 2.5], "m": 1.0, "convention": "paper",
+                                            "lambdaF": None, "n": 5},
+                       timestamp="2026-01-01T00:00:00+00:00")
+
+
+@pytest.mark.parametrize("manifest", [None, MANIFEST], ids=["no-manifest", "manifest"])
+def test_render_json_is_json_dumps(manifest):
+    columns = ["x", "label", "y"]
+    assert render_json(columns, SPECIAL_TABLE, manifest) == _reference_json(
+        columns, SPECIAL_TABLE, manifest)
+
+
+@pytest.mark.parametrize("manifest", [None, MANIFEST], ids=["no-manifest", "manifest"])
+def test_render_json_empty_sweep(manifest):
+    columns = ["E", "regime"]
+    table = {"E": np.array([]), "regime": []}
+    assert render_json(columns, table, manifest) == _reference_json(columns, table, manifest)
+
+
+def test_renderers_across_slices():
+    count = 2 * cli._RENDER_SLICE + 7
+    values = np.random.default_rng(5).standard_normal(count) * 10.0 ** (np.arange(count) % 40 - 20)
+    table = {"v": values, "i": list(range(count))}
+    assert render_json(["v", "i"], table, None) == _reference_json(["v", "i"], table, None)
+    lines = render_csv(["v", "i"], table, None).split("\n")
+    assert lines[0] == "v,i" and lines[-1] == "" and len(lines) == count + 2
+    assert lines[1:-1] == [f"{format(v, '.9g')},{i}" for i, v in enumerate(values.tolist())]
+
+
+# ------------------------------------------------------------- batching
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return calls
+
+
+def test_step_compare_solves_in_one_batch_per_convention(capsys, solve_calls):
+    # 10 x 10 x 10 = 1000 cells across every regime, massless cells included
+    code, out, _ = run(capsys, "step-compare", "--E", "1.5:9:10", "--m", "0:1.2:10",
+                       "--V0", "1:8:10", "--allow-singular", "--no-manifest")
+    assert code == 0 and len(out.strip().split("\n")) == 1 + 1000
+    assert len(solve_calls) <= 2
+
+
+def test_step_rt_solves_in_one_batch(capsys, solve_calls):
+    code, out, _ = run(capsys, "step-rt", "--E", "1.5:9:500", "--m", "1", "--V0", "5",
+                       "--no-manifest")
+    assert code == 0 and len(out.strip().split("\n")) == 1 + 500
+    assert len(solve_calls) <= 1
+
+
+def test_linalg_failure_is_numerical_exit(capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    code, out, err = run(capsys, "step-rt", "--E", "2,7", "--m", "1", "--V0", "5",
+                         "--no-manifest")
+    assert (code, out) == (1, "")
+    assert err == "kleinstep: numerical failure: Singular matrix\n"

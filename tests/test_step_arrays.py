@@ -1,0 +1,130 @@
+"""Array step kernels: every cell of an array problem equals its 0-d problem, bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kleinstep.common import Convention, SingularityError
+from kleinstep.step import (
+    Regime,
+    StepProblem,
+    classify_regime,
+    kappa,
+    kappa_prime,
+    rt_from_kappa,
+    solve_step_numeric,
+)
+
+
+def bits(value) -> bytes:
+    """The IEEE bytes of a float or complex, so -0.0 != 0.0 and nan == nan."""
+    return np.complex128(value).tobytes()
+
+
+@st.composite
+def step_grids(draw):
+    """(E, m, V0) axes of a grid whose every cell has E > m.
+
+    The energies mix random values with the exact threshold lattice
+    E = V0 +- m of the drawn masses and heights; the masses include m = 0,
+    whose Klein cells are singular under COMMON.
+    """
+    unit = st.floats(0.25, 8.0)
+    masses = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | unit, min_size=1, max_size=3))
+    heights = draw(st.lists(unit, min_size=1, max_size=3))
+    lattice = [V0 + sign * m for V0 in heights for m in masses for sign in (1.0, -1.0)]
+    energies = draw(st.lists(st.sampled_from(lattice) | st.floats(0.1, 20.0),
+                             min_size=1, max_size=5))
+    energies = [E for E in energies if E > max(masses)]
+    if not energies:
+        energies = [max(masses) + 1.0]
+    return np.array(energies), np.array(masses), np.array(heights)
+
+
+@given(step_grids(), st.sampled_from(list(Convention)))
+@settings(max_examples=80, deadline=None)
+def test_array_cells_equal_scalar_problems(axes, convention):
+    E, m, V0 = axes
+    # a 3-D broadcast problem: cell (i, j, k) is (E[i], m[j], V0[k])
+    problem = StepProblem(E[:, None, None], m[None, :, None], V0[None, None, :])
+    batch = solve_step_numeric(problem, convention)
+    regimes = classify_regime(problem)
+    shape = (E.size, m.size, V0.size)
+    assert batch.regime.shape == batch.R.shape == regimes.shape == shape
+    for i, j, k in np.ndindex(shape):
+        point = StepProblem(float(E[i]), float(m[j]), float(V0[k]))
+        assert regimes[i, j, k] is classify_regime(point)
+        try:
+            single = solve_step_numeric(point, convention)
+        except SingularityError:
+            # the 0-d case raises; the array cell holds the singular values
+            assert convention is Convention.COMMON and batch.regime[i, j, k] is Regime.KLEIN
+            assert (batch.kappa_value[i, j, k], batch.R[i, j, k], batch.T[i, j, k]) == (
+                -1.0, math.inf, -math.inf)
+            assert np.isnan(batch.r[i, j, k]) and np.isnan(batch.t[i, j, k])
+            continue
+        assert batch.regime[i, j, k] is single.regime
+        for name in ("kappa_value", "r", "t", "R", "T"):
+            assert bits(getattr(batch, name)[i, j, k]) == bits(getattr(single, name)), name
+
+
+@given(step_grids())
+@settings(max_examples=40, deadline=None)
+def test_closed_forms_equal_scalar_problems(axes):
+    E, m, V0 = (axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
+    regimes = classify_regime(StepProblem(E, m, V0))
+    klein = regimes == Regime.KLEIN
+    kappa_cells = klein | (regimes == Regime.THRESHOLD_LOWER)
+    kappas = kappa(StepProblem(E[kappa_cells], m[kappa_cells], V0[kappa_cells]))
+    kappa_primes = kappa_prime(StepProblem(E[klein], m[klein], V0[klein]))
+    for value, point in zip(kappas, zip(E[kappa_cells], m[kappa_cells], V0[kappa_cells])):
+        assert bits(value) == bits(kappa(StepProblem(*map(float, point))))
+    for value, point in zip(kappa_primes, zip(E[klein], m[klein], V0[klein])):
+        assert bits(value) == bits(kappa_prime(StepProblem(*map(float, point))))
+    for x, r_coeff, t_coeff in zip(kappas, *rt_from_kappa(kappas)):
+        assert (bits(r_coeff), bits(t_coeff)) == tuple(map(bits, rt_from_kappa(float(x))))
+
+
+def test_zero_d_results_are_python_scalars():
+    sol = solve_step_numeric(StepProblem(np.float64(2.0), np.array(1.0), 5.0))
+    assert type(sol.kappa_value) is float and type(sol.R) is float and type(sol.T) is float
+    assert type(sol.r) is complex and type(sol.t) is complex
+    assert sol.regime is Regime.KLEIN
+    assert type(kappa(StepProblem(2.0, 1.0, 5.0))) is float
+    assert rt_from_kappa(1.0) == (0.0, 1.0)
+
+
+def test_zero_d_massless_common_still_raises():
+    with pytest.raises(SingularityError, match="kappa_prime"):
+        solve_step_numeric(StepProblem(np.array(2.0), 0.0, 5.0), Convention.COMMON)
+    with pytest.raises(SingularityError, match="1 \\+ kappa"):
+        rt_from_kappa(np.array(-1.0))
+
+
+def test_array_rt_from_kappa_pole_gives_limits():
+    r_coeff, t_coeff = rt_from_kappa(np.array([-1.0, 1.0]))
+    assert list(r_coeff) == [math.inf, 0.0] and list(t_coeff) == [-math.inf, 1.0]
+
+
+def test_validation_names_first_bad_cell_in_c_order():
+    E = np.array([[2.0, 1.2], [0.5, 3.0]])
+    with pytest.raises(ValueError, match="got E = 1.2, m = 1.5"):
+        StepProblem(E, 1.5, 5.0)
+    with pytest.raises(ValueError, match="V0 must be finite, got nan"):
+        StepProblem(np.array([2.0, 3.0]), 1.0, np.array([5.0, math.nan]))
+    with pytest.raises(ValueError, match="step height"):
+        StepProblem(np.array([2.0, 3.0]), 1.0, np.array([5.0, 0.0]))
+
+
+def test_wrong_regime_named_for_arrays():
+    with pytest.raises(ValueError, match="Klein regime only, got Regime.ABOVE_BARRIER"):
+        kappa(StepProblem(np.array([2.0, 7.0]), 1.0, 5.0))
+    with pytest.raises(ValueError, match="got Regime.THRESHOLD_LOWER"):
+        kappa_prime(StepProblem(np.array([2.0, 4.0]), 1.0, 5.0))
+
+
+def test_empty_problem():
+    sol = solve_step_numeric(StepProblem(np.array([]), 1.0, 5.0), Convention.COMMON)
+    assert sol.R.shape == sol.regime.shape == (0,)
