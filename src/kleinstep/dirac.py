@@ -170,6 +170,8 @@ def hamiltonian_residual(psi, eps: float, k: complex, m: float) -> float:
 def current_density(psi) -> float:
     """z-current psi^dag alpha_z psi = 2 Re(conj(upper) * lower); sign = direction."""
     upper, lower = psi[0], psi[1]
+    # in real arithmetic: numpy's complex product of arrays may fuse a
+    # multiply-add, which Python's complex product of scalars does not
     return 2.0 * (upper.real * lower.real + upper.imag * lower.imag)
 
 

@@ -212,7 +212,8 @@ def rt_from_kappa(x: float) -> tuple[float, float]:
     if x.ndim == 0 and 1.0 + x == 0.0:
         raise SingularityError("1 + kappa", "R and T diverge at kappa = -1")
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio, denominator = (1.0 - x) / (1.0 + x), 1.0 + x
+        denominator = 1.0 + x
+        ratio = (1.0 - x) / denominator
         # squares as products: a numpy scalar's ** 2 is pow(), an array's is x * x
         r_coeff = ratio * ratio
         t_coeff = 4.0 * x / (denominator * denominator)
@@ -286,7 +287,8 @@ def solve_step_numeric(
         matrix = np.empty((E.size, 2, 2), dtype=complex)
         matrix[:, 0, 0], matrix[:, 0, 1] = refl[0], -trans[0]
         matrix[:, 1, 0], matrix[:, 1, 1] = refl[1], -trans[1]
-        # right-hand side as (N, 2, 1): numpy 2 reads a 2-D b as a stack of matrices
+        # right-hand side as (N, 2, 1): numpy 2 takes a 2-D b for one (M, K) matrix,
+        # not for N vectors
         rhs = -np.stack(inc, axis=-1)[..., None]
         r_cells, t_cells = np.linalg.solve(matrix, rhs)[..., 0].T
 
