@@ -288,16 +288,21 @@ def _regime_names(regimes: np.ndarray) -> list[str]:
     return [regime.value for regime in regimes.tolist()]
 
 
-def _raise_if_singular(problem: StepProblem, solution) -> None:
-    """Raise the SingularityError of an array solution's first singular cell.
+def _raise_first(bad: np.ndarray, call: Callable, *arrays) -> None:
+    """Repeat the first bad cell of an array call as a 0-d call, which raises its error.
 
-    Singular cells are the ones that carry kappa_value = -1; solving that one
-    cell as a scalar problem raises the library's own error.
+    Array kernels hold sentinels (e.g. kappa_value = -1, t = inf) where a 0-d
+    call raises; the sweep fails on its first such cell in sweep order.
     """
-    singular = solution.kappa_value == -1.0
-    if singular.any():
-        point = first_point(singular, problem.E, problem.m, problem.V0)
-        solve_step_numeric(StepProblem(*point), solution.convention)
+    if bad.any():
+        call(*first_point(bad, *arrays))
+
+
+def _raise_if_singular(problem: StepProblem, solution) -> None:
+    """Raise the SingularityError of a step solution's first singular cell (kappa_value = -1)."""
+    _raise_first(solution.kappa_value == -1.0,
+                 lambda *point: solve_step_numeric(StepProblem(*point), solution.convention),
+                 problem.E, problem.m, problem.V0)
 
 
 def _rows_step_rt(request: SweepRequest) -> dict:
@@ -369,37 +374,41 @@ def _rows_graphene_angle(request: SweepRequest) -> dict:
     params = request.params
     material = GrapheneMaterial(params["hbar_vF"])
     energy = _resolve_fermi_energy(params, material)
-    rows = []
-    for theta_deg in params["theta"]:
-        ak = angle_kinematics(energy, params["V0"], math.radians(theta_deg), material)
-        if not ak.propagating:
-            rows.append((theta_deg, ak.k_y, math.nan, math.nan, 0.0, 0.0))
-            continue
-        transmission_paper = transmission_probability(t_paper(ak), ak)
-        try:
-            transmission_common = transmission_probability(t_common(ak), ak)
-        except SingularityError:
-            if not request.allow_singular:
-                raise
-            transmission_common = math.inf
-        rows.append((theta_deg, ak.k_y, ak.k_xII, math.degrees(ak.theta_II),
-                     transmission_paper, transmission_common))
-    return _table(request, rows)
+    theta = np.radians(params["theta"])
+    ak = angle_kinematics(energy, params["V0"], theta, material)
+    common = t_common(ak)
+    if not request.allow_singular:
+        _raise_first(np.isinf(common),
+                     lambda angle: t_common(angle_kinematics(energy, params["V0"], angle, material)),
+                     theta)
+    # non-propagating rows: kxII = thetaII_deg = nan and T = 0; singular ones T_common = inf
+    return {
+        "theta_deg": params["theta"], "ky": ak.k_y,
+        "kxII": np.where(ak.propagating, ak.k_xII, math.nan),
+        "thetaII_deg": np.degrees(ak.theta_II),
+        "T_paper": transmission_probability(t_paper(ak), ak),
+        "T_common": transmission_probability(common, ak),
+    }
 
 
 def _rows_barrier(request: SweepRequest) -> dict:
     params = request.params
     material = GrapheneMaterial(params["hbar_vF"])
     energy = _resolve_fermi_energy(params, material)
+    widths = np.array(params["D"], dtype=float)
     theta = math.radians(params["theta"])
-    rows = []
-    for width in params["D"]:
-        rows.append((
-            energy, params["V0"], width, params["theta"],
-            solve_barrier(energy, params["V0"], width, theta, Convention.PAPER, material).T,
-            solve_barrier(energy, params["V0"], width, theta, Convention.COMMON, material).T,
-        ))
-    return _table(request, rows)
+    paper = solve_barrier(energy, params["V0"], widths, theta, Convention.PAPER, material)
+    _raise_first(np.isnan(paper.T),
+                 lambda width: solve_barrier(energy, params["V0"], width, theta,
+                                             Convention.PAPER, material),
+                 widths)
+    common = solve_barrier(energy, params["V0"], widths, theta, Convention.COMMON, material)
+    count = widths.size
+    return {
+        "E": [energy] * count, "V0": [params["V0"]] * count, "D": params["D"],
+        "theta_deg": [params["theta"]] * count,
+        "T_paper": paper.T, "T_common": common.T,
+    }
 
 
 def _rows_iv_curve(request: SweepRequest) -> dict:
@@ -422,13 +431,13 @@ def _rows_angular_current(request: SweepRequest) -> dict:
     material = GrapheneMaterial(params["hbar_vF"])
     thetas_deg = _linspace(-params["theta_max"], params["theta_max"], params["n"])
     profile = angular_current_profile(
-        params["V0"], [math.radians(t) for t in thetas_deg],
-        lambda_F=params["lambdaF"], material=material,
+        params["V0"], np.radians(thetas_deg), lambda_F=params["lambdaF"], material=material,
     )
-    return _table(request, [
-        (theta_deg, point.transmission, point.relative_current)
-        for theta_deg, point in zip(thetas_deg, profile)
-    ])
+    return {
+        "theta_deg": thetas_deg,
+        "T": [point.transmission for point in profile],
+        "relative_current": [point.relative_current for point in profile],
+    }
 
 
 @dataclass(frozen=True)

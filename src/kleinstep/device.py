@@ -10,7 +10,9 @@ step transmission.
 
 from dataclasses import dataclass
 
-from kleinstep.common import require_finite
+import numpy as np
+
+from kleinstep.common import first_point, require_finite
 from kleinstep.graphene import (
     DEFAULT_MATERIAL,
     GrapheneMaterial,
@@ -102,6 +104,7 @@ def angular_current_profile(
     """I(theta)/I(0) across the step, from the current-labelled transmission.
 
     Each point also carries the transmission T(theta) it was computed from.
+    The whole grid and the theta = 0 reference are one array evaluation.
 
     Exactly one of lambda_F (nm) or E (eV) fixes the Fermi level.  Angles
     beyond the critical angle carry no transmitted wave and raise ValueError
@@ -111,18 +114,12 @@ def angular_current_profile(
         raise ValueError("give exactly one of lambda_F or E")
     if E is None:
         E = energy_from_wavelength(lambda_F, material)
-
-    def transmission(theta: float) -> float:
-        ak = angle_kinematics(E, V0, theta, material)
-        if not ak.propagating:
-            raise ValueError(
-                f"incidence angle {theta} rad lies beyond the critical angle"
-            )
-        return transmission_probability(t_paper(ak), ak)
-
-    reference = transmission(0.0)
-    points = []
-    for theta in theta_grid:
-        value = transmission(float(theta))
-        points.append(AngularProfilePoint(float(theta), value / reference, value))
-    return points
+    thetas = np.asarray(theta_grid, dtype=float).ravel()
+    ak = angle_kinematics(E, V0, np.concatenate(([0.0], thetas)), material)
+    if not ak.propagating.all():
+        (theta,) = first_point(~ak.propagating, ak.theta_I)
+        raise ValueError(f"incidence angle {theta} rad lies beyond the critical angle")
+    transmission = transmission_probability(t_paper(ak), ak)
+    values = transmission[1:]
+    return list(map(AngularProfilePoint, thetas.tolist(), (values / transmission[0]).tolist(),
+                    values.tolist()))

@@ -126,6 +126,28 @@ def barrier_T_matrix(E, V0, D, theta_I, hbar_vF=HBAR_VF):
     return float(abs(1.0 / m_tot[0, 0]) ** 2)
 
 
+
+def barrier_T_kng(E, V0, D, theta_I, hbar_vF=HBAR_VF):
+    """Katsnelson-Novoselov-Geim closed form (Nat. Phys. 2, 620, 2006).
+
+    T = cos^2 th cos^2 phi / {[cos(q D) cos phi cos th]^2 + sin^2(q D) (1 - s s' sin phi sin th)^2}
+    with s' sin phi = k_y / k2, s' cos phi = q / k2, k2 = (E - V0)/hbar_vF.  Multiplied
+    through by k2^2: q^2 cos^2 th / {q^2 cos^2 th cos^2(q D) + (k2 - k_y sin th)^2 sin^2(q D)}.
+    An evanescent interior (q = i kappa) continues it with cosh/sinh:
+    kappa^2 cos^2 th / {kappa^2 cos^2 th cosh^2(kappa D) + (k2 - k_y sin th)^2 sinh^2(kappa D)}.
+    """
+    k_y = E / hbar_vF * math.sin(theta_I)
+    k2 = (E - V0) / hbar_vF
+    lead = (k2 - k_y * math.sin(theta_I)) ** 2
+    q_sq = k2 * k2 - k_y * k_y
+    if q_sq >= 0.0:
+        q = math.sqrt(q_sq)
+        num = q_sq * math.cos(theta_I) ** 2
+        return num / (num * math.cos(q * D) ** 2 + lead * math.sin(q * D) ** 2)
+    kappa = math.sqrt(-q_sq)
+    num = -q_sq * math.cos(theta_I) ** 2
+    return num / (num * math.cosh(kappa * D) ** 2 + lead * math.sinh(kappa * D) ** 2)
+
 # ------------------------------------------------------------- device
 
 E_CHARGE = 1.602176634e-19  # C

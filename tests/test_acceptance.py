@@ -264,6 +264,26 @@ def test_criterion_09_barrier_convention_equivalence():
         assert elapsed < 30.0, f"criterion 9 took {elapsed:.2f} s"
 
 
+
+def test_criterion_09_barrier_convention_equivalence_one_array_call():
+    with criterion(9, "both step conventions give one barrier transmission (one array call)"):
+        axes = (
+            np.linspace(0.04, 0.24, 10),
+            np.linspace(0.055, 0.455, 10),
+            np.linspace(5.0, 120.0, 10),
+            np.radians(np.linspace(-75.0, 75.0, 10)),
+        )
+        grid = np.meshgrid(*axes, indexing="ij")
+        paper = solve_barrier(*grid, Convention.PAPER)
+        common = solve_barrier(*grid, Convention.COMMON)
+        assert paper.T.size == 10_000
+        assert np.count_nonzero(~paper.interior_propagating) > 100
+        worst = float(np.max(np.abs(paper.T - common.T)))
+        assert worst < 1e-10, f"worst convention disagreement {worst:.3e}"
+        # the same cells as the per-point loop above, bit for bit
+        E, V0, D, theta = (float(axis[i]) for axis, i in zip(axes, (3, 7, 2, 8)))
+        assert paper.T[3, 7, 2, 8] == solve_barrier(E, V0, D, theta, Convention.PAPER).T
+
 def test_criterion_10_angular_profile_reproduction():
     with criterion(10, "angular current profile: unit center, even, oracle points"):
         thetas = np.radians(np.linspace(-85.0, 85.0, 171))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kleinstep import cli
+from kleinstep import cli, device, graphene
 from kleinstep.cli import RunManifest, main, render_csv, render_json
 
 from oracles import rt_pair, step_kappa, step_kappa_prime
@@ -352,6 +352,42 @@ def test_step_rt_solves_in_one_batch(capsys, solve_calls):
     assert code == 0 and len(out.strip().split("\n")) == 1 + 500
     assert len(solve_calls) <= 1
 
+
+
+@pytest.fixture
+def kinematics_calls(monkeypatch):
+    """Counts angle_kinematics calls, in every module that imported it."""
+    calls = []
+    angle_kinematics = graphene.angle_kinematics
+
+    def counting_kinematics(*args, **kwargs):
+        calls.append(args)
+        return angle_kinematics(*args, **kwargs)
+
+    for module in (graphene, device, cli):
+        monkeypatch.setattr(module, "angle_kinematics", counting_kinematics)
+    return calls
+
+
+def test_barrier_solves_in_one_batch_per_convention(capsys, solve_calls):
+    code, out, _ = run(capsys, "barrier", "--lambdaF", "50", "--V0", "0.3", "--D", "1:200:500",
+                       "--theta", "30", "--no-manifest")
+    assert code == 0 and len(out.strip().split("\n")) == 1 + 500
+    assert len(solve_calls) <= 2
+
+
+def test_graphene_angle_in_one_kinematics_call(capsys, kinematics_calls):
+    code, out, _ = run(capsys, "graphene-angle", "--E", "0.3", "--V0", "0.42",
+                       "--theta=-85:85:1000", "--no-manifest")
+    assert code == 0 and len(out.strip().split("\n")) == 1 + 1000
+    assert ",nan,nan,0,0" in out  # angles beyond the critical angle are in the sweep
+    assert len(kinematics_calls) <= 2
+
+
+def test_angular_current_in_one_kinematics_call(capsys, kinematics_calls):
+    code, out, _ = run(capsys, "angular-current", "--n", "1001", "--no-manifest")
+    assert code == 0 and len(out.strip().split("\n")) == 1 + 1001
+    assert len(kinematics_calls) <= 2
 
 def test_linalg_failure_is_numerical_exit(capsys, monkeypatch):
     def singular(*args, **kwargs):
