@@ -51,7 +51,7 @@ __all__ = ["RunManifest", "SweepRequest", "main", "parse_args"]
 PROG = "kleinstep"
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -174,9 +174,8 @@ class RunManifest:
     )
 
     def comment_lines(self) -> list[str]:
-        rendered = " ".join(
-            f"{key}={_manifest_value(value)}" for key, value in sorted(self.parameters.items())
-        )
+        parameters = self.as_dict()["parameters"]
+        rendered = " ".join(f"{key}={value}" for key, value in parameters.items())
         return [
             f"# {PROG} {self.version}",
             f"# command: {self.command}",
@@ -214,12 +213,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=f"{name} sweep")
         for param in command.params + _COMMON_PARAMS:
-            if param.convert is _bool:
-                sub.add_argument(f"--{param.name}", dest=param.dest, default=None,
-                                 action="store_const", const=True, help=param.help)
-            else:
-                sub.add_argument(f"--{param.name}", dest=param.dest, default=None,
-                                 metavar="X", help=param.help)
+            flags = ({"action": "store_const", "const": True} if param.convert is _bool
+                     else {"metavar": "X"})
+            sub.add_argument(f"--{param.name}", dest=param.dest, default=None, help=param.help,
+                             **flags)
     return parser
 
 
@@ -262,15 +259,9 @@ def parse_args(argv=None) -> SweepRequest:
             continue
         resolved[param.dest] = param.convert(raw) if isinstance(raw, str) else raw
 
-    return SweepRequest(
-        command=command,
-        params={k: v for k, v in resolved.items()
-                if k not in ("format", "output", "config", "no_manifest", "allow_singular")},
-        format=resolved["format"],
-        output=resolved["output"],
-        no_manifest=resolved["no_manifest"],
-        allow_singular=resolved["allow_singular"],
-    )
+    common = {param.dest: resolved.pop(param.dest) for param in _COMMON_PARAMS}
+    del common["config"]
+    return SweepRequest(command, resolved, **common)
 
 
 # ------------------------------------------------------------- sweeps
@@ -282,10 +273,6 @@ def _resolve_fermi_energy(params: dict, material: GrapheneMaterial) -> float:
     if params.get("E") is not None:
         return params["E"]
     return energy_from_wavelength(params["lambdaF"], material)
-
-
-def _regime_names(regimes: np.ndarray) -> list[str]:
-    return [regime.value for regime in regimes.tolist()]
 
 
 def _raise_first(bad: np.ndarray, call: Callable, *arrays) -> None:
@@ -311,10 +298,11 @@ def _rows_step_rt(request: SweepRequest) -> dict:
     problem = StepProblem(np.array(params["E"], dtype=float), params["m"], params["V0"])
     sol = solve_step_numeric(problem, convention)
     _raise_if_singular(problem, sol)
-    count = len(params["E"])
     return {
-        "E": params["E"], "m": [params["m"]] * count, "V0": [params["V0"]] * count,
-        "convention": [convention.value] * count, "regime": _regime_names(sol.regime),
+        "E": problem.E, "m": np.full_like(problem.E, params["m"]),
+        "V0": np.full_like(problem.E, params["V0"]),
+        "convention": [convention.value] * problem.E.size,
+        "regime": [regime.value for regime in sol.regime.tolist()],
         "kappa": sol.kappa_value,
         "r_re": sol.r.real, "r_im": sol.r.imag,
         "t_re": sol.t.real, "t_im": sol.t.imag,
@@ -337,7 +325,7 @@ def _rows_step_compare(request: SweepRequest) -> dict:
         "R_paper": paper.R, "T_paper": paper.T,
         "kappa_prime": np.where(common.regime == Regime.KLEIN, common.kappa_value, math.nan),
         "R_common": common.R, "T_common": common.T,
-        "regime": _regime_names(paper.regime),
+        "regime": [regime.value for regime in paper.regime.tolist()],
     }
 
 
@@ -355,19 +343,12 @@ def _rows_spinor_check(request: SweepRequest) -> dict:
         psi4 = make_spinor4(np.abs(eps[cells]), p_vec, m, branch=branch)
         residual4[cells] = hamiltonian_residual4(psi4, eps[cells], p_vec, m)
     return {
-        "eps": request.params["eps"],
+        "eps": eps,
         "k_re": k.real, "k_im": k.imag,
-        "m": [m] * eps.size,
+        "m": np.full(eps.size, m),
         "residual2": hamiltonian_residual(spinor, eps, k, m), "residual4": residual4,
         "current": current_density(spinor),
     }
-
-
-def _table(request: SweepRequest, rows: list[tuple]) -> dict:
-    """Row tuples of a per-point loop as columns, keyed by the command's column names."""
-    columns = _COMMANDS[request.command].columns
-    cells = zip(*rows) if rows else ([] for _ in columns)
-    return {name: list(values) for name, values in zip(columns, cells)}
 
 
 def _rows_graphene_angle(request: SweepRequest) -> dict:
@@ -383,7 +364,7 @@ def _rows_graphene_angle(request: SweepRequest) -> dict:
                      theta)
     # non-propagating rows: kxII = thetaII_deg = nan and T = 0; singular ones T_common = inf
     return {
-        "theta_deg": params["theta"], "ky": ak.k_y,
+        "theta_deg": np.asarray(params["theta"]), "ky": ak.k_y,
         "kxII": np.where(ak.propagating, ak.k_xII, math.nan),
         "thetaII_deg": np.degrees(ak.theta_II),
         "T_paper": transmission_probability(t_paper(ak), ak),
@@ -403,10 +384,9 @@ def _rows_barrier(request: SweepRequest) -> dict:
                                              Convention.PAPER, material),
                  widths)
     common = solve_barrier(energy, params["V0"], widths, theta, Convention.COMMON, material)
-    count = widths.size
     return {
-        "E": [energy] * count, "V0": [params["V0"]] * count, "D": params["D"],
-        "theta_deg": [params["theta"]] * count,
+        "E": np.full_like(widths, energy), "V0": np.full_like(widths, params["V0"]), "D": widths,
+        "theta_deg": np.full_like(widths, params["theta"]),
         "T_paper": paper.T, "T_common": common.T,
     }
 
@@ -423,29 +403,27 @@ def _rows_iv_curve(request: SweepRequest) -> dict:
             back_gate=v_back, aspect_ratio=params["aspect_ratio"],
         )
         rows.extend((v_back, point.V, point.I) for point in iv_curve(device, grid))
-    return _table(request, rows)
+    return dict(zip(_COMMANDS[request.command].columns,
+                    np.array(rows, dtype=float).reshape(-1, 3).T))
 
 
 def _rows_angular_current(request: SweepRequest) -> dict:
     params = request.params
     material = GrapheneMaterial(params["hbar_vF"])
-    thetas_deg = _linspace(-params["theta_max"], params["theta_max"], params["n"])
-    profile = angular_current_profile(
-        params["V0"], np.radians(thetas_deg), lambda_F=params["lambdaF"], material=material,
-    )
-    return {
-        "theta_deg": thetas_deg,
-        "T": [point.transmission for point in profile],
-        "relative_current": [point.relative_current for point in profile],
-    }
+    thetas_deg = np.array(_linspace(-params["theta_max"], params["theta_max"], params["n"]))
+    profile = angular_current_profile(params["V0"], np.radians(thetas_deg),
+                                      lambda_F=params["lambdaF"], material=material)
+    return {"theta_deg": thetas_deg, "T": profile.transmission,
+            "relative_current": profile.relative_current}
 
 
 @dataclass(frozen=True)
 class _Command:
     """One subcommand: its flags, its output columns and the sweep that makes its rows.
 
-    ``rows`` returns the sweep as a table: column name -> one sequence (list
-    or numpy array) of cells per column, all of one length, in sweep order.
+    ``rows`` returns the sweep as a table: column name -> one sequence of
+    cells per column, all of one length, in sweep order; float columns are
+    float64 arrays, which the renderers format without a call per cell.
     """
 
     params: list[_Param]
@@ -528,24 +506,49 @@ def _json_cell(value) -> str:
     return json.dumps(value)
 
 
-def _rendered_slices(columns: list[str], table: dict, prefixes: list[str], cell):
-    """Per slice of rows, one list of cell texts per column, each behind its prefix."""
+def _json_floats(values: np.ndarray) -> list[str] | None:
+    """json.dumps's texts of a float64 slice; None where %.9g writes every one of them.
+
+    Only non-finite, subnormal and whole-after-rounding cells differ; a masked
+    superset of them takes exact texts.
+    """
+    magnitude = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        exact = ~np.isfinite(values) | (magnitude < np.finfo(float).tiny) | (
+            np.abs(values - np.round(values)) <= 1e-8 * magnitude)
+    if not exact.any():
+        return None
+    cells = values.tolist()
+    texts = list(map("%.9g".__mod__, cells))
+    for index in np.flatnonzero(exact).tolist():
+        texts[index] = "NaN" if cells[index] != cells[index] else _json_cell(cells[index])
+    return texts
+
+
+def _row_slices(columns: list[str], table: dict, cell, float_texts=lambda values: None):
+    """Per slice of rows: each column's %-format in a row, and the rows' values for them.
+
+    A float64 array goes in as raw floats under %.9g (format(v, ".9g")'s
+    bytes) unless float_texts gives it texts; any other column as cell texts.
+    """
     count = len(table[columns[0]]) if columns else 0
     for start in range(0, count, _RENDER_SLICE):
-        texts = []
-        for name, prefix in zip(columns, prefixes):
+        formats, fields = [], []
+        for name in columns:
             values = table[name][start:start + _RENDER_SLICE]
-            if isinstance(values, np.ndarray):
-                values = values.tolist()
-            texts.append([prefix + cell(value) for value in values])
-        yield texts
+            floats = isinstance(values, np.ndarray) and values.dtype == np.float64
+            texts = (float_texts(values) if floats
+                     else list(map(cell, np.asarray(values, dtype=object))))
+            formats.append("%.9g" if texts is None else "%s")
+            fields.append(values.tolist() if texts is None else texts)
+        yield formats, zip(*fields)
 
 
 def render_csv(columns: list[str], table: dict, manifest: RunManifest | None) -> str:
     lines = manifest.comment_lines() if manifest else []
     lines.append(",".join(columns))
-    for texts in _rendered_slices(columns, table, [""] * len(columns), _csv_cell):
-        lines.append("\n".join(map(",".join, zip(*texts))))
+    for formats, rows in _row_slices(columns, table, _csv_cell):
+        lines.append("\n".join(map(",".join(formats).__mod__, rows)))
     return "\n".join(lines) + "\n"
 
 
@@ -555,11 +558,11 @@ def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -
     if manifest:
         head += '  "manifest": ' + json.dumps(manifest.as_dict(), indent=2).replace("\n", "\n  ")
         head += ",\n"
-    prefixes = [f"      {json.dumps(name)}: " for name in columns]
-    slices = [
-        ",\n".join("    {\n" + ",\n".join(cells) + "\n    }" for cells in zip(*texts))
-        for texts in _rendered_slices(columns, table, prefixes, _json_cell)
-    ]
+    prefixes = [f"      {json.dumps(name)}: ".replace("%", "%%") for name in columns]
+    slices = []
+    for formats, rows in _row_slices(columns, table, _json_cell, _json_floats):
+        row = "    {\n" + ",\n".join(map(str.__add__, prefixes, formats)) + "\n    }"
+        slices.append(",\n".join(map(row.__mod__, rows)))
     if not slices:
         return head + '  "rows": []\n}\n'
     return head + '  "rows": [\n' + ",\n".join(slices) + "\n  ]\n}\n"
@@ -592,8 +595,7 @@ def main(argv=None) -> int:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse already reported
-        code = exc.code if isinstance(exc.code, int) else 2
-        return code
+        return exc.code if isinstance(exc.code, int) else 2
     try:
         table = _COMMANDS[request.command].rows(request)
     except SingularityError as exc:
@@ -604,10 +606,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, but not the user's
         print(f"{PROG}: numerical failure: {exc}", file=sys.stderr)
         return 1
-    except _UsageError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # parameter domain errors
+    except ValueError as exc:  # usage and parameter domain errors
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     return emit(request, table)

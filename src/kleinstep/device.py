@@ -23,7 +23,7 @@ from kleinstep.graphene import (
 )
 
 __all__ = [
-    "AngularProfilePoint",
+    "AngularProfile",
     "DeviceParams",
     "ELEMENTARY_CHARGE",
     "IVPoint",
@@ -63,10 +63,12 @@ class IVPoint:
 
 
 @dataclass(frozen=True)
-class AngularProfilePoint:
-    theta: float  # radians
-    relative_current: float  # I(theta) / I(0)
-    transmission: float  # current-labelled step transmission T(theta)
+class AngularProfile:
+    """One float array per field, one cell per angle of the grid."""
+
+    theta: np.ndarray  # radians
+    relative_current: np.ndarray  # I(theta) / I(0)
+    transmission: np.ndarray  # current-labelled step transmission T(theta)
 
 
 def carrier_type(params: DeviceParams) -> str:
@@ -100,10 +102,10 @@ def angular_current_profile(
     lambda_F: float | None = None,
     E: float | None = None,
     material: GrapheneMaterial = DEFAULT_MATERIAL,
-) -> list[AngularProfilePoint]:
+) -> AngularProfile:
     """I(theta)/I(0) across the step, from the current-labelled transmission.
 
-    Each point also carries the transmission T(theta) it was computed from.
+    The profile also carries the transmission T(theta) it was computed from.
     The whole grid and the theta = 0 reference are one array evaluation.
 
     Exactly one of lambda_F (nm) or E (eV) fixes the Fermi level.  Angles
@@ -114,12 +116,11 @@ def angular_current_profile(
         raise ValueError("give exactly one of lambda_F or E")
     if E is None:
         E = energy_from_wavelength(lambda_F, material)
-    thetas = np.asarray(theta_grid, dtype=float).ravel()
+    thetas = np.array(theta_grid, dtype=float).ravel()
     ak = angle_kinematics(E, V0, np.concatenate(([0.0], thetas)), material)
     if not ak.propagating.all():
         (theta,) = first_point(~ak.propagating, ak.theta_I)
         raise ValueError(f"incidence angle {theta} rad lies beyond the critical angle")
     transmission = transmission_probability(t_paper(ak), ak)
     values = transmission[1:]
-    return list(map(AngularProfilePoint, thetas.tolist(), (values / transmission[0]).tolist(),
-                    values.tolist()))
+    return AngularProfile(thetas, values / transmission[0], values)

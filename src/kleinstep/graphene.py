@@ -126,9 +126,19 @@ def _cellwise(function, *arrays: np.ndarray, dtype=float) -> np.ndarray:
 
 
 def _abs_squared(values: np.ndarray) -> np.ndarray:
-    """abs(x) ** 2 of every cell of a 1-D array, as the C library's hypot and pow give it."""
-    return np.fromiter(map(math.pow, map(abs, values.tolist()), itertools.repeat(2.0)), float,
-                       values.size)
+    """abs(x) ** 2 of every cell of a 1-D array, as the C library's hypot and pow give it.
+
+    A cell whose abs is NaN (a NaN part, no infinite one) is squared as 0 and
+    set to NaN after: CPython's complex abs returns that NaN without clearing
+    errno, so an ERANGE left by an earlier pow underflow would raise OverflowError.
+    """
+    nan = np.isnan(values) & ~np.isinf(values)
+    if nan.any():
+        values = np.where(nan, 0.0, values)
+    squares = np.fromiter(map(math.pow, map(abs, values.tolist()), itertools.repeat(2.0)), float,
+                          values.size)
+    squares[nan] = math.nan
+    return squares
 
 
 def energy_from_wavelength(lambda_F: float, material: GrapheneMaterial = DEFAULT_MATERIAL) -> float:

@@ -288,13 +288,13 @@ def test_criterion_10_angular_profile_reproduction():
     with criterion(10, "angular current profile: unit center, even, oracle points"):
         thetas = np.radians(np.linspace(-85.0, 85.0, 171))
         profile = angular_current_profile(0.3, thetas, lambda_F=50.0)
-        values = np.array([p.relative_current for p in profile])
+        values = profile.relative_current
         assert values[85] == 1.0  # theta = 0
         np.testing.assert_allclose(values, values[::-1], atol=1e-12)
         at45 = angular_current_profile(0.3, [math.radians(45.0)], lambda_F=50.0)
         at80 = angular_current_profile(0.3, [math.radians(80.0)], lambda_F=50.0)
-        assert abs(at45[0].relative_current - ORACLE_T45) < 1e-6
-        assert abs(at80[0].relative_current - ORACLE_T80) < 1e-6
+        assert abs(at45.relative_current[0] - ORACLE_T45) < 1e-6
+        assert abs(at80.relative_current[0] - ORACLE_T80) < 1e-6
         # and the oracle function itself still reproduces the frozen constants
         E = energy_from_wavelength(50.0)
         assert graphene_T_paper(E, 0.3, math.radians(45.0)) == pytest.approx(

@@ -2,9 +2,11 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from kleinstep import cli, device, graphene
 from kleinstep.cli import RunManifest, main, render_csv, render_json
@@ -320,6 +322,60 @@ def test_renderers_across_slices():
     lines = render_csv(["v", "i"], table, None).split("\n")
     assert lines[0] == "v,i" and lines[-1] == "" and len(lines) == count + 2
     assert lines[1:-1] == [f"{format(v, '.9g')},{i}" for i, v in enumerate(values.tolist())]
+
+
+TINY = np.finfo(float).tiny
+FLOAT_CELLS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0 + 1e-9, 1.0 - 1e-9]),
+    st.floats(-TINY, TINY),  # subnormals
+    st.integers(-10**17, 10**17).map(float),
+    # a tie at the 9th significant digit, as near as a double gets
+    st.builds(lambda digits, exponent: float(f"{digits}5e{exponent}"),
+              st.integers(10**8, 10**9 - 1), st.integers(-330, 300)),
+    st.floats(1.0 - 2e-9, 1.0 + 2e-9),
+    st.floats(),
+)
+
+
+@given(st.lists(FLOAT_CELLS, min_size=1, max_size=30),
+       st.lists(FLOAT_CELLS, min_size=1, max_size=7),
+       st.lists(st.text(max_size=4), min_size=1, max_size=5),
+       st.integers(1, 2 * cli._RENDER_SLICE + 9))
+# no explain phase: it reruns these 2k-row examples for minutes after a failure
+@settings(max_examples=60, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.explain])
+def test_renderers_write_json_dumps_and_9g_bytes(xs, ys, labels, count):
+    # drawn cells repeat down the column, so every kind lands on both sides of a slice edge
+    table = {"x": np.resize(np.array(xs), count), "y %d": np.resize(np.array(ys), count),
+             "label": [labels[i % len(labels)] for i in range(count)], "i": list(range(count))}
+    columns = list(table)
+    assert render_json(columns, table, None) == _reference_json(columns, table, None)
+    rows = [f"{format(x, '.9g')},{format(y, '.9g')},{label},{i}" for x, y, label, i
+            in zip(table["x"].tolist(), table["y %d"].tolist(), table["label"], table["i"])]
+    assert render_csv(columns, table, None) == "\n".join([",".join(columns)] + rows) + "\n"
+
+
+def test_json_floats_take_per_cell_calls_only_where_9g_differs(capsys, monkeypatch):
+    calls = []
+    json_cell = cli._json_cell
+
+    def counting_cell(value):
+        calls.append(value)
+        return json_cell(value)
+
+    monkeypatch.setattr(cli, "_json_cell", counting_cell)
+    args = ["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta=-85:85:2001",
+            "--allow-singular", "--format", "json", "--no-manifest"]
+    code, out, _ = run(capsys, *args)
+    table = cli._COMMANDS["graphene-angle"].rows(cli.parse_args(args))
+    assert code == 0 and out == _reference_json(list(table), table, None)
+    cells = [value for column in table.values() for value in np.asarray(column).tolist()]
+    strings = sum(isinstance(value, str) for value in cells)
+    differing = sum(not math.isfinite(value) or 0 < abs(value) < TINY
+                    or float(format(value, ".9g")).is_integer()
+                    for value in cells if isinstance(value, float))
+    assert 0 < len(calls) <= strings + differing < len(cells) // 2
 
 
 # ------------------------------------------------------------- batching

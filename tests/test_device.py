@@ -74,19 +74,27 @@ def test_iv_slope_family_ratios():
 def test_angular_profile_reference_points():
     thetas = [0.0, math.radians(45.0), math.radians(80.0)]
     profile = angular_current_profile(0.3, thetas, lambda_F=50.0)
-    assert profile[0].relative_current == 1.0
-    assert profile[1].relative_current == pytest.approx(T_45_REF, rel=1e-12)
-    assert profile[2].relative_current == pytest.approx(T_80_REF, rel=1e-12)
+    assert profile.relative_current[0] == 1.0
+    assert profile.relative_current[1] == pytest.approx(T_45_REF, rel=1e-12)
+    assert profile.relative_current[2] == pytest.approx(T_80_REF, rel=1e-12)
+    assert profile.theta.tolist() == thetas
     energy = energy_from_wavelength(50.0)
-    for point in profile:
-        ak = angle_kinematics(energy, 0.3, point.theta)
-        assert point.transmission == transmission_probability(t_paper(ak), ak)
+    for theta, transmission in zip(profile.theta.tolist(), profile.transmission.tolist()):
+        ak = angle_kinematics(energy, 0.3, theta)
+        assert transmission == transmission_probability(t_paper(ak), ak)
+
+
+def test_angular_profile_is_float_arrays():
+    profile = angular_current_profile(0.3, np.radians([[10.0, 20.0], [30.0, 40.0]]), E=0.08)
+    for values in (profile.theta, profile.relative_current, profile.transmission):
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert values.shape == (4,)
 
 
 def test_angular_profile_even_and_bounded():
     thetas = np.radians(np.linspace(-85.0, 85.0, 35))
     profile = angular_current_profile(0.3, thetas, lambda_F=50.0)
-    values = np.array([p.relative_current for p in profile])
+    values = profile.relative_current
     assert np.all(values >= 0.0) and np.all(values <= 1.0 + 1e-12)
     np.testing.assert_allclose(values, values[::-1], atol=1e-12)
 
@@ -101,7 +109,7 @@ def test_lambda_and_energy_are_exclusive():
 def test_energy_input_equivalent_to_wavelength():
     direct = angular_current_profile(0.3, [0.5], E=energy_from_wavelength(50.0))
     via_wavelength = angular_current_profile(0.3, [0.5], lambda_F=50.0)
-    assert direct[0].relative_current == via_wavelength[0].relative_current
+    assert direct.relative_current[0] == via_wavelength.relative_current[0]
 
 
 def test_angle_beyond_critical_rejected():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kleinstep.common import Convention, SingularityError
 from kleinstep.graphene import (
@@ -43,6 +43,11 @@ def barrier_grids(draw):
     angles = draw(st.lists(st.sampled_from([0.0, 0.3, -1.2, 1.5]) | st.floats(-1.55, 1.55),
                            min_size=1, max_size=4))
     return np.array(energies), np.array(heights), np.array(widths), np.array(angles)
+
+
+# an E = V0 cell (r = t = nan) after a cell whose |r|^2 underflows in pow, leaving ERANGE
+UNDERFLOW_THEN_NAN = (np.array([0.25]), np.array([0.25, 0.375]), np.array([1.0]),
+                      np.array([5.08340796e-203]))
 
 
 def _grid(axes):
@@ -84,6 +89,7 @@ def test_step_kernel_cells_equal_zero_d_calls(axes):
 
 @given(barrier_grids(), st.sampled_from(list(Convention)))
 @settings(max_examples=60, deadline=None)
+@example(UNDERFLOW_THEN_NAN, Convention.PAPER)
 def test_barrier_cells_equal_zero_d_calls(axes, convention):
     batch = solve_barrier(*_grid(axes), convention)
     shape = tuple(axis.size for axis in axes)
@@ -102,6 +108,7 @@ def test_barrier_cells_equal_zero_d_calls(axes, convention):
 
 @given(barrier_grids())
 @settings(max_examples=40, deadline=None)
+@example(UNDERFLOW_THEN_NAN)
 def test_transmission_even_in_angle(axes):
     E, V0, D, theta = axes
     mirrored = np.stack([theta, -theta])  # axis -2: +theta, -theta
@@ -113,6 +120,20 @@ def test_transmission_even_in_angle(axes):
         T = solve_barrier(E[:, None, None, None, None], V0[None, :, None, None, None],
                           D[None, None, :, None, None], mirrored, convention).T
         np.testing.assert_allclose(T[..., 0, :], T[..., 1, :], rtol=0.0, atol=1e-12)
+
+
+def test_degenerate_cell_after_underflow_gives_nan():
+    # CPython's complex abs of a nan cell keeps the errno of the pow before it
+    E, V0, D, theta = (axis.tolist() for axis in UNDERFLOW_THEN_NAN)
+    for convention in Convention:
+        solution = solve_barrier(E[0], np.array(V0), D[0], theta[0], convention)
+        assert np.isnan(solution.r[0]) and np.isnan(solution.t[0])
+        assert math.isnan(solution.R[0]) and math.isnan(solution.T[0])
+        single = solve_barrier(E[0], V0[1], D[0], theta[0], convention)
+        if convention is Convention.PAPER:
+            assert single.r != 0.0 and single.R == 0.0  # |r|^2 underflows
+        for name in BARRIER_FIELDS:
+            assert bits(getattr(solution, name)[1]) == bits(getattr(single, name)), name
 
 
 def test_barrier_matches_closed_form_in_one_array_call():
