@@ -4,17 +4,24 @@ Reflection/transmission of relativistic particles at sharp potential steps
 and finite barriers under two rival matching conventions, the massless
 specialization to graphene p-n junctions at oblique incidence, and a
 gated-sheet transport simulator (I-V families, angular current profiles).
+The modules load on first use of a public name, of ``__all__`` or of themselves.
 """
 
-from kleinstep import common, device, dirac, graphene, step
-from kleinstep.common import *  # noqa: F401,F403
-from kleinstep.device import *  # noqa: F401,F403
-from kleinstep.dirac import *  # noqa: F401,F403
-from kleinstep.graphene import *  # noqa: F401,F403
-from kleinstep.step import *  # noqa: F401,F403
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    name for module in (common, dirac, step, graphene, device) for name in module.__all__
-]
+
+def __getattr__(name: str):
+    if name == "__all__" or not name.startswith("_"):
+        modules = [importlib.import_module(f"{__name__}.{module}")
+                   for module in ("common", "dirac", "step", "graphene", "device")]
+        exports = [(export, getattr(m, export)) for m in modules for export in m.__all__]
+        globals().update(exports, __all__=[export for export, _ in exports])
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__getattr__("__all__")))

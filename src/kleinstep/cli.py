@@ -25,26 +25,7 @@ from typing import Callable
 import numpy as np
 
 from kleinstep import __version__
-from kleinstep.common import Convention, SingularityError, first_point
-from kleinstep.device import DeviceParams, angular_current_profile, iv_curve
-from kleinstep.dirac import (
-    current_density,
-    hamiltonian_residual,
-    hamiltonian_residual4,
-    make_spinor2,
-    make_spinor4,
-)
-from kleinstep.graphene import (
-    GrapheneMaterial,
-    HBAR_VF_EV_NM,
-    angle_kinematics,
-    energy_from_wavelength,
-    solve_barrier,
-    t_common,
-    t_paper,
-    transmission_probability,
-)
-from kleinstep.step import Regime, StepProblem, solve_step_numeric
+from kleinstep.common import HBAR_VF_EV_NM, Convention, SingularityError, first_point
 
 __all__ = ["RunManifest", "SweepRequest", "main", "parse_args"]
 
@@ -265,14 +246,17 @@ def parse_args(argv=None) -> SweepRequest:
 
 
 # ------------------------------------------------------------- sweeps
+# Each sweep imports the physics it calls, so a launch loads only its command's modules.
 
 
-def _resolve_fermi_energy(params: dict, material: GrapheneMaterial) -> float:
+def _material_and_fermi_energy(params: dict) -> tuple:
+    from kleinstep.graphene import GrapheneMaterial, energy_from_wavelength
+    material = GrapheneMaterial(params["hbar_vF"])
     if (params.get("E") is None) == (params.get("lambdaF") is None):
         raise _UsageError("give exactly one of --E or --lambdaF")
     if params.get("E") is not None:
-        return params["E"]
-    return energy_from_wavelength(params["lambdaF"], material)
+        return material, params["E"]
+    return material, energy_from_wavelength(params["lambdaF"], material)
 
 
 def _raise_first(bad: np.ndarray, call: Callable, *arrays) -> None:
@@ -285,14 +269,16 @@ def _raise_first(bad: np.ndarray, call: Callable, *arrays) -> None:
         call(*first_point(bad, *arrays))
 
 
-def _raise_if_singular(problem: StepProblem, solution) -> None:
+def _raise_if_singular(problem, solution) -> None:
     """Raise the SingularityError of a step solution's first singular cell (kappa_value = -1)."""
+    from kleinstep.step import StepProblem, solve_step_numeric
     _raise_first(solution.kappa_value == -1.0,
                  lambda *point: solve_step_numeric(StepProblem(*point), solution.convention),
                  problem.E, problem.m, problem.V0)
 
 
 def _rows_step_rt(request: SweepRequest) -> dict:
+    from kleinstep.step import StepProblem, solve_step_numeric
     params = request.params
     convention = Convention(params["convention"])
     problem = StepProblem(np.array(params["E"], dtype=float), params["m"], params["V0"])
@@ -311,6 +297,7 @@ def _rows_step_rt(request: SweepRequest) -> dict:
 
 
 def _rows_step_compare(request: SweepRequest) -> dict:
+    from kleinstep.step import Regime, StepProblem, solve_step_numeric
     grid = np.meshgrid(*(np.array(request.params[name], dtype=float) for name in ("E", "m", "V0")),
                        indexing="ij")
     problem = StepProblem(*(axis.ravel() for axis in grid))
@@ -330,6 +317,8 @@ def _rows_step_compare(request: SweepRequest) -> dict:
 
 
 def _rows_spinor_check(request: SweepRequest) -> dict:
+    from kleinstep.dirac import (current_density, hamiltonian_residual, hamiltonian_residual4,
+                                 make_spinor2, make_spinor4)
     m = request.params["m"]
     eps = np.array(request.params["eps"], dtype=float)
     gap = eps * eps - m * m
@@ -352,9 +341,9 @@ def _rows_spinor_check(request: SweepRequest) -> dict:
 
 
 def _rows_graphene_angle(request: SweepRequest) -> dict:
+    from kleinstep.graphene import angle_kinematics, t_common, t_paper, transmission_probability
     params = request.params
-    material = GrapheneMaterial(params["hbar_vF"])
-    energy = _resolve_fermi_energy(params, material)
+    material, energy = _material_and_fermi_energy(params)
     theta = np.radians(params["theta"])
     ak = angle_kinematics(energy, params["V0"], theta, material)
     common = t_common(ak)
@@ -373,9 +362,9 @@ def _rows_graphene_angle(request: SweepRequest) -> dict:
 
 
 def _rows_barrier(request: SweepRequest) -> dict:
+    from kleinstep.graphene import solve_barrier
     params = request.params
-    material = GrapheneMaterial(params["hbar_vF"])
-    energy = _resolve_fermi_energy(params, material)
+    material, energy = _material_and_fermi_energy(params)
     widths = np.array(params["D"], dtype=float)
     theta = math.radians(params["theta"])
     paper = solve_barrier(energy, params["V0"], widths, theta, Convention.PAPER, material)
@@ -392,6 +381,7 @@ def _rows_barrier(request: SweepRequest) -> dict:
 
 
 def _rows_iv_curve(request: SweepRequest) -> dict:
+    from kleinstep.device import DeviceParams, iv_curve
     params = request.params
     grid = params["V"] if params["V"] is not None else _linspace(
         params["V_min"], params["V_max"], params["n"]
@@ -408,11 +398,12 @@ def _rows_iv_curve(request: SweepRequest) -> dict:
 
 
 def _rows_angular_current(request: SweepRequest) -> dict:
+    from kleinstep.device import angular_current_profile
     params = request.params
-    material = GrapheneMaterial(params["hbar_vF"])
+    material, energy = _material_and_fermi_energy(params)
     thetas_deg = np.array(_linspace(-params["theta_max"], params["theta_max"], params["n"]))
-    profile = angular_current_profile(params["V0"], np.radians(thetas_deg),
-                                      lambda_F=params["lambdaF"], material=material)
+    profile = angular_current_profile(params["V0"], np.radians(thetas_deg), E=energy,
+                                      material=material)
     return {"theta_deg": thetas_deg, "T": profile.transmission,
             "relative_current": profile.relative_current}
 
@@ -520,8 +511,12 @@ def _json_floats(values: np.ndarray) -> list[str] | None:
         return None
     cells = values.tolist()
     texts = list(map("%.9g".__mod__, cells))
+    exact_texts = {"nan": "NaN"}  # per distinct value; hex tells -0.0 from 0.0, which are equal
     for index in np.flatnonzero(exact).tolist():
-        texts[index] = "NaN" if cells[index] != cells[index] else _json_cell(cells[index])
+        key = cells[index].hex()
+        if key not in exact_texts:
+            exact_texts[key] = _json_cell(cells[index])
+        texts[index] = exact_texts[key]
     return texts
 
 

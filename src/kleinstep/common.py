@@ -7,6 +7,10 @@ import numpy as np
 
 __all__ = ["Convention", "SingularityError"]
 
+# graphene's hbar v_F in eV nm: hbar c ~= 197.327 eV nm over 300 (v_F ~= c/300), 4 digits.
+# Kept here so the CLI's --hbar-vF default loads no physics module; graphene exports it.
+HBAR_VF_EV_NM = 0.6578
+
 
 class Convention(Enum):
     """Which state counts as the forward (transmitted) wave beyond a step.

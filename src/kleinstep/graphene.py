@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kleinstep.common import (
+    HBAR_VF_EV_NM,
     Convention,
     SingularityError,
     broadcast,
@@ -55,9 +56,6 @@ __all__ = [
     "t_paper",
     "transmission_probability",
 ]
-
-# hbar c ~= 197.327 eV nm divided by 300 (v_F ~= c/300), rounded to 4 digits
-HBAR_VF_EV_NM = 0.6578
 
 _PAPER = Convention.PAPER
 

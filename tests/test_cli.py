@@ -12,6 +12,7 @@ from kleinstep import cli, device, graphene
 from kleinstep.cli import RunManifest, main, render_csv, render_json
 
 from oracles import rt_pair, step_kappa, step_kappa_prime
+from test_contracts import run_fresh
 
 
 def run(capsys, *args):
@@ -412,7 +413,10 @@ def test_step_rt_solves_in_one_batch(capsys, solve_calls):
 
 @pytest.fixture
 def kinematics_calls(monkeypatch):
-    """Counts angle_kinematics calls, in every module that imported it."""
+    """Counts angle_kinematics calls, in every module that imported it.
+
+    The CLI imports it from graphene inside each sweep, so it counts the CLI's calls too.
+    """
     calls = []
     angle_kinematics = graphene.angle_kinematics
 
@@ -420,7 +424,7 @@ def kinematics_calls(monkeypatch):
         calls.append(args)
         return angle_kinematics(*args, **kwargs)
 
-    for module in (graphene, device, cli):
+    for module in (graphene, device):
         monkeypatch.setattr(module, "angle_kinematics", counting_kinematics)
     return calls
 
@@ -454,3 +458,41 @@ def test_linalg_failure_is_numerical_exit(capsys, monkeypatch):
                          "--no-manifest")
     assert (code, out) == (1, "")
     assert err == "kleinstep: numerical failure: Singular matrix\n"
+
+
+# ------------------------------------------------------------- import isolation
+
+LOADED_MODULES = """
+import contextlib, io, sys
+import kleinstep.cli
+
+def loaded():
+    return [name for name in ("step", "dirac", "graphene", "device")
+            if "kleinstep." + name in sys.modules]
+
+assert loaded() == [], loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = kleinstep.cli.main(sys.argv[1:])
+print(code, *loaded())
+"""
+
+COMMAND_MODULES = [
+    (["--help"], set()),
+    (["step-rt", "--E", "2,7", "--m", "1", "--V0", "5"], {"step", "dirac"}),
+    (["step-compare", "--E", "2", "--m", "1", "--V0", "5"], {"step", "dirac"}),
+    (["spinor-check", "--m", "1", "--eps", "2,-3"], {"dirac"}),
+    (["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta", "10,20"], {"graphene"}),
+    (["barrier", "--lambdaF", "50", "--V0", "0.3", "--D", "10,20"], {"graphene"}),
+    (["iv-curve", "--n", "3"], {"device", "graphene"}),
+    (["angular-current", "--n", "3"], {"device", "graphene"}),
+]
+
+
+@pytest.mark.parametrize("argv,modules", COMMAND_MODULES,
+                         ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_command_loads_only_its_modules(argv, modules):
+    # importing the CLI loads no physics module; a launch loads its command's modules only
+    result = run_fresh(LOADED_MODULES, *argv)
+    assert result.returncode == 0, result.stderr
+    code, *loaded = result.stdout.split()
+    assert (code, set(loaded)) == ("0", modules)

@@ -1,6 +1,9 @@
 """Package-level contracts: the exported names and non-finite input rejection."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +29,56 @@ def test_package_exports_every_module_export():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(kleinstep, name) is getattr(module, name)
+
+
+def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports kleinstep from the tested tree."""
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(kleinstep.__file__)),
+                            os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+# each check is the first thing a fresh interpreter does with the lazily loaded package
+LAZY_PACKAGE_CHECKS = {
+    "submodules": """
+import sys, kleinstep
+names = ("common", "dirac", "step", "graphene", "device")
+assert not [name for name in names if "kleinstep." + name in sys.modules]
+for name in names:
+    assert getattr(kleinstep, name) is sys.modules["kleinstep." + name], name
+""",
+    "dir": """
+import kleinstep
+names = set(dir(kleinstep))
+assert names >= set(kleinstep.__all__), set(kleinstep.__all__) - names
+""",
+    "star-import": """
+import importlib
+from kleinstep import *
+modules = [importlib.import_module("kleinstep." + name)
+           for name in ("common", "dirac", "step", "graphene", "device")]
+exports = [(name, module) for module in modules for name in module.__all__]
+assert len(exports) == 52, len(exports)
+for name, module in exports:
+    assert globals()[name] is getattr(module, name), name
+""",
+    "unknown-name": """
+import kleinstep
+try:
+    kleinstep.x
+except AttributeError as exc:
+    assert str(exc) == "module 'kleinstep' has no attribute 'x'", str(exc)
+else:
+    raise AssertionError("kleinstep.x resolved")
+""",
+}
+
+
+@pytest.mark.parametrize("check", list(LAZY_PACKAGE_CHECKS))
+def test_package_loads_modules_on_first_use(check):
+    result = run_fresh(LAZY_PACKAGE_CHECKS[check])
+    assert result.returncode == 0, result.stderr
 
 
 NON_FINITE_CASES = [
