@@ -13,7 +13,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name == "__all__" or not name.startswith("_"):
+    # "cli" is a submodule, not an export: ``from kleinstep import cli`` probes for it first
+    if name == "__all__" or not name.startswith("_") and name != "cli":
         modules = [importlib.import_module(f"{__name__}.{module}")
                    for module in ("common", "dirac", "step", "graphene", "device")]
         exports = [(export, getattr(m, export)) for m in modules for export in m.__all__]

@@ -386,15 +386,15 @@ def _rows_iv_curve(request: SweepRequest) -> dict:
     grid = params["V"] if params["V"] is not None else _linspace(
         params["V_min"], params["V_max"], params["n"]
     )
-    rows = []
-    for v_back in params["Vb"]:
-        device = DeviceParams(
+    currents = [
+        iv_curve(DeviceParams(
             mobility=params["mobility"], gate_coefficient=params["alpha"],
             back_gate=v_back, aspect_ratio=params["aspect_ratio"],
-        )
-        rows.extend((v_back, point.V, point.I) for point in iv_curve(device, grid))
-    return dict(zip(_COMMANDS[request.command].columns,
-                    np.array(rows, dtype=float).reshape(-1, 3).T))
+        ), grid)
+        for v_back in params["Vb"]
+    ]
+    return {"Vb": np.repeat(params["Vb"], len(grid)), "V": np.tile(grid, len(currents)),
+            "I": np.ravel(currents)}
 
 
 def _rows_angular_current(request: SweepRequest) -> dict:

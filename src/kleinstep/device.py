@@ -26,7 +26,6 @@ __all__ = [
     "AngularProfile",
     "DeviceParams",
     "ELEMENTARY_CHARGE",
-    "IVPoint",
     "angular_current_profile",
     "carrier_type",
     "iv_curve",
@@ -57,12 +56,6 @@ class DeviceParams:
 
 
 @dataclass(frozen=True)
-class IVPoint:
-    V: float  # bias, volts
-    I: float  # current, amperes
-
-
-@dataclass(frozen=True)
 class AngularProfile:
     """One float array per field, one cell per angle of the grid."""
 
@@ -90,10 +83,9 @@ def sheet_conductivity(params: DeviceParams) -> float:
     return density * params.elementary_charge * params.mobility
 
 
-def iv_curve(params: DeviceParams, V_grid) -> list[IVPoint]:
-    """Ohmic I = sigma (W/L) V for each bias in V_grid; sign follows the bias."""
-    conductance = sheet_conductivity(params) * params.aspect_ratio
-    return [IVPoint(float(v), conductance * float(v)) for v in V_grid]
+def iv_curve(params: DeviceParams, V_grid) -> np.ndarray:
+    """Ohmic I = sigma (W/L) V in amperes for each bias in V_grid; sign follows the bias."""
+    return sheet_conductivity(params) * params.aspect_ratio * np.asarray(V_grid, dtype=float)
 
 
 def angular_current_profile(

@@ -21,13 +21,9 @@ Every kernel takes numpy arrays that broadcast together and works cell by
 cell; scalars are the 0-d case and give Python scalars.  Where a 0-d call
 raises at a singular or non-propagating point, an array cell holds a
 sentinel instead (see each function), so one such cell does not end a sweep.
-Complex division, atan2, exp and |x| ** 2 run as Python scalar operations
-per cell (see _cellwise), so an array cell equals the 0-d result bit for bit.
 """
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,34 +107,6 @@ def _require(valid: np.ndarray, validate, *arrays: np.ndarray) -> None:
         validate(*first_point(~valid, *arrays))
 
 
-def _cellwise(function, *arrays: np.ndarray, dtype=float) -> np.ndarray:
-    """A Python scalar ``function`` of every cell of equal-length 1-D arrays.
-
-    For the operations whose numpy versions may round the last bit
-    differently from CPython's: complex division, and the C library's
-    atan2, exp, hypot and pow (numpy vectorises them with SIMD, and an
-    array's x ** 2 is x * x).
-    """
-    return np.fromiter(map(function, *(array.tolist() for array in arrays)), dtype,
-                       arrays[0].size)
-
-
-def _abs_squared(values: np.ndarray) -> np.ndarray:
-    """abs(x) ** 2 of every cell of a 1-D array, as the C library's hypot and pow give it.
-
-    A cell whose abs is NaN (a NaN part, no infinite one) is squared as 0 and
-    set to NaN after: CPython's complex abs returns that NaN without clearing
-    errno, so an ERANGE left by an earlier pow underflow would raise OverflowError.
-    """
-    nan = np.isnan(values) & ~np.isinf(values)
-    if nan.any():
-        values = np.where(nan, 0.0, values)
-    squares = np.fromiter(map(math.pow, map(abs, values.tolist()), itertools.repeat(2.0)), float,
-                          values.size)
-    squares[nan] = math.nan
-    return squares
-
-
 def energy_from_wavelength(lambda_F: float, material: GrapheneMaterial = DEFAULT_MATERIAL) -> float:
     """Fermi energy for a Fermi wavelength lambda_F (nm): E = hbar v_F 2 pi / lambda_F."""
     require_finite(lambda_F=lambda_F)
@@ -165,10 +133,11 @@ def _kinematics(E, V0, theta_I, hv):
     k_F = E / hv
     k_y = k_F * np.sin(theta_I)
     local = E - V0
-    kx_sq = _abs_squared(local / hv) - k_y * k_y
+    with np.errstate(over="raise"):  # an infinite k^2 would leave nan cells, not an error
+        kx_sq = (local / hv) ** 2 - k_y * k_y
     propagating = kx_sq > 0
     k_xII = np.sqrt(np.where(propagating, kx_sq, -kx_sq))
-    theta_II = np.where(propagating, _cellwise(math.atan2, k_y, k_xII), math.nan)
+    theta_II = np.where(propagating, np.arctan2(k_y, k_xII), math.nan)
     return k_F, k_y, k_xII, theta_II, np.sign(local).astype(int), propagating
 
 
@@ -202,7 +171,8 @@ def _amplitude(shape: tuple, propagating, numerator, den_re, den_im, singular_er
         if singular[0]:
             raise SingularityError(*singular_error)
     den[singular] = 1.0
-    t = _cellwise(operator.truediv, numerator, den, dtype=complex)
+    with np.errstate(invalid="ignore"):  # a non-propagating cell's theta_II is nan
+        t = numerator / den
     t[~propagating] = 0.0
     t[singular] = math.inf
     return _shaped(shape, t)[0]
@@ -260,7 +230,7 @@ def transmission_probability(t: complex, ak: AngleKinematics) -> float:
     if not shape and not propagating[0]:
         raise ValueError("no propagating transmitted wave at this angle")
     t = np.broadcast_to(np.asarray(t, dtype=complex), shape).ravel()
-    transmission = _abs_squared(t) * np.cos(theta_II) / cos_in
+    transmission = np.abs(t) ** 2 * np.cos(theta_II) / cos_in
     transmission[~propagating] = 0.0
     return _shaped(shape, transmission)[0]
 
@@ -359,7 +329,7 @@ def solve_barrier(
         fwd2 = _spinors(hv, k_re, k_im, k_y, eps2)
         bwd2 = _spinors(hv, -k_re, -k_im, k_y, eps2)
         # exp(i k_fwd D), |phase| <= 1 by construction
-        decay = _cellwise(math.exp, -k_im * D)
+        decay = np.exp(-k_im * D)
         phase = np.empty(E.size, dtype=complex)
         phase.real = decay * np.cos(k_re * D)
         phase.imag = decay * np.sin(k_re * D)
@@ -379,7 +349,7 @@ def solve_barrier(
         solution = np.linalg.solve(matrix, rhs)[..., 0]
         r[cells], t[cells] = solution[:, 0], solution[:, 3]
 
-    fields = (r, t, _abs_squared(r), _abs_squared(t), propagating)
+    fields = (r, t, np.abs(r) ** 2, np.abs(t) ** 2, propagating)
     return BarrierSolution(*_shaped(shape, *fields))
 
 

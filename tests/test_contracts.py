@@ -59,9 +59,17 @@ from kleinstep import *
 modules = [importlib.import_module("kleinstep." + name)
            for name in ("common", "dirac", "step", "graphene", "device")]
 exports = [(name, module) for module in modules for name in module.__all__]
-assert len(exports) == 52, len(exports)
+assert len(exports) == 51, len(exports)
 for name, module in exports:
     assert globals()[name] is getattr(module, name), name
+""",
+    "from-import-cli": """
+import sys
+from kleinstep import cli
+physics = ("dirac", "step", "graphene", "device")
+loaded = [name for name in physics if "kleinstep." + name in sys.modules]
+assert not loaded, loaded
+assert cli is sys.modules["kleinstep.cli"]
 """,
     "unknown-name": """
 import kleinstep

@@ -49,24 +49,24 @@ def test_carrier_type_tracks_gate_sign():
 
 
 def test_iv_reference_point():
-    points = iv_curve(DeviceParams(back_gate=0.2), [1e-3])
-    assert points[0].I == pytest.approx(3.50876682846e-08, rel=1e-12)
+    currents = iv_curve(DeviceParams(back_gate=0.2), [1e-3])
+    assert currents[0] == pytest.approx(3.50876682846e-08, rel=1e-12)
 
 
 def test_iv_linearity_and_origin():
     params = DeviceParams(back_gate=0.15, aspect_ratio=2.0)
-    pts = iv_curve(params, [0.0, 1e-3, 2e-3])
-    assert pts[0].I == 0.0
-    assert pts[2].I == pytest.approx(2.0 * pts[1].I, rel=1e-12)
-    assert iv_curve(params, [-1e-3])[0].I == -pts[1].I  # direction follows polarity
+    currents = iv_curve(params, [0.0, 1e-3, 2e-3])
+    assert currents.dtype == np.float64 and currents.shape == (3,)
+    assert currents[0] == 0.0
+    assert currents[2] == pytest.approx(2.0 * currents[1], rel=1e-12)
+    assert iv_curve(params, [-1e-3])[0] == -currents[1]  # direction follows polarity
 
 
 def test_iv_slope_family_ratios():
     grid = np.linspace(0.0, 5e-3, 11)
     slopes = []
     for v_back in (0.1, 0.2, 0.3):
-        pts = iv_curve(DeviceParams(back_gate=v_back), grid)
-        slopes.append(np.polyfit([p.V for p in pts], [p.I for p in pts], 1)[0])
+        slopes.append(np.polyfit(grid, iv_curve(DeviceParams(back_gate=v_back), grid), 1)[0])
     assert slopes[1] / slopes[0] == pytest.approx(2.0, rel=1e-10)
     assert slopes[2] / slopes[0] == pytest.approx(3.0, rel=1e-10)
 

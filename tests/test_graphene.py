@@ -85,6 +85,14 @@ class TestAngleKinematics:
         with pytest.raises(ValueError):
             angle_kinematics(E_FERMI, V0, math.pi / 2)
 
+    @pytest.mark.parametrize("E,height", [(1e200, V0), (1e160, 1e160)])
+    def test_wavevector_overflow_raises(self, E, height):
+        # (E - V0)^2 or k_y^2 beyond float range raises instead of giving nan cells
+        with pytest.raises(FloatingPointError, match="overflow"):
+            angle_kinematics(np.array([E_FERMI, E]), height, 0.5)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            solve_barrier(E, height, 10.0, 0.5)
+
 
 class TestStepAmplitudes:
     def test_paper_normal_incidence_exact_unity(self):

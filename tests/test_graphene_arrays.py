@@ -45,7 +45,7 @@ def barrier_grids(draw):
     return np.array(energies), np.array(heights), np.array(widths), np.array(angles)
 
 
-# an E = V0 cell (r = t = nan) after a cell whose |r|^2 underflows in pow, leaving ERANGE
+# an E = V0 cell (r = t = nan) after a cell whose |r|^2 underflows
 UNDERFLOW_THEN_NAN = (np.array([0.25]), np.array([0.25, 0.375]), np.array([1.0]),
                       np.array([5.08340796e-203]))
 
@@ -123,7 +123,7 @@ def test_transmission_even_in_angle(axes):
 
 
 def test_degenerate_cell_after_underflow_gives_nan():
-    # CPython's complex abs of a nan cell keeps the errno of the pow before it
+    # the E = V0 cell holds nan in r, t, R and T although the cell before it underflows
     E, V0, D, theta = (axis.tolist() for axis in UNDERFLOW_THEN_NAN)
     for convention in Convention:
         solution = solve_barrier(E[0], np.array(V0), D[0], theta[0], convention)
