@@ -11,7 +11,8 @@ parameters, timestamp) in '#' comment lines (CSV) or a "manifest" field
 (JSON), suppressible with --no-manifest.
 
 Exit codes: 0 success, 1 numerical failure (a singular denominator without
---allow-singular, or an unwritable output), 2 usage error (nan/inf included).
+--allow-singular, an overflowing value, or an unwritable output), 2 usage
+error (nan/inf included).
 """
 
 import argparse
@@ -592,13 +593,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already reported
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        table = _COMMANDS[request.command].rows(request)
+        # an overflowing value raises where it arises instead of leaving inf and nan cells
+        with np.errstate(over="raise"):
+            table = _COMMANDS[request.command].rows(request)
     except SingularityError as exc:
         print(f"{PROG}: numerical failure: {exc}", file=sys.stderr)
         print(f"{PROG}: rerun with --allow-singular to emit unbounded values",
               file=sys.stderr)
         return 1
-    except np.linalg.LinAlgError as exc:  # a ValueError, but not the user's
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:  # LinAlgError is a ValueError too
         print(f"{PROG}: numerical failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # usage and parameter domain errors

@@ -1,4 +1,4 @@
-"""Shared tags, error types and input checks used across the scattering modules."""
+"""Shared tags, error types, input checks and array-call helpers of the scattering modules."""
 
 import cmath
 from enum import Enum
@@ -71,6 +71,25 @@ def broadcast(*arrays: np.ndarray) -> list[np.ndarray]:
     if all(array.shape == arrays[0].shape for array in arrays):
         return list(arrays)
     return np.broadcast_arrays(*arrays)
+
+
+def _flat(*values, dtype=float) -> tuple[tuple, list[np.ndarray]]:
+    """The broadcast shape of the values, and each value broadcast to it and flattened."""
+    arrays = broadcast(*(np.asarray(value, dtype=dtype) for value in values))
+    return arrays[0].shape, [array.ravel() for array in arrays]
+
+
+def _shaped(shape: tuple, *arrays: np.ndarray) -> list:
+    """Flat results back in the arguments' shape; a 0-d result as a Python scalar."""
+    if not shape:
+        return [array.item() for array in arrays]
+    return [array.reshape(shape) for array in arrays]
+
+
+def _require(valid: np.ndarray, validate, *arrays: np.ndarray) -> None:
+    """Run ``validate`` on the first invalid cell in C order; it raises that cell's error."""
+    if not valid.all():
+        validate(*first_point(~valid, *arrays))
 
 
 def unwrap(value):

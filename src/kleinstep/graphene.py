@@ -32,8 +32,9 @@ from kleinstep.common import (
     HBAR_VF_EV_NM,
     Convention,
     SingularityError,
-    broadcast,
-    first_point,
+    _flat,
+    _require,
+    _shaped,
     require_finite,
 )
 
@@ -86,25 +87,6 @@ class AngleKinematics:
     s_I: int
     s_II: int
     propagating: bool
-
-
-def _flat(*values, dtype=float) -> tuple[tuple, list[np.ndarray]]:
-    """The broadcast shape of the values, and each value broadcast to it and flattened."""
-    arrays = broadcast(*(np.asarray(value, dtype=dtype) for value in values))
-    return arrays[0].shape, [array.ravel() for array in arrays]
-
-
-def _shaped(shape: tuple, *arrays: np.ndarray) -> list:
-    """Flat results back in the arguments' shape; a 0-d result as a Python scalar."""
-    if not shape:
-        return [array.item() for array in arrays]
-    return [array.reshape(shape) for array in arrays]
-
-
-def _require(valid: np.ndarray, validate, *arrays: np.ndarray) -> None:
-    """Run ``validate`` on the first invalid cell in C order; it raises that cell's error."""
-    if not valid.all():
-        validate(*first_point(~valid, *arrays))
 
 
 def energy_from_wavelength(lambda_F: float, material: GrapheneMaterial = DEFAULT_MATERIAL) -> float:

@@ -26,6 +26,7 @@ from kleinstep.graphene import (
     transmission_probability,
 )
 from kleinstep.step import (
+    _SAMPLE_POINTS,
     BasisKind,
     StepProblem,
     kappa,
@@ -33,6 +34,7 @@ from kleinstep.step import (
     mode_current,
     mode_current_closed_form,
     rt_from_kappa,
+    scattering_basis_state,
     solve_step_numeric,
 )
 
@@ -194,7 +196,11 @@ def test_criterion_06_mode_currents():
             prob = StepProblem(E, m, V0)
             currents = {}
             for kind in BasisKind:
-                # mode_current itself enforces z-independence over 6 samples
+                state = scattering_basis_state(kind, prob)
+                left, right = state.value_region1(0.0), state.value_region2(0.0)
+                assert np.linalg.norm(left - right) <= 1e-12 * np.linalg.norm(left)
+                samples = [state.current(z) for z in _SAMPLE_POINTS]
+                assert max(samples) - min(samples) < 1e-10
                 measured = mode_current(kind, prob)
                 closed = mode_current_closed_form(kind, prob)
                 assert abs(measured - closed) < 1e-10

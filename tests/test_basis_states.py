@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kleinstep.step import (
     BasisKind,
@@ -13,6 +14,8 @@ from kleinstep.step import (
     mode_current_closed_form,
     scattering_basis_state,
 )
+
+from test_step import klein_problems
 
 PROBLEM = StepProblem(2.0, 1.0, 5.0)
 # frozen from tests/oracles.py: (2 kappa / pi)/(kappa + 1)^2 at (2, 1, 5)
@@ -79,6 +82,15 @@ def test_currents_over_klein_grid():
         magnitude = (2.0 * k / math.pi) / (k + 1.0) ** 2
         assert mode_current(BasisKind.U_PLUS, prob) == pytest.approx(magnitude, abs=1e-10)
         assert mode_current(BasisKind.V_MINUS, prob) == pytest.approx(-magnitude, abs=1e-10)
+
+
+@given(klein_problems(), st.floats(-15.0, 15.0))
+@settings(max_examples=300, deadline=None)
+def test_mode_currents_invariant_under_energy_scale(problem, exponent):
+    scale = 10.0**exponent
+    scaled = StepProblem(scale * problem.E, scale * problem.m, scale * problem.V0)
+    for kind in ALL_KINDS:
+        assert mode_current(kind, scaled) == pytest.approx(mode_current(kind, problem), abs=1e-12)
 
 
 def test_wrong_regime_rejected():

@@ -188,6 +188,20 @@ class TestSingularities:
         assert code2 == 0
         assert "inf" in out
 
+    @pytest.mark.parametrize("args", [
+        ["graphene-angle", "--E", "1e200", "--V0", "0.3", "--theta", "10"],
+        ["barrier", "--E", "1e200", "--V0", "0.3", "--D", "10"],
+        ["angular-current", "--lambdaF", "1e-300", "--n", "3"],
+        ["step-rt", "--E", "1e200", "--m", "1", "--V0", "5"],
+        ["spinor-check", "--m", "1e200", "--eps", "2e200"],
+    ], ids=lambda args: args[0])
+    def test_overflow_is_numerical_failure(self, capsys, args):
+        # finite input whose squares overflow: one line and exit 1, no warning or traceback
+        code, out, err = run(capsys, *args, "--no-manifest")
+        assert (code, out) == (1, "")
+        assert err.startswith("kleinstep: numerical failure: overflow encountered in ")
+        assert err.count("\n") == 1
+
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
     config = tmp_path / "run.cfg"

@@ -11,6 +11,7 @@ from kleinstep.step import (
     Regime,
     StepProblem,
     classify_regime,
+    group_velocity_region2,
     kappa,
     kappa_prime,
     rt_from_kappa,
@@ -94,6 +95,11 @@ def test_zero_d_results_are_python_scalars():
     assert sol.regime is Regime.KLEIN
     assert type(kappa(StepProblem(2.0, 1.0, 5.0))) is float
     assert rt_from_kappa(1.0) == (0.0, 1.0)
+    problem = StepProblem(2.0, 1.0, 5.0)
+    assert type(kappa_prime(problem)) is float
+    assert classify_regime(problem) is Regime.KLEIN
+    assert tuple(map(type, rt_from_kappa(0.5))) == (float, float)
+    assert type(group_velocity_region2(problem)) is float
 
 
 def test_zero_d_massless_common_still_raises():
