@@ -6,7 +6,8 @@ and normal-incidence singular cells under --allow-singular, non-propagating
 angles and evanescent barrier interiors), the stderr of the failure cases and
 the --help text.  A case whose file ends in ".stderr" compares stderr and
 expects empty stdout; every other case compares stdout and expects empty
-stderr.
+stderr.  argparse's own answers (usage errors and help) to argv that names
+no command, an unknown one, an unknown flag or a stray word are pinned inline.
 
 After an intended output change, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -95,6 +96,44 @@ def test_golden(name, exit_code, args, monkeypatch):
         assert (out, err) == ("", expected)
     else:
         assert (out, err) == (expected, "")
+
+
+USAGE = "usage: kleinstep [-h] command ...\n"
+
+# argv that argparse rejects or answers with help before any sweep runs: (argv, exit code,
+# stdout, stderr); stdout "help.txt" is that golden file's text
+ARGPARSE_CASES = [
+    ([], 2, "", USAGE + "kleinstep: error: a command is required\n"),
+    (["bogus"], 2, "",
+     USAGE + "kleinstep: error: argument command: invalid choice: 'bogus' (choose from "
+     "'step-rt', 'step-compare', 'spinor-check', 'graphene-angle', 'barrier', 'iv-curve', "
+     "'angular-current')\n"),
+    (["barrier", "--bogus"], 2, "", USAGE + "kleinstep: error: unrecognized arguments: --bogus\n"),
+    (["--E=1", "barrier"], 2, "", USAGE + "kleinstep: error: unrecognized arguments: --E=1\n"),
+    (["-h", "barrier"], 0, "help.txt", ""),
+    (["--hel"], 0, "help.txt", ""),
+    (["barrier", "--E=1", "step-rt"], 2, "",
+     USAGE + "kleinstep: error: unrecognized arguments: step-rt\n"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,out,err", ARGPARSE_CASES,
+                         ids=[" ".join(case[0]) or "no-arguments" for case in ARGPARSE_CASES])
+def test_argparse_path(argv, exit_code, out, err, monkeypatch):
+    monkeypatch.setenv("COLUMNS", HELP_COLUMNS)
+    if out:
+        out = (GOLDEN_DIR / out).read_bytes().decode("utf-8")
+    assert _run("help", argv) == (exit_code, out, err)
+
+
+def test_console_entry_reads_sys_argv(monkeypatch):
+    # the console script calls main() with no argv
+    monkeypatch.setenv("COLUMNS", HELP_COLUMNS)
+    monkeypatch.setattr(sys, "argv", ["kleinstep", "barrier", "--help"])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main() == 0
+    assert out.getvalue() == (GOLDEN_DIR / "help-barrier.txt").read_bytes().decode("utf-8")
 
 
 if __name__ == "__main__":
