@@ -16,12 +16,10 @@ error (nan/inf included).
 """
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,8 +102,7 @@ def _bool(text: str) -> bool:
 # ------------------------------------------------------------ parameters
 
 
-@dataclass(frozen=True)
-class _Param:
+class _Param(NamedTuple):
     name: str  # long flag name, dashes allowed
     convert: Callable
     default: object = None
@@ -134,8 +131,7 @@ _FERMI_WAVELENGTH = _Param("lambdaF", _float_scalar, help="Fermi wavelength in n
 _HBAR_VF = _Param("hbar-vF", _float_scalar, default=HBAR_VF_EV_NM, help="eV nm")
 
 
-@dataclass(frozen=True)
-class SweepRequest:
+class SweepRequest(NamedTuple):
     """A fully resolved invocation: command, parameters, output handling."""
 
     command: str
@@ -146,14 +142,14 @@ class SweepRequest:
     allow_singular: bool
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    version: str
-    command: str
-    parameters: dict
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
+class RunManifest(NamedTuple("RunManifest", [("version", str), ("command", str),
+                                             ("parameters", dict), ("timestamp", str)])):
+    __slots__ = ()
+
+    def __new__(cls, version: str, command: str, parameters: dict, timestamp: str | None = None):
+        if timestamp is None:
+            timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        return super().__new__(cls, version, command, parameters, timestamp)
 
     def comment_lines(self) -> list[str]:
         parameters = self.as_dict()["parameters"]
@@ -186,15 +182,20 @@ def _manifest_value(value):
 # ------------------------------------------------------------- parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with every subparser, or only the one argv[0] names.
+
+    When argv starts with a command, argparse can run or print no other subparser.
+    """
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="step-barrier scattering, graphene junctions, gated-device sweeps",
     )
     subparsers = parser.add_subparsers(dest="command", metavar="command")
-    for name, command in _COMMANDS.items():
+    names = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
         sub = subparsers.add_parser(name, help=f"{name} sweep")
-        for param in command.params + _COMMON_PARAMS:
+        for param in _COMMANDS[name].params + _COMMON_PARAMS:
             flags = ({"action": "store_const", "const": True} if param.convert is _bool
                      else {"metavar": "X"})
             sub.add_argument(f"--{param.name}", dest=param.dest, default=None, help=param.help,
@@ -221,7 +222,8 @@ def _load_config(path: str) -> dict[str, str]:
 
 def parse_args(argv=None) -> SweepRequest:
     """Resolve CLI flags plus config-file defaults into a SweepRequest."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     namespace = parser.parse_args(argv)
     if namespace.command is None:
         parser.print_usage(sys.stderr)
@@ -409,8 +411,7 @@ def _rows_angular_current(request: SweepRequest) -> dict:
             "relative_current": profile.relative_current}
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """One subcommand: its flags, its output columns and the sweep that makes its rows.
 
     ``rows`` returns the sweep as a table: column name -> one sequence of
@@ -495,6 +496,7 @@ def _json_cell(value) -> str:
         if math.isfinite(value):
             return float.__repr__(float(format(value, ".9g")))
         return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    import json
     return json.dumps(value)
 
 
@@ -525,16 +527,19 @@ def _row_slices(columns: list[str], table: dict, cell, float_texts=lambda values
     """Per slice of rows: each column's %-format in a row, and the rows' values for them.
 
     A float64 array goes in as raw floats under %.9g (format(v, ".9g")'s
-    bytes) unless float_texts gives it texts; any other column as cell texts.
+    bytes) unless float_texts gives it texts; any other column, which holds no
+    floats (see _Command), as cell texts made once per distinct value.
     """
     count = len(table[columns[0]]) if columns else 0
     for start in range(0, count, _RENDER_SLICE):
         formats, fields = [], []
         for name in columns:
             values = table[name][start:start + _RENDER_SLICE]
-            floats = isinstance(values, np.ndarray) and values.dtype == np.float64
-            texts = (float_texts(values) if floats
-                     else list(map(cell, np.asarray(values, dtype=object))))
+            if isinstance(values, np.ndarray) and values.dtype == np.float64:
+                texts = float_texts(values)
+            else:
+                cells = np.asarray(values, dtype=object).tolist()
+                texts = list(map({value: cell(value) for value in set(cells)}.__getitem__, cells))
             formats.append("%.9g" if texts is None else "%s")
             fields.append(values.tolist() if texts is None else texts)
         yield formats, zip(*fields)
@@ -550,6 +555,7 @@ def render_csv(columns: list[str], table: dict, manifest: RunManifest | None) ->
 
 def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -> str:
     """The bytes of json.dumps({"manifest": ..., "rows": [...]}, indent=2), written by hand."""
+    import json
     head = "{\n"
     if manifest:
         head += '  "manifest": ' + json.dumps(manifest.as_dict(), indent=2).replace("\n", "\n  ")

@@ -1,6 +1,6 @@
 """Shared tags, error types, input checks and array-call helpers of the scattering modules."""
 
-import cmath
+import math
 from enum import Enum
 
 import numpy as np
@@ -53,7 +53,7 @@ def require_finite(**values) -> None:
             if not finite.all():
                 (bad,) = first_point(~finite, value)
                 raise ValueError(f"{name} must be finite, got {bad}")
-        elif not cmath.isfinite(value):
+        elif not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -8,19 +8,11 @@ angular dependence of the current, computed from the current-labelled
 step transmission.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from kleinstep.common import first_point, require_finite
-from kleinstep.graphene import (
-    DEFAULT_MATERIAL,
-    GrapheneMaterial,
-    angle_kinematics,
-    energy_from_wavelength,
-    t_paper,
-    transmission_probability,
-)
 
 __all__ = [
     "AngularProfile",
@@ -35,28 +27,30 @@ __all__ = [
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
 
 
-@dataclass(frozen=True)
-class DeviceParams:
+class DeviceParams(NamedTuple("DeviceParams", [
+        ("mobility", float), ("gate_coefficient", float), ("back_gate", float),
+        ("aspect_ratio", float), ("elementary_charge", float)])):
     """Sheet parameters: mobility in cm^2/(V s), gate coefficient in cm^-2 V^-1."""
 
-    mobility: float = 15000.0
-    gate_coefficient: float = 7.3e10
-    back_gate: float = 0.0  # V_b, volts
-    aspect_ratio: float = 1.0  # W / L
-    elementary_charge: float = ELEMENTARY_CHARGE
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_finite(**vars(self))
-        if not self.mobility > 0:
+    def __new__(cls, mobility: float = 15000.0, gate_coefficient: float = 7.3e10,
+                back_gate: float = 0.0,  # V_b, volts
+                aspect_ratio: float = 1.0,  # W / L
+                elementary_charge: float = ELEMENTARY_CHARGE):
+        self = super().__new__(cls, mobility, gate_coefficient, back_gate, aspect_ratio,
+                               elementary_charge)
+        require_finite(**self._asdict())
+        if not mobility > 0:
             raise ValueError("mobility must be positive")
-        if not self.gate_coefficient > 0:
+        if not gate_coefficient > 0:
             raise ValueError("gate coefficient must be positive")
-        if not self.aspect_ratio > 0:
+        if not aspect_ratio > 0:
             raise ValueError("aspect ratio W/L must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class AngularProfile:
+class AngularProfile(NamedTuple):
     """One float array per field, one cell per angle of the grid."""
 
     theta: np.ndarray  # radians
@@ -93,26 +87,30 @@ def angular_current_profile(
     theta_grid,
     lambda_F: float | None = None,
     E: float | None = None,
-    material: GrapheneMaterial = DEFAULT_MATERIAL,
+    material=None,
 ) -> AngularProfile:
     """I(theta)/I(0) across the step, from the current-labelled transmission.
 
     The profile also carries the transmission T(theta) it was computed from.
     The whole grid and the theta = 0 reference are one array evaluation.
 
-    Exactly one of lambda_F (nm) or E (eV) fixes the Fermi level.  Angles
+    Exactly one of lambda_F (nm) or E (eV) fixes the Fermi level.  ``material``
+    is a graphene.GrapheneMaterial, graphene.DEFAULT_MATERIAL when None.  Angles
     beyond the critical angle carry no transmitted wave and raise ValueError
     (the default device parameters have none).
     """
+    # only this function needs graphene; an iv-curve launch loads none of it
+    from kleinstep import graphene
+    material = graphene.DEFAULT_MATERIAL if material is None else material
     if (lambda_F is None) == (E is None):
         raise ValueError("give exactly one of lambda_F or E")
     if E is None:
-        E = energy_from_wavelength(lambda_F, material)
+        E = graphene.energy_from_wavelength(lambda_F, material)
     thetas = np.array(theta_grid, dtype=float).ravel()
-    ak = angle_kinematics(E, V0, np.concatenate(([0.0], thetas)), material)
+    ak = graphene.angle_kinematics(E, V0, np.concatenate(([0.0], thetas)), material)
     if not ak.propagating.all():
         (theta,) = first_point(~ak.propagating, ak.theta_I)
         raise ValueError(f"incidence angle {theta} rad lies beyond the critical angle")
-    transmission = transmission_probability(t_paper(ak), ak)
+    transmission = graphene.transmission_probability(graphene.t_paper(ak), ak)
     values = transmission[1:]
     return AngularProfile(thetas, values / transmission[0], values)

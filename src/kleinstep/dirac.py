@@ -20,7 +20,7 @@ kappa_ev with k = i*kappa_ev); everything downstream works with complex k.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ ALPHA_Z = np.block([[_ZERO, _SIGMA_Z], [_SIGMA_Z, _ZERO]])
 BETA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
 
-@dataclass(frozen=True)
-class Kinematics1D:
+class Kinematics1D(NamedTuple):
     """Local kinematics in a region of constant potential V.
 
     ``k`` is the propagating momentum magnitude when ``propagating`` is

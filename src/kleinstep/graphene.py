@@ -24,7 +24,7 @@ sentinel instead (see each function), so one such cell does not end a sweep.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,21 +57,20 @@ __all__ = [
 _PAPER = Convention.PAPER
 
 
-@dataclass(frozen=True)
-class GrapheneMaterial:
-    hbar_vF: float = HBAR_VF_EV_NM  # eV nm
+class GrapheneMaterial(NamedTuple("GrapheneMaterial", [("hbar_vF", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_finite(**vars(self))
-        if not self.hbar_vF > 0:
+    def __new__(cls, hbar_vF: float = HBAR_VF_EV_NM):  # eV nm
+        require_finite(hbar_vF=hbar_vF)
+        if not hbar_vF > 0:
             raise ValueError("hbar_vF must be positive")
+        return super().__new__(cls, hbar_vF)
 
 
 DEFAULT_MATERIAL = GrapheneMaterial()
 
 
-@dataclass(frozen=True)
-class AngleKinematics:
+class AngleKinematics(NamedTuple):
     """Wavevectors and angles on both sides of a potential step.
 
     When ``propagating`` is false, k_xII holds the transverse decay rate and
@@ -232,8 +231,7 @@ def critical_angle(E: float, V0: float) -> float | None:
 # finite-width barrier: two-interface matching
 
 
-@dataclass(frozen=True)
-class BarrierSolution:
+class BarrierSolution(NamedTuple):
     """Amplitudes of the two-interface matching; R = |r|^2, T = |t|^2.
 
     For array arguments every field is an array of their broadcast shape.

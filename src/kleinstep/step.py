@@ -17,8 +17,8 @@ spinors, so the normalization factors never enter R or T.
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class Regime(Enum):
     THRESHOLD_LOWER = "threshold_lower"
 
 
-@dataclass(frozen=True)
-class StepProblem:
+class StepProblem(NamedTuple("StepProblem", [("E", float), ("m", float), ("V0", float)])):
     """Incident energy E > m, rest mass m >= 0, step height V0 > 0.
 
     E, m and V0 may be numpy arrays that broadcast together; each cell is
@@ -71,14 +70,14 @@ class StepProblem:
     in the error.
     """
 
-    E: float
-    m: float
-    V0: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _, (E, m, V0) = _flat(self.E, self.m, self.V0)
+    def __new__(cls, E: float, m: float, V0: float):
+        self = super().__new__(cls, E, m, V0)
+        _, (E, m, V0) = _flat(E, m, V0)
         _require(np.isfinite(E) & np.isfinite(m) & np.isfinite(V0) & (m >= 0) & (V0 > 0) & (E > m),
                  _validate, E, m, V0)
+        return self
 
 
 def _validate(E, m, V0):
@@ -94,8 +93,7 @@ def _validate(E, m, V0):
         )
 
 
-@dataclass(frozen=True)
-class StepScatteringSolution:
+class StepScatteringSolution(NamedTuple):
     """Amplitudes and coefficients from the z = 0 continuity matching.
 
     kappa_value is the convention's matching parameter where it exists
@@ -304,8 +302,7 @@ class BasisKind(Enum):
     V_MINUS = "v-z"
 
 
-@dataclass(frozen=True)
-class PlaneWaveTerm:
+class PlaneWaveTerm(NamedTuple):
     """One plane-wave piece amplitude * spinor * exp(i k z); k may be signed."""
 
     amplitude: complex
@@ -317,8 +314,7 @@ class PlaneWaveTerm:
         return phase * np.array(self.spinor, dtype=complex)
 
 
-@dataclass(frozen=True)
-class PiecewiseSpinorWave:
+class PiecewiseSpinorWave(NamedTuple):
     """Piecewise two-component wave: region-I terms for z < 0, region-II for z >= 0.
 
     ``region2_sign`` is the overall sign applied to the region-II piece so

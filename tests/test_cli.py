@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from kleinstep import cli, device, graphene
+from kleinstep import cli, graphene
 from kleinstep.cli import RunManifest, main, render_csv, render_json
 
 from oracles import rt_pair, step_kappa, step_kappa_prime
@@ -393,6 +393,28 @@ def test_json_floats_take_per_cell_calls_only_where_9g_differs(capsys, monkeypat
     assert 0 < len(calls) <= strings + differing < len(cells) // 2
 
 
+def test_string_cells_take_one_call_per_distinct_value_and_slice(capsys, monkeypatch):
+    calls = []
+    json_cell = cli._json_cell
+
+    def counting_cell(value):
+        calls.append(value)
+        return json_cell(value)
+
+    monkeypatch.setattr(cli, "_json_cell", counting_cell)
+    args = ["step-rt", "--E", "1.5:9:3001", "--m", "1", "--V0", "5", "--format", "json",
+            "--no-manifest"]
+    code, out, _ = run(capsys, *args)
+    table = cli._COMMANDS["step-rt"].rows(cli.parse_args(args))
+    assert code == 0 and out == _reference_json(list(table), table, None)
+    slices = -(-3001 // cli._RENDER_SLICE)
+    regimes = set(table["regime"])
+    assert len(regimes) == 5  # the sweep crosses both thresholds
+    strings = [value for value in calls if isinstance(value, str)]
+    # per slice: the one convention and the slice's regimes, not 2 x 3001 cells
+    assert len(strings) <= slices * (1 + len(regimes))
+
+
 # ------------------------------------------------------------- batching
 
 
@@ -427,9 +449,9 @@ def test_step_rt_solves_in_one_batch(capsys, solve_calls):
 
 @pytest.fixture
 def kinematics_calls(monkeypatch):
-    """Counts angle_kinematics calls, in every module that imported it.
+    """Counts graphene.angle_kinematics calls.
 
-    The CLI imports it from graphene inside each sweep, so it counts the CLI's calls too.
+    The CLI and device look it up in graphene at call time, so it counts their calls too.
     """
     calls = []
     angle_kinematics = graphene.angle_kinematics
@@ -438,8 +460,7 @@ def kinematics_calls(monkeypatch):
         calls.append(args)
         return angle_kinematics(*args, **kwargs)
 
-    for module in (graphene, device):
-        monkeypatch.setattr(module, "angle_kinematics", counting_kinematics)
+    monkeypatch.setattr(graphene, "angle_kinematics", counting_kinematics)
     return calls
 
 
@@ -497,7 +518,7 @@ COMMAND_MODULES = [
     (["spinor-check", "--m", "1", "--eps", "2,-3"], {"dirac"}),
     (["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta", "10,20"], {"graphene"}),
     (["barrier", "--lambdaF", "50", "--V0", "0.3", "--D", "10,20"], {"graphene"}),
-    (["iv-curve", "--n", "3"], {"device", "graphene"}),
+    (["iv-curve", "--n", "3"], {"device"}),
     (["angular-current", "--n", "3"], {"device", "graphene"}),
 ]
 
@@ -510,3 +531,29 @@ def test_command_loads_only_its_modules(argv, modules):
     assert result.returncode == 0, result.stderr
     code, *loaded = result.stdout.split()
     assert (code, set(loaded)) == ("0", modules)
+
+
+IMPORT_GUARD = """
+import contextlib, io, sys
+import numpy
+before = set(sys.modules)
+import kleinstep.cli
+
+for fmt in ("csv", "json"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = kleinstep.cli.main(sys.argv[1:] + ["--format", fmt])
+    new = {"dataclasses", "json"} & set(sys.modules) - before
+    print(fmt, code, "json" in before, *sorted(new))
+"""
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMAND_MODULES[1:]],
+                         ids=[argv[0] for argv, _ in COMMAND_MODULES[1:]])
+def test_launch_loads_json_only_for_json(argv):
+    # after numpy, a CSV launch loads neither dataclasses nor json; a JSON launch then loads json
+    result = run_fresh(IMPORT_GUARD, *argv)
+    assert result.returncode == 0, result.stderr
+    preloaded = result.stdout.split()[2]
+    json_loaded = [] if preloaded == "True" else ["json"]
+    assert result.stdout.split("\n")[:2] == [f"csv 0 {preloaded}",
+                                              " ".join(["json 0", preloaded, *json_loaded])]

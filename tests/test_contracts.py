@@ -9,8 +9,9 @@ import pytest
 
 import kleinstep
 from kleinstep import common, device, dirac, graphene, step
+from kleinstep.cli import RunManifest
 from kleinstep.device import DeviceParams
-from kleinstep.dirac import make_spinor2, make_spinor4
+from kleinstep.dirac import Kinematics1D, make_spinor2, make_spinor4
 from kleinstep.graphene import (
     GrapheneMaterial,
     angle_kinematics,
@@ -118,3 +119,40 @@ NON_FINITE_CASES = [
 def test_non_finite_input_rejected(build, args, kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         build(*args, **kwargs)
+
+
+RECORDS = [
+    (lambda: StepProblem(2.0, 1.0, 5.0), lambda: StepProblem(E=2.0, m=1.0, V0=5.0),
+     "StepProblem(E=2.0, m=1.0, V0=5.0)", "E"),
+    (lambda: GrapheneMaterial(), lambda: GrapheneMaterial(hbar_vF=0.6578),
+     "GrapheneMaterial(hbar_vF=0.6578)", "hbar_vF"),
+    (lambda: DeviceParams(back_gate=0.1), lambda: DeviceParams(15000.0, 7.3e10, 0.1, 1.0),
+     "DeviceParams(mobility=15000.0, gate_coefficient=73000000000.0, back_gate=0.1, "
+     "aspect_ratio=1.0, elementary_charge=1.602176634e-19)", "back_gate"),
+    (lambda: RunManifest("0.1.0", "barrier", {}, "t"),
+     lambda: RunManifest(version="0.1.0", command="barrier", parameters={}, timestamp="t"),
+     "RunManifest(version='0.1.0', command='barrier', parameters={}, timestamp='t')", "command"),
+    (lambda: Kinematics1D(2.0, 1.0, 5.0, 2.0, True),
+     lambda: Kinematics1D(E=2.0, m=1.0, V=5.0, k=2.0, propagating=True),
+     "Kinematics1D(E=2.0, m=1.0, V=5.0, k=2.0, propagating=True)", "k"),
+]
+
+
+@pytest.mark.parametrize("build,build_by_keyword,text,field", RECORDS,
+                         ids=[case[3] for case in RECORDS])
+def test_record_contract(build, build_by_keyword, text, field):
+    # positional and keyword construction, repr text, equality, hash and immutability
+    record = build()
+    assert repr(record) == text
+    assert record == build_by_keyword()
+    if not isinstance(getattr(record, "parameters", None), dict):
+        assert hash(record) == hash(build_by_keyword())
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0.0)
+    with pytest.raises(AttributeError):
+        record.extra = 0.0
+
+
+def test_manifest_timestamp_defaults_to_now():
+    stamp = RunManifest("0.1.0", "barrier", {}).timestamp
+    assert len(stamp) == len("2000-01-01T00:00:00+00:00") and stamp.endswith("+00:00")
