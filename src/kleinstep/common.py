@@ -92,6 +92,11 @@ def _require(valid: np.ndarray, validate, *arrays: np.ndarray) -> None:
         validate(*first_point(~valid, *arrays))
 
 
+def _validated_make(cls, iterable):
+    """A NamedTuple's ``_make``, and so its ``_replace``, through the class: ``__new__`` checks run."""
+    return cls(*iterable)
+
+
 def unwrap(value):
     """A 0-d result as a Python scalar; an array of any other shape unchanged."""
     return np.asarray(value).item() if np.ndim(value) == 0 else value

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from kleinstep.common import first_point, require_finite
+from kleinstep.common import _validated_make, first_point, require_finite
 
 __all__ = [
     "AngularProfile",
@@ -48,6 +48,8 @@ class DeviceParams(NamedTuple("DeviceParams", [
         if not aspect_ratio > 0:
             raise ValueError("aspect ratio W/L must be positive")
         return self
+
+    _make = classmethod(_validated_make)
 
 
 class AngularProfile(NamedTuple):

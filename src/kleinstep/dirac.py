@@ -20,7 +20,6 @@ kappa_ev with k = i*kappa_ev); everything downstream works with complex k.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,16 +30,12 @@ __all__ = [
     "ALPHA_Y",
     "ALPHA_Z",
     "BETA",
-    "Kinematics1D",
     "current_density",
     "dirac_hamiltonian",
     "hamiltonian_residual",
     "hamiltonian_residual4",
-    "local_wavevector",
     "make_spinor2",
     "make_spinor4",
-    "momentum",
-    "normalization_factor",
 ]
 
 _ONSHELL_RTOL = 1e-9
@@ -54,46 +49,6 @@ ALPHA_X = np.block([[_ZERO, _SIGMA_X], [_SIGMA_X, _ZERO]])
 ALPHA_Y = np.block([[_ZERO, _SIGMA_Y], [_SIGMA_Y, _ZERO]])
 ALPHA_Z = np.block([[_ZERO, _SIGMA_Z], [_SIGMA_Z, _ZERO]])
 BETA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-
-
-class Kinematics1D(NamedTuple):
-    """Local kinematics in a region of constant potential V.
-
-    ``k`` is the propagating momentum magnitude when ``propagating`` is
-    true, otherwise the evanescent decay rate sqrt(m^2 - (E-V)^2).
-    """
-
-    E: float
-    m: float
-    V: float
-    k: float  # or an array, with ``propagating`` the matching bool array
-    propagating: bool
-
-
-def momentum(E: float, m: float) -> float:
-    """Free momentum magnitude p = sqrt(E^2 - m^2).
-
-    Raises ValueError for |E| < m: there is no free propagating state there,
-    use local_wavevector() for the evanescent classification.
-    """
-    E, m = broadcast(np.asarray(E, dtype=float), np.asarray(m, dtype=float))
-    _require_mass(m)
-    below = np.abs(E) < m
-    if below.any():
-        E, m = first_point(below, E, m)
-        raise ValueError(
-            f"|E| = {abs(E)} < m = {m}: evanescent kinematics, "
-            "use local_wavevector() instead"
-        )
-    return unwrap(np.sqrt(E * E - m * m))
-
-
-def local_wavevector(E: float, V: float, m: float) -> Kinematics1D:
-    """Kinematics at constant potential V: q = sqrt((E-V)^2 - m^2) or decay rate."""
-    _require_mass(m)
-    eps = np.asarray(E, dtype=float) - V
-    gap = eps * eps - np.asarray(m, dtype=float) ** 2
-    return Kinematics1D(E, m, V, unwrap(np.sqrt(np.abs(gap))), unwrap(gap >= 0))
 
 
 def _require_mass(m):
@@ -238,29 +193,3 @@ def make_spinor4(
 def hamiltonian_residual4(psi, energy: float, p, m: float) -> float:
     """||H4 psi - energy psi|| / ||psi|| with the signed eigenvalue ``energy``."""
     return _eigen_residual(np.asarray(psi, dtype=complex), dirac_hamiltonian(p, m), energy)
-
-
-def normalization_factor(region: str, E: float, m: float, V0: float | None = None) -> float:
-    """Plane-wave normalization factor for the step geometry.
-
-    Region "I":  {2 pi [2 p (E - m)]}^(-1/2), needs E > m.
-    Region "II": {2 pi [2 q |E - V0 - m|]}^(-1/2), needs a propagating q > 0.
-    Thresholds (p = 0, q = 0 or E - V0 = m) make the factor infinite and
-    raise ValueError.
-    """
-    if region == "I":
-        p = momentum(E, m)
-        if p == 0.0 or E - m <= 0.0:
-            raise ValueError("region I threshold p = 0: normalization diverges")
-        return 1.0 / math.sqrt(2.0 * math.pi * 2.0 * p * (E - m))
-    if region == "II":
-        if V0 is None:
-            raise ValueError("region II needs the step height V0")
-        kin = local_wavevector(E, V0, m)
-        if not kin.propagating or kin.k == 0.0:
-            raise ValueError("region II is not propagating: normalization undefined")
-        depth = abs(E - V0 - m)
-        if depth == 0.0:
-            raise ValueError("region II threshold E - V0 = m: normalization diverges")
-        return 1.0 / math.sqrt(2.0 * math.pi * 2.0 * kin.k * depth)
-    raise ValueError(f"region must be 'I' or 'II', got {region!r}")

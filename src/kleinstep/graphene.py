@@ -35,6 +35,7 @@ from kleinstep.common import (
     _flat,
     _require,
     _shaped,
+    _validated_make,
     require_finite,
 )
 
@@ -65,6 +66,8 @@ class GrapheneMaterial(NamedTuple("GrapheneMaterial", [("hbar_vF", float)])):
         if not hbar_vF > 0:
             raise ValueError("hbar_vF must be positive")
         return super().__new__(cls, hbar_vF)
+
+    _make = classmethod(_validated_make)
 
 
 DEFAULT_MATERIAL = GrapheneMaterial()

@@ -15,7 +15,6 @@ Transmission is always computed from current ratios of unnormalized
 spinors, so the normalization factors never enter R or T.
 """
 
-import cmath
 import math
 from enum import Enum
 from typing import NamedTuple
@@ -28,15 +27,16 @@ from kleinstep.common import (
     _flat,
     _require,
     _shaped,
+    _validated_make,
     first_point,
     require_finite,
+    unwrap,
 )
-from kleinstep.dirac import current_density, make_spinor2, normalization_factor
+from kleinstep.dirac import current_density, make_spinor2
 
 __all__ = [
     "BasisKind",
-    "PiecewiseSpinorWave",
-    "PlaneWaveTerm",
+    "BasisState",
     "Regime",
     "StepProblem",
     "StepScatteringSolution",
@@ -78,6 +78,8 @@ class StepProblem(NamedTuple("StepProblem", [("E", float), ("m", float), ("V0", 
         _require(np.isfinite(E) & np.isfinite(m) & np.isfinite(V0) & (m >= 0) & (V0 > 0) & (E > m),
                  _validate, E, m, V0)
         return self
+
+    _make = classmethod(_validated_make)
 
 
 def _validate(E, m, V0):
@@ -286,8 +288,8 @@ def group_velocity_region2(problem: StepProblem) -> float:
     """Magnitude-level group velocity q/(V0 - E) of the Klein-zone transmitted wave."""
     shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
     regimes, _, q = _kinematics(E, m, V0)
-    if not (regimes == Regime.KLEIN).all():
-        raise ValueError("group velocity of the transmitted branch needs the Klein regime")
+    _require_regimes(regimes, regimes == Regime.KLEIN,
+                     "group velocity of the transmitted branch needs the Klein regime")
     return _shaped(shape, q / (V0 - E))[0]
 
 
@@ -302,91 +304,78 @@ class BasisKind(Enum):
     V_MINUS = "v-z"
 
 
-class PlaneWaveTerm(NamedTuple):
-    """One plane-wave piece amplitude * spinor * exp(i k z); k may be signed."""
+class BasisState(NamedTuple):
+    """Plane waves of a basis state, one array of shape problem.shape + (2, 2) per field.
 
-    amplitude: complex
-    spinor: tuple[complex, complex]
-    wavevector: complex
-
-    def value(self, z: float) -> np.ndarray:
-        phase = self.amplitude * cmath.exp(1j * self.wavevector * z)
-        return phase * np.array(self.spinor, dtype=complex)
-
-
-class PiecewiseSpinorWave(NamedTuple):
-    """Piecewise two-component wave: region-I terms for z < 0, region-II for z >= 0.
-
-    ``region2_sign`` is the overall sign applied to the region-II piece so
-    that the state is continuous at z = 0: -1 for every basis state, as the
-    printed coefficients alone leave the two pieces with opposite signs.
+    Axis -2 is the region (0: z < 0, 1: z >= 0), axis -1 the plane wave; a
+    region with one wave holds amplitude 0 for the other.  Wave (r, w) is
+    amplitude * (upper, lower) * exp(i wavevector z).
     """
 
-    terms_region1: tuple[PlaneWaveTerm, ...]
-    terms_region2: tuple[PlaneWaveTerm, ...]
-    region2_sign: int
+    amplitude: np.ndarray
+    wavevector: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
 
-    def value_region1(self, z: float) -> np.ndarray:
-        return sum((term.value(z) for term in self.terms_region1), np.zeros(2, dtype=complex))
+    def value(self, z, region=None) -> tuple[np.ndarray, np.ndarray]:
+        """(upper, lower) components at z, each of shape problem.shape + z.shape.
 
-    def value_region2(self, z: float) -> np.ndarray:
-        raw = sum((term.value(z) for term in self.terms_region2), np.zeros(2, dtype=complex))
-        return self.region2_sign * raw
+        The region is 1 where z >= 0 and 0 elsewhere unless ``region`` gives
+        it, so both one-sided limits at z = 0 can be taken.
+        """
+        z = np.asarray(z, dtype=float)
+        cells = (...,) + (None,) * z.ndim + (slice(None), slice(None))
+        phase = self.amplitude[cells] * np.exp(1j * self.wavevector[cells] * z[..., None, None])
+        waves = [(phase * c[cells]).sum(axis=-1) for c in (self.upper, self.lower)]
+        second = z >= 0 if region is None else region
+        return tuple(np.where(second, w[..., 1], w[..., 0]) for w in waves)
 
-    def value(self, z: float) -> np.ndarray:
-        return self.value_region1(z) if z < 0 else self.value_region2(z)
 
-    def current(self, z: float) -> float:
-        return current_density(self.value(z))
-
-
-def scattering_basis_state(kind: BasisKind, problem: StepProblem) -> PiecewiseSpinorWave:
+def scattering_basis_state(kind: BasisKind, problem: StepProblem) -> BasisState:
     """Reflectionless particle (u) / antiparticle (v) modes of the Klein step.
 
     Built from the printed coefficients 2 sqrt(kappa)/(kappa+1) and
-    (kappa-1)/(kappa+1) with the region normalization factors folded in.
+    (kappa-1)/(kappa+1) with the region normalization factors
+    {2 pi [2 p (E-m)]}^(-1/2) and {2 pi [2 q |E-V0-m|]}^(-1/2) folded in.
     A +z mode and its -z partner differ only in the sign of every
-    wavevector; region II carries the overall sign -1 that makes the state
-    continuous at z = 0.
+    wavevector.  The printed coefficients alone leave the two regions with
+    opposite signs at z = 0, so region II's amplitudes carry the overall
+    sign -1 that makes the state continuous there.
     """
-    shape, flat = _flat(problem.E, problem.m, problem.V0)
-    regime, p, q = _shaped(shape, *_kinematics(*flat))
-    if regime is not Regime.KLEIN:
-        raise ValueError("scattering basis states need the Klein regime")
     kind = BasisKind(kind)
-    E, m, V0 = problem.E, problem.m, problem.V0
-    eps2 = E - V0
-    k = kappa(problem)
-    n1 = normalization_factor("I", E, m)
-    n2 = normalization_factor("II", E, m, V0)
-
-    lone = 2.0 * math.sqrt(k) / (k + 1.0)  # single-wave region amplitude
-    u_pair = (k - 1.0) / (k + 1.0)  # partner-wave amplitude in u states
-    v_pair = (1.0 - k) / (k + 1.0)  # and in v states
+    shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
+    regimes, p, q = _kinematics(E, m, V0)
+    _require_regimes(regimes, regimes == Regime.KLEIN,
+                     "scattering basis states need the Klein regime")
+    k = _kappa_klein(E, m, V0)
+    n1 = 1.0 / np.sqrt(2.0 * math.pi * 2.0 * p * (E - m))
+    n2 = -1.0 / np.sqrt(2.0 * math.pi * 2.0 * q * np.abs(E - V0 - m))  # times the sign -1
+    lone = 2.0 * np.sqrt(k) / (k + 1.0)  # single-wave region amplitude
+    pair = (k - 1.0) / (k + 1.0)  # partner-wave amplitude in u states, -pair in v states
     s = 1.0 if kind in (BasisKind.U_PLUS, BasisKind.V_PLUS) else -1.0  # direction of travel
-
-    # (amplitude, kz) per wave; the spinor of kz goes as exp(i kz z) in region I, exp(-i kz z) in II
+    zero = np.zeros_like(k)
+    # waves of spinor wavevector (s p, -s p) in region I and (s q, -s q) in region II
     if kind in (BasisKind.U_PLUS, BasisKind.U_MINUS):
-        region1 = [(n1 * lone, s * p)]
-        region2 = [(n2 * u_pair, s * q), (n2, -s * q)]
+        amplitude = ((n1 * lone, zero), (n2 * pair, n2))
     else:
-        region1 = [(n1 * v_pair, -s * p), (n1, s * p)]
-        region2 = [(n2 * lone, -s * q)]
-    return PiecewiseSpinorWave(
-        tuple(PlaneWaveTerm(amp, make_spinor2(E, kz, m), kz) for amp, kz in region1),
-        tuple(PlaneWaveTerm(amp, make_spinor2(eps2, kz, m), -kz) for amp, kz in region2),
-        -1,
-    )
+        amplitude = ((n1, -n1 * pair), (zero, n2 * lone))
+    kz = np.stack([np.stack([s * p, -s * p], -1), np.stack([s * q, -s * q], -1)], -2)
+    upper, lower = make_spinor2(np.stack([E, E - V0], -1)[..., None], kz, m[:, None, None])
+    # the spinor of kz goes as exp(i kz z) in region I and as exp(-i kz z) in region II
+    wavevector = kz * np.array([[1.0], [-1.0]])
+    amplitude = np.stack([np.stack(region, -1) for region in amplitude], -2)
+    return BasisState(*(a.reshape(shape + (2, 2)) for a in (amplitude, wavevector, upper, lower)))
 
 
 _SAMPLE_POINTS = (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5)
 
 
 def mode_current(kind: BasisKind, problem: StepProblem, samples=_SAMPLE_POINTS) -> float:
-    """The z-independent current of a basis state: its mean over ``samples``."""
+    """The z-independent current of a basis state per cell: its mean over the 1-D ``samples``.
+
+    One evaluation over cells x samples; a scalar problem gives a float."""
     state = scattering_basis_state(kind, problem)
-    values = [state.current(z) for z in samples]
-    return sum(values) / len(values)
+    return unwrap(current_density(state.value(samples)).mean(axis=-1))
 
 
 def mode_current_closed_form(kind: BasisKind, problem: StepProblem) -> float:

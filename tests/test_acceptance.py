@@ -13,6 +13,7 @@ from kleinstep.cli import main as cli_main
 from kleinstep.common import Convention
 from kleinstep.device import DeviceParams, angular_current_profile, iv_curve
 from kleinstep.dirac import (
+    current_density,
     hamiltonian_residual,
     hamiltonian_residual4,
     make_spinor2,
@@ -189,24 +190,28 @@ def test_criterion_05_kappa_prime_pathology():
 def test_criterion_06_mode_currents():
     with criterion(6, "basis-state currents: constant, closed form, pairwise zero"):
         rng = np.random.default_rng(99)
+        cells = []
         for _ in range(100):
             m = float(rng.uniform(0.3, 2.5))
             E = m * float(rng.uniform(1.1, 9.0))
             V0 = E + m * float(rng.uniform(1.1, 15.0))
-            prob = StepProblem(E, m, V0)
-            currents = {}
-            for kind in BasisKind:
-                state = scattering_basis_state(kind, prob)
-                left, right = state.value_region1(0.0), state.value_region2(0.0)
-                assert np.linalg.norm(left - right) <= 1e-12 * np.linalg.norm(left)
-                samples = [state.current(z) for z in _SAMPLE_POINTS]
-                assert max(samples) - min(samples) < 1e-10
-                measured = mode_current(kind, prob)
-                closed = mode_current_closed_form(kind, prob)
-                assert abs(measured - closed) < 1e-10
-                currents[kind] = measured
-            assert abs(currents[BasisKind.U_PLUS] + currents[BasisKind.V_MINUS]) < 1e-12
-            assert abs(currents[BasisKind.U_MINUS] + currents[BasisKind.V_PLUS]) < 1e-12
+            cells.append((E, m, V0))
+        prob = StepProblem(*np.array(cells).T)  # one array problem of 100 cells
+        currents = {}
+        for kind in BasisKind:
+            state = scattering_basis_state(kind, prob)
+            left, right = np.array(state.value(0.0, 0)), np.array(state.value(0.0, 1))
+            assert np.all(np.linalg.norm(left - right, axis=0)
+                          <= 1e-12 * np.linalg.norm(left, axis=0))
+            samples = current_density(state.value(_SAMPLE_POINTS))
+            assert np.all(samples.max(axis=-1) - samples.min(axis=-1) < 1e-10)
+            measured = mode_current(kind, prob)
+            closed = mode_current_closed_form(kind, prob)
+            assert measured.shape == (100,)
+            assert np.all(np.abs(measured - closed) < 1e-10)
+            currents[kind] = measured
+        assert np.all(np.abs(currents[BasisKind.U_PLUS] + currents[BasisKind.V_MINUS]) < 1e-12)
+        assert np.all(np.abs(currents[BasisKind.U_MINUS] + currents[BasisKind.V_PLUS]) < 1e-12)
 
 
 def test_criterion_07_spinor_eigenresiduals():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kleinstep import step
+from kleinstep.dirac import current_density
 from kleinstep.step import (
     BasisKind,
     StepProblem,
@@ -20,30 +22,63 @@ from test_step import klein_problems
 PROBLEM = StepProblem(2.0, 1.0, 5.0)
 # frozen from tests/oracles.py: (2 kappa / pi)/(kappa + 1)^2 at (2, 1, 5)
 CURRENT_REF = 0.13105271795441956
+# frozen from tests/oracles.py: {2 pi [2 sqrt(3) * 1]}^(-1/2) and {2 pi [2 sqrt(8) * 4]}^(-1/2)
+N1_REF = 0.21434568952624794
+N2_REF = 0.08386728337067674
 
 ALL_KINDS = list(BasisKind)
+U_KINDS = (BasisKind.U_PLUS, BasisKind.U_MINUS)
+
+
+def printed_coefficients(kind):
+    """Region I and region II coefficients as printed, per wave of spinor wavevector (+-s p, +-s q)."""
+    k = kappa(PROBLEM)
+    lone, pair = 2.0 * math.sqrt(k) / (k + 1.0), (k - 1.0) / (k + 1.0)
+    if kind in U_KINDS:
+        return (lone, 0.0), (pair, 1.0)
+    return (1.0, -pair), (0.0, lone)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_continuity_at_interface(kind):
     state = scattering_basis_state(kind, PROBLEM)
-    left = state.value_region1(0.0)
-    right = state.value_region2(0.0)
+    left = np.array(state.value(0.0, 0))
+    right = np.array(state.value(0.0, 1))
     assert np.linalg.norm(left - right) < 1e-12 * np.linalg.norm(left)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_region2_sign_repair_recorded(kind):
-    # the printed region coefficients disagree by one overall sign at z = 0
+    # the printed region coefficients disagree by one overall sign at z = 0,
+    # so region II's amplitudes carry the sign -1
     state = scattering_basis_state(kind, PROBLEM)
-    assert state.region2_sign == -1
+    _, region2 = printed_coefficients(kind)
+    np.testing.assert_allclose(-state.amplitude[1], N2_REF * np.array(region2), rtol=1e-12)
+
+
+def test_region1_amplitudes_pin_normalization():
+    for kind in ALL_KINDS:
+        state = scattering_basis_state(kind, PROBLEM)
+        region1, _ = printed_coefficients(kind)
+        np.testing.assert_allclose(state.amplitude[0], N1_REF * np.array(region1), rtol=1e-12)
+
+
+def test_region2_amplitudes_pin_normalization():
+    # the magnitude alone, so the normalization is pinned apart from the sign repair
+    for kind in ALL_KINDS:
+        state = scattering_basis_state(kind, PROBLEM)
+        _, region2 = printed_coefficients(kind)
+        np.testing.assert_allclose(
+            np.abs(state.amplitude[1]), N2_REF * np.abs(region2), rtol=1e-12
+        )
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_current_constant_in_z(kind):
     state = scattering_basis_state(kind, PROBLEM)
     zs = [-3.7, -1.9, -0.4, 0.3, 1.8, 4.1]
-    currents = [state.current(z) for z in zs]
+    currents = current_density(state.value(zs))
+    assert currents.shape == (len(zs),)
     assert max(currents) - min(currents) < 1e-12
 
 
@@ -57,6 +92,7 @@ def test_current_constant_in_z(kind):
     ],
 )
 def test_mode_currents_match_closed_form(kind, expected):
+    assert type(mode_current(kind, PROBLEM)) is float
     assert mode_current(kind, PROBLEM) == pytest.approx(expected, abs=1e-10)
     assert mode_current_closed_form(kind, PROBLEM) == pytest.approx(expected, rel=1e-12)
 
@@ -84,13 +120,55 @@ def test_currents_over_klein_grid():
         assert mode_current(BasisKind.V_MINUS, prob) == pytest.approx(-magnitude, abs=1e-10)
 
 
-@given(klein_problems(), st.floats(-15.0, 15.0))
-@settings(max_examples=300, deadline=None)
-def test_mode_currents_invariant_under_energy_scale(problem, exponent):
-    scale = 10.0**exponent
-    scaled = StepProblem(scale * problem.E, scale * problem.m, scale * problem.V0)
+def stacked(problems, scale=1.0):
+    """One array problem whose cells are ``problems``, each scaled by its ``scale``."""
+    return StepProblem(*(scale * np.array([getattr(p, name) for p in problems])
+                         for name in ("E", "m", "V0")))
+
+
+@given(st.lists(st.tuples(klein_problems(), st.floats(-15.0, 15.0)), min_size=1, max_size=40))
+@settings(max_examples=50, deadline=None)
+def test_mode_currents_invariant_under_energy_scale(cases):
+    problems, exponents = zip(*cases)
+    problem = stacked(problems)
+    scaled = stacked(problems, 10.0 ** np.array(exponents))
     for kind in ALL_KINDS:
-        assert mode_current(kind, scaled) == pytest.approx(mode_current(kind, problem), abs=1e-12)
+        np.testing.assert_allclose(mode_current(kind, scaled), mode_current(kind, problem),
+                                   rtol=0, atol=1e-12)
+
+
+@st.composite
+def klein_grids(draw):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    problems = draw(st.lists(klein_problems(), min_size=shape[0] * shape[1],
+                             max_size=shape[0] * shape[1]))
+    grid = stacked(problems)
+    return StepProblem(*(field.reshape(shape) for field in grid))
+
+
+@given(klein_grids())
+@settings(max_examples=40, deadline=None)
+def test_cells_equal_zero_d_calls(problem):
+    for kind in ALL_KINDS:
+        currents = mode_current(kind, problem)
+        state = scattering_basis_state(kind, problem)
+        assert currents.shape == problem.E.shape
+        assert all(field.shape == problem.E.shape + (2, 2) for field in state)
+        for index in np.ndindex(problem.E.shape):
+            cell = StepProblem(*(float(field[index]) for field in problem))
+            assert currents[index] == pytest.approx(mode_current(kind, cell), abs=1e-12)
+            for field, cell_field in zip(state, scattering_basis_state(kind, cell)):
+                np.testing.assert_allclose(field[index], cell_field, rtol=1e-12, atol=1e-12)
+
+
+def test_array_problem_builds_spinors_in_few_calls(monkeypatch):
+    calls = []
+    make_spinor2 = step.make_spinor2
+    monkeypatch.setattr(step, "make_spinor2", lambda *args: calls.append(1) or make_spinor2(*args))
+    m = np.linspace(0.3, 2.0, 1000)
+    currents = mode_current(BasisKind.V_PLUS, StepProblem(2.0 * m, m, 6.0 * m))
+    assert currents.shape == (1000,)
+    assert len(calls) <= 4
 
 
 def test_wrong_regime_rejected():
@@ -100,5 +178,7 @@ def test_wrong_regime_rejected():
 
 def test_value_dispatches_on_side():
     state = scattering_basis_state(BasisKind.U_PLUS, PROBLEM)
-    np.testing.assert_allclose(state.value(-1.3), state.value_region1(-1.3))
-    np.testing.assert_allclose(state.value(1.3), state.value_region2(1.3))
+    np.testing.assert_allclose(state.value(-1.3), state.value(-1.3, 0))
+    np.testing.assert_allclose(state.value(1.3), state.value(1.3, 1))
+    both = np.array(state.value([-1.3, 1.3]))
+    np.testing.assert_allclose(both, np.array([state.value(-1.3, 0), state.value(1.3, 1)]).T)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import kleinstep
 from kleinstep import common, device, dirac, graphene, step
 from kleinstep.cli import RunManifest
 from kleinstep.device import DeviceParams
-from kleinstep.dirac import Kinematics1D, make_spinor2, make_spinor4
+from kleinstep.dirac import make_spinor2, make_spinor4
 from kleinstep.graphene import (
     GrapheneMaterial,
     angle_kinematics,
@@ -60,7 +61,7 @@ from kleinstep import *
 modules = [importlib.import_module("kleinstep." + name)
            for name in ("common", "dirac", "step", "graphene", "device")]
 exports = [(name, module) for module in modules for name in module.__all__]
-assert len(exports) == 51, len(exports)
+assert len(exports) == 46, len(exports)
 for name, module in exports:
     assert globals()[name] is getattr(module, name), name
 """,
@@ -87,6 +88,16 @@ else:
 @pytest.mark.parametrize("check", list(LAZY_PACKAGE_CHECKS))
 def test_package_loads_modules_on_first_use(check):
     result = run_fresh(LAZY_PACKAGE_CHECKS[check])
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_runs():
+    # every name the quick start uses must still be exported, and run without a warning
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        block = re.search(r"## Library quick start\n\n```python\n(.*?)```", handle.read(), re.S)
+    assert block, "README.md has no Library quick start block"
+    result = run_fresh("import warnings\nwarnings.simplefilter('error')\n" + block.group(1))
     assert result.returncode == 0, result.stderr
 
 
@@ -132,9 +143,6 @@ RECORDS = [
     (lambda: RunManifest("0.1.0", "barrier", {}, "t"),
      lambda: RunManifest(version="0.1.0", command="barrier", parameters={}, timestamp="t"),
      "RunManifest(version='0.1.0', command='barrier', parameters={}, timestamp='t')", "command"),
-    (lambda: Kinematics1D(2.0, 1.0, 5.0, 2.0, True),
-     lambda: Kinematics1D(E=2.0, m=1.0, V=5.0, k=2.0, propagating=True),
-     "Kinematics1D(E=2.0, m=1.0, V=5.0, k=2.0, propagating=True)", "k"),
 ]
 
 
@@ -151,6 +159,23 @@ def test_record_contract(build, build_by_keyword, text, field):
         setattr(record, field, 0.0)
     with pytest.raises(AttributeError):
         record.extra = 0.0
+
+
+REPLACE_CASES = [
+    (StepProblem(2.0, 1.0, 5.0), {"V0": math.nan}, "V0 must be finite"),
+    (GrapheneMaterial(), {"hbar_vF": -1.0}, "hbar_vF must be positive"),
+    (DeviceParams(), {"mobility": 0.0}, "mobility must be positive"),
+]
+
+
+@pytest.mark.parametrize("record,change,message", REPLACE_CASES,
+                         ids=[type(case[0]).__name__ for case in REPLACE_CASES])
+def test_replace_and_make_validate(record, change, message):
+    with pytest.raises(ValueError, match=message):
+        record._replace(**change)
+    with pytest.raises(ValueError, match=message):
+        type(record)._make({**record._asdict(), **change}.values())
+    assert record._replace() == record == type(record)._make(record)
 
 
 def test_manifest_timestamp_defaults_to_now():

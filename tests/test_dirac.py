@@ -7,63 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kleinstep.dirac import (
-    Kinematics1D,
     current_density,
     dirac_hamiltonian,
     hamiltonian_residual,
     hamiltonian_residual4,
-    local_wavevector,
     make_spinor2,
     make_spinor4,
-    momentum,
-    normalization_factor,
 )
 
 SQRT3 = math.sqrt(3.0)
 SQRT8 = math.sqrt(8.0)
-
-
-class TestMomentum:
-    def test_massive(self):
-        assert momentum(2.0, 1.0) == pytest.approx(SQRT3, rel=1e-15)
-
-    def test_threshold(self):
-        assert momentum(1.0, 1.0) == 0.0
-
-    def test_massless(self):
-        assert momentum(1.0, 0.0) == 1.0
-
-    def test_negative_energy_branch(self):
-        assert momentum(-2.0, 1.0) == pytest.approx(SQRT3, rel=1e-15)
-
-    def test_subgap_raises(self):
-        with pytest.raises(ValueError, match="local_wavevector"):
-            momentum(0.5, 1.0)
-
-
-class TestLocalWavevector:
-    def test_propagating(self):
-        kin = local_wavevector(2.0, 5.0, 1.0)
-        assert kin.propagating
-        assert kin.k == pytest.approx(SQRT8, rel=1e-15)
-
-    def test_evanescent(self):
-        kin = local_wavevector(2.0, 2.5, 1.0)
-        assert not kin.propagating
-        assert kin.k == pytest.approx(math.sqrt(0.75), rel=1e-15)
-
-    def test_free_region_reduces_to_momentum(self):
-        assert local_wavevector(2.0, 0.0, 1.0).k == momentum(2.0, 1.0)
-
-    @pytest.mark.parametrize("E,V,m", [(2.0, 5.0, 1.0), (3.0, 0.5, 1.5), (-1.0, 4.0, 2.0)])
-    def test_dispersion_invariant(self, E, V, m):
-        kin = local_wavevector(E, V, m)
-        eps = E - V
-        if kin.propagating:
-            assert kin.k**2 == pytest.approx(eps**2 - m**2, rel=1e-12)
-        else:
-            assert eps**2 < m**2
-            assert kin.k**2 == pytest.approx(m**2 - eps**2, rel=1e-12)
 
 
 class TestSpinor2:
@@ -86,10 +39,11 @@ class TestSpinor2:
         assert make_spinor2(1.0, 0.0, 1.0) == (2.0, 0.0)
 
     def test_evanescent_complex_wavevector(self):
-        kin = local_wavevector(2.0, 2.5, 1.0)
-        sp = make_spinor2(-0.5, 1j * kin.k, 1.0)
-        assert sp[0] == 1j * kin.k
-        assert hamiltonian_residual(sp, -0.5, 1j * kin.k, 1.0) < 1e-12
+        # decay rate sqrt(m^2 - eps^2) at E = 2, V = 2.5, m = 1
+        decay = math.sqrt(0.75)
+        sp = make_spinor2(-0.5, 1j * decay, 1.0)
+        assert sp[0] == 1j * decay
+        assert hamiltonian_residual(sp, -0.5, 1j * decay, 1.0) < 1e-12
 
     def test_off_shell_rejected(self):
         with pytest.raises(ValueError, match="off-shell"):
@@ -219,37 +173,6 @@ class TestSpinor4:
     def test_hamiltonian_matrix_is_hermitian(self):
         h = dirac_hamiltonian((0.4, 0.2, -1.3), 0.7)
         np.testing.assert_allclose(h, h.conj().T)
-
-
-class TestNormalizationFactor:
-    def test_region1_value(self):
-        # frozen from tests/oracles.py: {2 pi [2 sqrt(3) * 1]}^(-1/2)
-        assert normalization_factor("I", 2.0, 1.0) == pytest.approx(
-            0.21434568952624794, rel=1e-12
-        )
-
-    def test_region2_value(self):
-        # frozen from tests/oracles.py: {2 pi [2 sqrt(8) * 4]}^(-1/2)
-        assert normalization_factor("II", 2.0, 1.0, 5.0) == pytest.approx(
-            0.08386728337067674, rel=1e-12
-        )
-
-    def test_region1_threshold(self):
-        with pytest.raises(ValueError):
-            normalization_factor("I", 1.0, 1.0)
-
-    def test_region2_needs_propagation(self):
-        with pytest.raises(ValueError):
-            normalization_factor("II", 2.0, 1.0, 2.5)
-
-    def test_unknown_region(self):
-        with pytest.raises(ValueError):
-            normalization_factor("III", 2.0, 1.0)
-
-
-def test_kinematics_record_fields():
-    kin = local_wavevector(2.0, 5.0, 1.0)
-    assert kin == Kinematics1D(2.0, 1.0, 5.0, kin.k, True)
 
 
 def test_spinor4_rejects_nonfinite():

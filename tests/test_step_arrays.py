@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from kleinstep.common import Convention, SingularityError
 from kleinstep.step import (
+    BasisKind,
     Regime,
     StepProblem,
     classify_regime,
@@ -15,6 +16,7 @@ from kleinstep.step import (
     kappa,
     kappa_prime,
     rt_from_kappa,
+    scattering_basis_state,
     solve_step_numeric,
 )
 
@@ -129,6 +131,10 @@ def test_wrong_regime_named_for_arrays():
         kappa(StepProblem(np.array([2.0, 7.0]), 1.0, 5.0))
     with pytest.raises(ValueError, match="got Regime.THRESHOLD_LOWER"):
         kappa_prime(StepProblem(np.array([2.0, 4.0]), 1.0, 5.0))
+    with pytest.raises(ValueError, match="Klein regime, got Regime.EVANESCENT"):
+        group_velocity_region2(StepProblem(np.array([2.0, 5.0, 7.0]), 1.0, 5.0))
+    with pytest.raises(ValueError, match="Klein regime, got Regime.THRESHOLD_UPPER"):
+        scattering_basis_state(BasisKind.U_PLUS, StepProblem(np.array([2.0, 6.0]), 1.0, 5.0))
 
 
 def test_empty_problem():
