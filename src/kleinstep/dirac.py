@@ -77,6 +77,7 @@ def make_spinor2(eps: float, k: complex, m: float) -> tuple[complex, complex]:
     both forms vanish and ValueError("zero spinor") is raised.
     """
     require_finite(eps=eps, k=k, m=m)
+    _require_mass(m)
     eps, k, m = broadcast(
         np.asarray(eps, dtype=float), np.asarray(k, dtype=complex), np.asarray(m, dtype=float)
     )
@@ -114,6 +115,7 @@ def _eigen_residual(v: np.ndarray, h: np.ndarray, energy) -> float:
 
 def hamiltonian_residual(psi, eps: float, k: complex, m: float) -> float:
     """||H psi - eps psi|| / ||psi|| for the reduced Hamiltonian at wavevector k."""
+    _require_mass(m)
     k, m = broadcast(np.asarray(k, dtype=complex), np.asarray(m, dtype=float))
     h = np.empty(k.shape + (2, 2), dtype=complex)
     h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1] = m, k, k, -m

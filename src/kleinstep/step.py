@@ -216,9 +216,9 @@ def solve_step_numeric(
     Threshold regimes return the explicit limiting values; the massless
     Klein step under COMMON is genuinely singular and raises.
 
-    An array problem is matched in one batched solve over all of its
-    non-threshold, non-singular cells; see StepScatteringSolution for what
-    its singular cells hold.
+    An array problem is matched by Cramer's rule over all of its non-threshold,
+    non-singular cells at once; see StepScatteringSolution for what its singular
+    cells hold.  A zero determinant raises np.linalg.LinAlgError.
     """
     shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
     regimes, p, q = _kinematics(E, m, V0)
@@ -256,22 +256,22 @@ def solve_step_numeric(
 
     cells = ~(upper | lower | singular)
     if cells.any():
+        # spinors times 2^-e, e the exponent of max(E, m, V0) and at least -1023 so that
+        # 2^-e is finite: exact, and no product of two components overflows or underflows
+        scale = np.ldexp(1.0, -np.frexp(np.maximum(np.maximum(E, m), V0)[cells])[1].clip(-1023))
         E, m, p, q, eps2 = E[cells], m[cells], p[cells], q[cells], eps2[cells]
         forward = -q if convention is Convention.PAPER else q
         k2 = np.where(regimes[cells] == Regime.EVANESCENT, 1j * q,
                       np.where(klein[cells], forward, q))
 
-        inc = make_spinor2(E, p, m)
-        refl = make_spinor2(E, -p, m)
-        trans = make_spinor2(eps2, k2, m)
-
-        matrix = np.empty((E.size, 2, 2), dtype=complex)
-        matrix[:, 0, 0], matrix[:, 0, 1] = refl[0], -trans[0]
-        matrix[:, 1, 0], matrix[:, 1, 1] = refl[1], -trans[1]
-        # right-hand side as (N, 2, 1): numpy 2 takes a 2-D b for one (M, K) matrix,
-        # not for N vectors
-        rhs = -np.stack(inc, axis=-1)[..., None]
-        r_cells, t_cells = np.linalg.solve(matrix, rhs)[..., 0].T
+        inc, refl, trans = ((scale * spinor[0], scale * spinor[1]) for spinor in (
+            make_spinor2(E, p, m), make_spinor2(E, -p, m), make_spinor2(eps2, k2, m)))
+        # Cramer's rule on inc + r refl = t trans
+        det = trans[0] * refl[1] - refl[0] * trans[1]
+        if not det.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        r_cells = (inc[0] * trans[1] - trans[0] * inc[1]) / det
+        t_cells = (inc[0] * refl[1] - refl[0] * inc[1]) / det
 
         j_inc = current_density(inc)
         r[cells], t[cells] = r_cells, t_cells

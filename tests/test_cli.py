@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from kleinstep import cli, graphene
+from kleinstep import cli, graphene, step
 from kleinstep.cli import RunManifest, main, render_csv, render_json
 
 from oracles import rt_pair, step_kappa, step_kappa_prime
@@ -145,6 +145,11 @@ class TestUsageErrors:
         code, out, err = run(capsys, "spinor-check", "--m", "0", "--eps", "0", "--no-manifest")
         assert (code, out) == (2, "")
         assert err == "kleinstep: error: zero spinor\n"
+
+    def test_negative_mass_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "spinor-check", "--m=-1", "--eps", "2", "--no-manifest")
+        assert (code, out) == (2, "")
+        assert err == "kleinstep: error: mass must be nonnegative\n"
 
     def test_both_energy_and_wavelength(self, capsys):
         code, _, err = run(
@@ -431,19 +436,32 @@ def solve_calls(monkeypatch):
     return calls
 
 
-def test_step_compare_solves_in_one_batch_per_convention(capsys, solve_calls):
+@pytest.fixture
+def spinor_calls(monkeypatch):
+    """Counts the step solver's make_spinor2 calls: three per batch, one per wave."""
+    calls = []
+    make_spinor2 = step.make_spinor2
+    monkeypatch.setattr(step, "make_spinor2", lambda *args: calls.append(1) or make_spinor2(*args))
+    return calls
+
+
+# the 2x2 step system is solved in closed form: no linear solver, and the spinor
+# count guards against a per-cell loop
+def test_step_compare_solves_in_one_batch_per_convention(capsys, solve_calls, spinor_calls):
     # 10 x 10 x 10 = 1000 cells across every regime, massless cells included
     code, out, _ = run(capsys, "step-compare", "--E", "1.5:9:10", "--m", "0:1.2:10",
                        "--V0", "1:8:10", "--allow-singular", "--no-manifest")
     assert code == 0 and len(out.strip().split("\n")) == 1 + 1000
-    assert len(solve_calls) <= 2
+    assert len(solve_calls) == 0
+    assert len(spinor_calls) <= 2 * 3
 
 
-def test_step_rt_solves_in_one_batch(capsys, solve_calls):
+def test_step_rt_solves_in_one_batch(capsys, solve_calls, spinor_calls):
     code, out, _ = run(capsys, "step-rt", "--E", "1.5:9:500", "--m", "1", "--V0", "5",
                        "--no-manifest")
     assert code == 0 and len(out.strip().split("\n")) == 1 + 500
-    assert len(solve_calls) <= 1
+    assert len(solve_calls) == 0
+    assert len(spinor_calls) <= 3
 
 
 
@@ -485,12 +503,18 @@ def test_angular_current_in_one_kinematics_call(capsys, kinematics_calls):
     assert len(kinematics_calls) <= 2
 
 def test_linalg_failure_is_numerical_exit(capsys, monkeypatch):
+    # E^2 and m^2 underflow to 0, so p = q = 0 and the step's matching determinant is 0
+    code, out, err = run(capsys, "step-rt", "--E", "1e-200,2e-200", "--m", "5e-201",
+                         "--V0", "1e-199", "--no-manifest")
+    assert (code, out) == (1, "")
+    assert err == "kleinstep: numerical failure: Singular matrix\n"
+
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
-    code, out, err = run(capsys, "step-rt", "--E", "2,7", "--m", "1", "--V0", "5",
-                         "--no-manifest")
+    code, out, err = run(capsys, "barrier", "--lambdaF", "50", "--V0", "0.3", "--D", "1:200:5",
+                         "--theta", "30", "--no-manifest")
     assert (code, out) == (1, "")
     assert err == "kleinstep: numerical failure: Singular matrix\n"
 

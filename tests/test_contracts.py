@@ -12,7 +12,7 @@ import kleinstep
 from kleinstep import common, device, dirac, graphene, step
 from kleinstep.cli import RunManifest
 from kleinstep.device import DeviceParams
-from kleinstep.dirac import make_spinor2, make_spinor4
+from kleinstep.dirac import hamiltonian_residual, make_spinor2, make_spinor4
 from kleinstep.graphene import (
     GrapheneMaterial,
     angle_kinematics,
@@ -130,6 +130,20 @@ NON_FINITE_CASES = [
 def test_non_finite_input_rejected(build, args, kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         build(*args, **kwargs)
+
+
+# each would otherwise return an eigenvector of H with m = -1
+NEGATIVE_MASS_CASES = [
+    (make_spinor2, (2.0, math.sqrt(3.0), -1.0)),
+    (hamiltonian_residual, ((math.sqrt(3.0), 3.0), 2.0, math.sqrt(3.0), -1.0)),
+]
+
+
+@pytest.mark.parametrize("build,args", NEGATIVE_MASS_CASES,
+                         ids=[case[0].__name__ for case in NEGATIVE_MASS_CASES])
+def test_negative_mass_rejected(build, args):
+    with pytest.raises(ValueError, match="^mass must be nonnegative$"):
+        build(*args)
 
 
 RECORDS = [

@@ -20,6 +20,8 @@ from kleinstep.step import (
     solve_step_numeric,
 )
 
+from test_acceptance import klein_grid
+
 
 def bits(value) -> bytes:
     """The IEEE bytes of a float or complex, so -0.0 != 0.0 and nan == nan."""
@@ -140,3 +142,26 @@ def test_wrong_regime_named_for_arrays():
 def test_empty_problem():
     sol = solve_step_numeric(StepProblem(np.array([]), 1.0, 5.0), Convention.COMMON)
     assert sol.R.shape == sol.regime.shape == (0,)
+
+
+def test_massless_klein_step_is_reflectionless():
+    # step-compare's golden grid: E = 1.5, 2, ..., 9 over V0 = 3, 5, massless
+    problem = StepProblem(np.linspace(1.5, 9.0, 16)[:, None], 0.0, np.array([3.0, 5.0]))
+    sol = solve_step_numeric(problem, Convention.PAPER)
+    klein = sol.regime == Regime.KLEIN
+    assert klein.sum() == 10
+    assert np.all(sol.R[klein] == 0.0)
+    # |t|^2 j_trans / j_inc rounds: 1 - 3.3e-16 at E = 3.5, V0 = 5, printed as 1
+    assert np.all(np.abs(sol.T[klein] - 1.0) <= 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("scale", [1e-155, 1e-100, 1.0, 1e100, 1e152])
+def test_numeric_route_holds_over_the_energy_scale(scale):
+    # criterion 2's grid and bound over the energy scale: at 1e-155 a product of two
+    # spinor components is subnormal unless the solver rescales the spinors first
+    problems, kappas = klein_grid()
+    E, m, V0 = (scale * np.array(axis) for axis in zip(*problems))
+    sol = solve_step_numeric(StepProblem(E, m, V0), Convention.PAPER)
+    closed_r, closed_t = rt_from_kappa(np.array(kappas))
+    worst = max(np.abs(sol.R - closed_r).max(), np.abs(sol.T - closed_t).max())
+    assert worst < 1e-10, f"worst dual-path deviation {worst:.3e} at scale {scale:g}"
