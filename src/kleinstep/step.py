@@ -256,9 +256,9 @@ def solve_step_numeric(
 
     cells = ~(upper | lower | singular)
     if cells.any():
-        # spinors times 2^-e, e the exponent of max(E, m, V0) and at least -1023 so that
-        # 2^-e is finite: exact, and no product of two components overflows or underflows
-        scale = np.ldexp(1.0, -np.frexp(np.maximum(np.maximum(E, m), V0)[cells])[1].clip(-1023))
+        # spinors times 2^-e, e the exponent of max(E, m, V0) = max(E, V0) clipped at -1023
+        # so that 2^-e is finite: exact, and no product of two components over- or underflows
+        scale = np.ldexp(1.0, -np.frexp(np.maximum(E, V0)[cells])[1].clip(-1023))
         E, m, p, q, eps2 = E[cells], m[cells], p[cells], q[cells], eps2[cells]
         forward = -q if convention is Convention.PAPER else q
         k2 = np.where(regimes[cells] == Regime.EVANESCENT, 1j * q,
@@ -270,11 +270,10 @@ def solve_step_numeric(
         det = trans[0] * refl[1] - refl[0] * trans[1]
         if not det.all():
             raise np.linalg.LinAlgError("Singular matrix")
-        r_cells = (inc[0] * trans[1] - trans[0] * inc[1]) / det
-        t_cells = (inc[0] * refl[1] - refl[0] * inc[1]) / det
+        r_cells = r[cells] = (inc[0] * trans[1] - trans[0] * inc[1]) / det
+        t_cells = t[cells] = (inc[0] * refl[1] - refl[0] * inc[1]) / det
 
         j_inc = current_density(inc)
-        r[cells], t[cells] = r_cells, t_cells
         big_r[cells] = np.hypot(r_cells.real, r_cells.imag) ** 2 * np.abs(
             current_density(refl) / j_inc
         )
