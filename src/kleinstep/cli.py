@@ -286,7 +286,8 @@ def _rows_step_rt(request: SweepRequest) -> dict:
     convention = Convention(params["convention"])
     problem = StepProblem(np.array(params["E"], dtype=float), params["m"], params["V0"])
     sol = solve_step_numeric(problem, convention)
-    _raise_if_singular(problem, sol)
+    if not request.allow_singular:
+        _raise_if_singular(problem, sol)
     return {
         "E": problem.E, "m": np.full_like(problem.E, params["m"]),
         "V0": np.full_like(problem.E, params["V0"]),
@@ -412,15 +413,14 @@ def _rows_angular_current(request: SweepRequest) -> dict:
 
 
 class _Command(NamedTuple):
-    """One subcommand: its flags, its output columns and the sweep that makes its rows.
+    """One subcommand: its flags and the sweep that makes its rows.
 
-    ``rows`` returns the sweep as a table: column name -> one sequence of
-    cells per column, all of one length, in sweep order; float columns are
-    float64 arrays, which the renderers format without a call per cell.
+    ``rows`` returns the sweep as a table, keys in output column order: column
+    name -> one sequence of cells per column, all of one length, in sweep order;
+    float columns are float64 arrays, which the renderers format without a call per cell.
     """
 
     params: list[_Param]
-    columns: list[str]
     rows: Callable[[SweepRequest], dict]
 
 
@@ -430,25 +430,23 @@ _COMMANDS = {
         _Param("m", _float_scalar, required=True, help="rest mass"),
         _Param("V0", _float_scalar, required=True, help="step height"),
         _CONVENTION,
-    ], ["E", "m", "V0", "convention", "regime", "kappa",
-        "r_re", "r_im", "t_re", "t_im", "R", "T"], _rows_step_rt),
+    ], _rows_step_rt),
     "step-compare": _Command([
         _Param("E", _values, required=True, help="incident energies"),
         _Param("m", _values, required=True, help="rest masses"),
         _Param("V0", _values, required=True, help="step heights"),
-    ], ["E", "m", "V0", "kappa", "R_paper", "T_paper",
-        "kappa_prime", "R_common", "T_common", "regime"], _rows_step_compare),
+    ], _rows_step_compare),
     "spinor-check": _Command([
         _Param("m", _float_scalar, required=True, help="rest mass"),
         _Param("eps", _values, required=True, help="local energies E - V"),
-    ], ["eps", "k_re", "k_im", "m", "residual2", "residual4", "current"], _rows_spinor_check),
+    ], _rows_spinor_check),
     "graphene-angle": _Command([
         _FERMI_ENERGY,
         _FERMI_WAVELENGTH,
         _Param("V0", _float_scalar, required=True, help="step height in eV"),
         _Param("theta", _values, required=True, help="incidence angles in degrees"),
         _HBAR_VF,
-    ], ["theta_deg", "ky", "kxII", "thetaII_deg", "T_paper", "T_common"], _rows_graphene_angle),
+    ], _rows_graphene_angle),
     "barrier": _Command([
         _FERMI_ENERGY,
         _FERMI_WAVELENGTH,
@@ -456,7 +454,7 @@ _COMMANDS = {
         _Param("D", _values, required=True, help="barrier widths in nm"),
         _Param("theta", _float_scalar, default=0.0, help="incidence angle in degrees"),
         _HBAR_VF,
-    ], ["E", "V0", "D", "theta_deg", "T_paper", "T_common"], _rows_barrier),
+    ], _rows_barrier),
     "iv-curve": _Command([
         _Param("Vb", _values, default=[0.1, 0.2, 0.3], help="back-gate voltages"),
         _Param("V", _values, help="explicit bias grid in volts"),
@@ -466,14 +464,14 @@ _COMMANDS = {
         _Param("mobility", _float_scalar, default=15000.0, help="cm^2/(V s)"),
         _Param("alpha", _float_scalar, default=7.3e10, help="carriers per cm^2 per V"),
         _Param("aspect-ratio", _float_scalar, default=1.0, help="W/L"),
-    ], ["Vb", "V", "I"], _rows_iv_curve),
+    ], _rows_iv_curve),
     "angular-current": _Command([
         _Param("lambdaF", _float_scalar, default=50.0, help="Fermi wavelength in nm"),
         _Param("V0", _float_scalar, default=0.3, help="step height in eV"),
         _Param("theta-max", _float_scalar, default=85.0, help="half-width of the angle grid, deg"),
         _Param("n", _int_scalar, default=171, help="number of angles"),
         _HBAR_VF,
-    ], ["theta_deg", "T", "relative_current"], _rows_angular_current),
+    ], _rows_angular_current),
 }
 
 
@@ -572,12 +570,11 @@ def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -
 
 def emit(request: SweepRequest, table: dict) -> int:
     """Render and write one sweep table; returns the process exit code."""
-    columns = _COMMANDS[request.command].columns
     manifest = None
     if not request.no_manifest:
         manifest = RunManifest(__version__, request.command, request.params)
     render = render_csv if request.format == "csv" else render_json
-    text = render(columns, table, manifest)
+    text = render(list(table), table, manifest)
     if request.output:
         try:
             with open(request.output, "w", encoding="utf-8", newline="") as handle:

@@ -141,13 +141,20 @@ def _require_regimes(regimes: np.ndarray, allowed: np.ndarray, message: str):
         raise ValueError(f"{message}, got {regime}")
 
 
+def _cells(problem: StepProblem) -> tuple:
+    """Shape and flat E, m, V0 times 2^-e, e the exponent of max(E, V0): exact, so scale-free."""
+    shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
+    e = -np.frexp(np.maximum(E, V0))[1]
+    return shape, [np.ldexp(x, e) for x in (E, m, V0)]
+
+
 def classify_regime(problem: StepProblem) -> Regime:
     """Exactly one regime per problem (per cell for an array problem).
 
     Thresholds are detected within 1e-12 of the problem's own scale
     max(E, m, V0), so the regime is invariant under an overall energy scale.
     """
-    shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
+    shape, (E, m, V0) = _cells(problem)
     return _shaped(shape, _classify(E, m, V0))[0]
 
 
@@ -166,7 +173,7 @@ def kappa(problem: StepProblem) -> float:
     printed ratio form (-q/p)(E-m)/(E-V0-m).  At the lower threshold (q = 0)
     the limit 0 is returned.
     """
-    shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
+    shape, (E, m, V0) = _cells(problem)
     regimes = _classify(E, m, V0)
     klein = regimes == Regime.KLEIN
     _require_regimes(regimes, klein | (regimes == Regime.THRESHOLD_LOWER),
@@ -180,7 +187,7 @@ def kappa_prime(problem: StepProblem) -> float:
 
     Klein zone only; always negative there, with kappa * kappa' = -1.
     """
-    shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
+    shape, (E, m, V0) = _cells(problem)
     regimes, p, q = _kinematics(E, m, V0)
     _require_regimes(regimes, regimes == Regime.KLEIN,
                      "kappa_prime is defined in the Klein regime only")
@@ -220,7 +227,7 @@ def solve_step_numeric(
     non-singular cells at once; see StepScatteringSolution for what its singular
     cells hold.  A zero determinant raises np.linalg.LinAlgError.
     """
-    shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
+    shape, (E, m, V0) = _cells(problem)
     regimes, p, q = _kinematics(E, m, V0)
     klein = regimes == Regime.KLEIN
     eps2 = E - V0
@@ -256,16 +263,12 @@ def solve_step_numeric(
 
     cells = ~(upper | lower | singular)
     if cells.any():
-        # spinors times 2^-e, e the exponent of max(E, m, V0) = max(E, V0) clipped at -1023
-        # so that 2^-e is finite: exact, and no product of two components over- or underflows
-        scale = np.ldexp(1.0, -np.frexp(np.maximum(E, V0)[cells])[1].clip(-1023))
         E, m, p, q, eps2 = E[cells], m[cells], p[cells], q[cells], eps2[cells]
         forward = -q if convention is Convention.PAPER else q
         k2 = np.where(regimes[cells] == Regime.EVANESCENT, 1j * q,
                       np.where(klein[cells], forward, q))
 
-        inc, refl, trans = ((scale * spinor[0], scale * spinor[1]) for spinor in (
-            make_spinor2(E, p, m), make_spinor2(E, -p, m), make_spinor2(eps2, k2, m)))
+        inc, refl, trans = make_spinor2(E, p, m), make_spinor2(E, -p, m), make_spinor2(eps2, k2, m)
         # Cramer's rule on inc + r refl = t trans
         det = trans[0] * refl[1] - refl[0] * trans[1]
         if not det.all():
@@ -285,7 +288,7 @@ def solve_step_numeric(
 
 def group_velocity_region2(problem: StepProblem) -> float:
     """Magnitude-level group velocity q/(V0 - E) of the Klein-zone transmitted wave."""
-    shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
+    shape, (E, m, V0) = _cells(problem)
     regimes, _, q = _kinematics(E, m, V0)
     _require_regimes(regimes, regimes == Regime.KLEIN,
                      "group velocity of the transmitted branch needs the Klein regime")

@@ -180,24 +180,24 @@ class TestSingularities:
         assert rows[0].split(",")[5] == "inf"  # T_common at normal incidence
         assert float(rows[1].split(",")[4]) == pytest.approx(0.727925157, rel=1e-9)
 
-    def test_massless_common_step(self, capsys):
-        code, _, err = run(
-            capsys, "step-compare", "--E", "2", "--m", "0", "--V0", "5", "--no-manifest"
-        )
+    @pytest.mark.parametrize("args,singular_row_end", [
+        pytest.param(["step-compare", "--E", "2", "--m", "0", "--V0", "5"],
+                     ",-1,inf,-inf,klein", id="step-compare"),
+        pytest.param(["step-rt", "--E", "2", "--m", "0", "--V0", "5", "--convention", "common"],
+                     ",klein,-1,nan,0,nan,0,inf,-inf", id="step-rt"),
+    ])
+    def test_massless_common_step(self, capsys, args, singular_row_end):
+        code, _, err = run(capsys, *args, "--no-manifest")
         assert code == 1
         assert "kappa_prime" in err
-        code2, out, _ = run(
-            capsys, "step-compare", "--E", "2", "--m", "0", "--V0", "5",
-            "--no-manifest", "--allow-singular",
-        )
-        assert code2 == 0
-        assert "inf" in out
+        code2, out, err2 = run(capsys, *args, "--no-manifest", "--allow-singular")
+        assert (code2, err2) == (0, "")
+        assert out.endswith(singular_row_end + "\n")
 
     @pytest.mark.parametrize("args", [
         ["graphene-angle", "--E", "1e200", "--V0", "0.3", "--theta", "10"],
         ["barrier", "--E", "1e200", "--V0", "0.3", "--D", "10"],
         ["angular-current", "--lambdaF", "1e-300", "--n", "3"],
-        ["step-rt", "--E", "1e200", "--m", "1", "--V0", "5"],
         ["spinor-check", "--m", "1e200", "--eps", "2e200"],
     ], ids=lambda args: args[0])
     def test_overflow_is_numerical_failure(self, capsys, args):
@@ -206,6 +206,29 @@ class TestSingularities:
         assert (code, out) == (1, "")
         assert err.startswith("kleinstep: numerical failure: overflow encountered in ")
         assert err.count("\n") == 1
+
+    def test_step_rt_at_huge_energy_solves(self, capsys):
+        # the step kernels remove the energy scale first, so E^2 never forms at 1e200
+        code, out, err = run(capsys, "step-rt", "--E", "1e200", "--m", "1", "--V0", "5",
+                             "--no-manifest")
+        assert (code, err) == (0, "")
+        header, row = out.strip().split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["regime"], cells["R"], cells["T"]) == ("above_barrier", "0", "1")
+
+    def test_step_rt_rows_do_not_depend_on_the_energy_scale(self, capsys):
+        # (1e-200, 2e-200; 5e-201; 1e-199) is (1, 2; 0.5; 10) times 1e-200
+        code, tiny, err = run(capsys, "step-rt", "--E", "1e-200,2e-200", "--m", "5e-201",
+                              "--V0", "1e-199", "--no-manifest")
+        assert (code, err) == (0, "")
+        code, unit, _ = run(capsys, "step-rt", "--E", "1,2", "--m", "0.5", "--V0", "10",
+                            "--no-manifest")
+        assert code == 0
+
+        def from_column_4(text):
+            return [line.split(",", 3)[3] for line in text.strip().split("\n")]
+
+        assert from_column_4(tiny) == from_column_4(unit)
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
@@ -503,9 +526,9 @@ def test_angular_current_in_one_kinematics_call(capsys, kinematics_calls):
     assert len(kinematics_calls) <= 2
 
 def test_linalg_failure_is_numerical_exit(capsys, monkeypatch):
-    # E^2 and m^2 underflow to 0, so p = q = 0 and the step's matching determinant is 0
-    code, out, err = run(capsys, "step-rt", "--E", "1e-200,2e-200", "--m", "5e-201",
-                         "--V0", "1e-199", "--no-manifest")
+    # kappa' = -1.0000000000000002 misses the singular mask, but the matching determinant is 0
+    code, out, err = run(capsys, "step-rt", "--E", "0.1", "--m", "1e-17", "--V0", "1.5",
+                         "--convention", "common", "--no-manifest")
     assert (code, out) == (1, "")
     assert err == "kleinstep: numerical failure: Singular matrix\n"
 

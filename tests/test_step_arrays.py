@@ -155,13 +155,43 @@ def test_massless_klein_step_is_reflectionless():
     assert np.all(np.abs(sol.T[klein] - 1.0) <= 4 * np.finfo(float).eps)
 
 
-@pytest.mark.parametrize("scale", [1e-155, 1e-100, 1.0, 1e100, 1e152])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-155, 1e-100, 1.0, 1e100, 1e152, 1e154,
+                                   1e200, 1e300])
 def test_numeric_route_holds_over_the_energy_scale(scale):
-    # criterion 2's grid and bound over the energy scale: at 1e-155 a product of two
-    # spinor components is subnormal unless the solver rescales the spinors first
+    # criterion 2's grid and bound over the energy scale: unless the energy scale is removed
+    # first, p = sqrt(E^2 - m^2) underflows to 0 below about 1e-155 and overflows above 1e153
     problems, kappas = klein_grid()
     E, m, V0 = (scale * np.array(axis) for axis in zip(*problems))
     sol = solve_step_numeric(StepProblem(E, m, V0), Convention.PAPER)
     closed_r, closed_t = rt_from_kappa(np.array(kappas))
     worst = max(np.abs(sol.R - closed_r).max(), np.abs(sol.T - closed_t).max())
     assert worst < 1e-10, f"worst dual-path deviation {worst:.3e} at scale {scale:g}"
+
+
+@given(step_grids(), st.integers(-1000, 1000))
+@settings(max_examples=100, deadline=None)
+def test_power_of_two_energy_scale_changes_no_bit(axes, k):
+    # the axes lie in [0.1, 20] or are 0, so every nonzero input stays normal times 2^k
+    E, m, V0 = (axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
+
+    def problem(exponent, cells=slice(None)):
+        return StepProblem(*(np.ldexp(x[cells], exponent) for x in (E, m, V0)))
+
+    regimes = classify_regime(problem(0))
+    assert np.array_equal(classify_regime(problem(k)), regimes)
+    for convention in Convention:
+        unit, scaled = (solve_step_numeric(problem(exponent), convention) for exponent in (0, k))
+        assert np.array_equal(unit.regime, scaled.regime)
+        for name in ("kappa_value", "r", "t", "R", "T"):
+            assert getattr(unit, name).tobytes() == getattr(scaled, name).tobytes(), name
+    klein = regimes == Regime.KLEIN
+    for kernel, cells in ((kappa, klein | (regimes == Regime.THRESHOLD_LOWER)),
+                          (kappa_prime, klein), (group_velocity_region2, klein)):
+        assert kernel(problem(0, cells)).tobytes() == kernel(problem(k, cells)).tobytes(), kernel
+
+def test_subnormal_problem_is_solved_at_its_normal_scale():
+    subnormal = (3e-320, 1e-320, 1e-319)
+    sol = solve_step_numeric(StepProblem(*subnormal))
+    normal = solve_step_numeric(StepProblem(*(math.ldexp(x, 1059) for x in subnormal)))
+    assert sol == normal
+    assert sol.R == pytest.approx(0.0577961054, rel=1e-9)
