@@ -482,12 +482,6 @@ _COMMANDS = {
 _RENDER_SLICE = 1024
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".9g")
-    return str(value)
-
-
 def _json_cell(value) -> str:
     """The text json.dumps writes for a cell, floats rounded to 9 significant digits."""
     if isinstance(value, float):
@@ -546,7 +540,7 @@ def _row_slices(columns: list[str], table: dict, cell, float_texts=lambda values
 def render_csv(columns: list[str], table: dict, manifest: RunManifest | None) -> str:
     lines = manifest.comment_lines() if manifest else []
     lines.append(",".join(columns))
-    for formats, rows in _row_slices(columns, table, _csv_cell):
+    for formats, rows in _row_slices(columns, table, str):
         lines.append("\n".join(map(",".join(formats).__mod__, rows)))
     return "\n".join(lines) + "\n"
 

@@ -1,6 +1,5 @@
 """Shared tags, error types, input checks and array-call helpers of the scattering modules."""
 
-import math
 from enum import Enum
 
 import numpy as np
@@ -40,23 +39,6 @@ class SingularityError(ArithmeticError):
         super().__init__(message)
 
 
-def require_finite(**values) -> None:
-    """Raise ValueError naming the first keyword argument that is nan or infinite.
-
-    Real and complex values are both accepted; a complex value must have a
-    finite real and imaginary part.  An array argument is named with its
-    first non-finite element.
-    """
-    for name, value in values.items():
-        if isinstance(value, np.ndarray):
-            finite = np.isfinite(value)
-            if not finite.all():
-                (bad,) = first_point(~finite, value)
-                raise ValueError(f"{name} must be finite, got {bad}")
-        elif not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def first_point(mask: np.ndarray, *arrays: np.ndarray) -> list:
     """The elements of ``arrays`` at the first true cell of ``mask``, as Python scalars.
 
@@ -86,10 +68,27 @@ def _shaped(shape: tuple, *arrays: np.ndarray) -> list:
     return [array.reshape(shape) for array in arrays]
 
 
-def _require(valid: np.ndarray, validate, *arrays: np.ndarray) -> None:
-    """Run ``validate`` on the first invalid cell in C order; it raises that cell's error."""
-    if not valid.all():
-        validate(*first_point(~valid, *arrays))
+def _require(*rules, **cells) -> None:
+    """Raise ValueError for the first cell in C order that breaks a rule.
+
+    ``cells`` are arrays (or scalars) that broadcast to the rules' shape.  A
+    rule is a (mask, message) pair over them, or a cell's name for the rule
+    "<name> must be finite, got <value>" (a complex value needs both parts
+    finite).  The error is the cell's first broken rule, its message
+    formatted with str.format from the cell's values as Python scalars.
+    """
+    masks, valid = [], None
+    for rule in rules:
+        mask = np.isfinite(cells[rule]) if isinstance(rule, str) else rule[0]
+        masks.append(mask)
+        valid = mask if valid is None else valid & mask
+    if np.count_nonzero(valid) == valid.size:  # valid.all(), at a third of its cost on one cell
+        return
+    point = first_point(~valid, *masks, *cells.values())
+    values = dict(zip(cells, point[len(rules):]))
+    rule = next(rule for rule, ok in zip(rules, point) if not ok)
+    message = f"{rule} must be finite, got {{{rule}}}" if isinstance(rule, str) else rule[1]
+    raise ValueError(message.format(**values))
 
 
 def _validated_make(cls, iterable):

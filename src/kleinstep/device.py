@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from kleinstep.common import _validated_make, first_point, require_finite
+from kleinstep.common import _require, _validated_make
 
 __all__ = [
     "AngularProfile",
@@ -40,13 +40,11 @@ class DeviceParams(NamedTuple("DeviceParams", [
                 elementary_charge: float = ELEMENTARY_CHARGE):
         self = super().__new__(cls, mobility, gate_coefficient, back_gate, aspect_ratio,
                                elementary_charge)
-        require_finite(**self._asdict())
-        if not mobility > 0:
-            raise ValueError("mobility must be positive")
-        if not gate_coefficient > 0:
-            raise ValueError("gate coefficient must be positive")
-        if not aspect_ratio > 0:
-            raise ValueError("aspect ratio W/L must be positive")
+        _require(*self._fields,
+                 (mobility > 0, "mobility must be positive"),
+                 (gate_coefficient > 0, "gate coefficient must be positive"),
+                 (aspect_ratio > 0, "aspect ratio W/L must be positive"),
+                 **self._asdict())
         return self
 
     _make = classmethod(_validated_make)
@@ -110,9 +108,8 @@ def angular_current_profile(
         E = graphene.energy_from_wavelength(lambda_F, material)
     thetas = np.array(theta_grid, dtype=float).ravel()
     ak = graphene.angle_kinematics(E, V0, np.concatenate(([0.0], thetas)), material)
-    if not ak.propagating.all():
-        (theta,) = first_point(~ak.propagating, ak.theta_I)
-        raise ValueError(f"incidence angle {theta} rad lies beyond the critical angle")
+    _require((ak.propagating, "incidence angle {theta} rad lies beyond the critical angle"),
+             theta=ak.theta_I)
     transmission = graphene.transmission_probability(graphene.t_paper(ak), ak)
     values = transmission[1:]
     return AngularProfile(thetas, values / transmission[0], values)

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from kleinstep.common import broadcast, first_point, require_finite, unwrap
+from kleinstep.common import _require, broadcast, unwrap
 
 __all__ = [
     "ALPHA_X",
@@ -51,20 +51,9 @@ ALPHA_Z = np.block([[_ZERO, _SIGMA_Z], [_SIGMA_Z, _ZERO]])
 BETA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
 
-def _require_mass(m):
-    if np.any(np.asarray(m) < 0):
-        raise ValueError("mass must be nonnegative")
-
-
-def _check_onshell(eps: np.ndarray, ksq: np.ndarray, m: np.ndarray):
-    scale = np.maximum(np.maximum(eps * eps, m * m), np.maximum(np.abs(ksq), 1e-300))
-    off = np.abs(eps * eps - (ksq + m * m)) > _ONSHELL_RTOL * scale
-    if off.any():
-        eps, ksq, m = first_point(off, eps, ksq, m)
-        raise ValueError(
-            f"off-shell spinor request: eps={eps}, k^2={ksq}, m={m} "
-            "violate eps^2 = k^2 + m^2"
-        )
+def _mass(m: np.ndarray) -> tuple:
+    """The rule m >= 0 of _require; a nan mass passes it (finiteness is its own rule)."""
+    return ~(m < 0), "mass must be nonnegative"
 
 
 def make_spinor2(eps: float, k: complex, m: float) -> tuple[complex, complex]:
@@ -76,12 +65,16 @@ def make_spinor2(eps: float, k: complex, m: float) -> tuple[complex, complex]:
     form (eps + m, k) = (2m, 0) is returned there instead.  At eps = k = m = 0
     both forms vanish and ValueError("zero spinor") is raised.
     """
-    require_finite(eps=eps, k=k, m=m)
-    _require_mass(m)
     eps, k, m = broadcast(
         np.asarray(eps, dtype=float), np.asarray(k, dtype=complex), np.asarray(m, dtype=float)
     )
-    _check_onshell(eps, k * k, m)
+    _require("eps", "k", "m", _mass(m), eps=eps, k=k, m=m)
+    # after finiteness: eps^2 - (k^2 + m^2) at an infinite value is nan with a warning
+    ksq = k * k
+    scale = np.maximum(np.maximum(eps * eps, m * m), np.maximum(np.abs(ksq), 1e-300))
+    _require((~(np.abs(eps * eps - (ksq + m * m)) > _ONSHELL_RTOL * scale),
+              "off-shell spinor request: eps={eps}, k^2={ksq}, m={m} violate eps^2 = k^2 + m^2"),
+             eps=eps, ksq=ksq, m=m)
     upper, lower = k, (eps - m).astype(complex)
     rest = (upper == 0) & (lower == 0)
     if rest.any():
@@ -115,8 +108,8 @@ def _eigen_residual(v: np.ndarray, h: np.ndarray, energy) -> float:
 
 def hamiltonian_residual(psi, eps: float, k: complex, m: float) -> float:
     """||H psi - eps psi|| / ||psi|| for the reduced Hamiltonian at wavevector k."""
-    _require_mass(m)
     k, m = broadcast(np.asarray(k, dtype=complex), np.asarray(m, dtype=float))
+    _require(_mass(m), m=m)
     h = np.empty(k.shape + (2, 2), dtype=complex)
     h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1] = m, k, k, -m
     v = np.stack(broadcast(*(np.asarray(c, dtype=complex) for c in psi)), axis=-1)
@@ -171,17 +164,11 @@ def make_spinor4(
     if spin not in ("up", "down"):
         raise ValueError(f"spin must be 'up' or 'down', got {spin!r}")
     E, px, py, pz, m = broadcast(*(np.asarray(c, dtype=float) for c in (E, *p, m)))
-    require_finite(E=E, m=m, px=px, py=py, pz=pz)
-    _require_mass(m)
+    _require("E", "m", "px", "py", "pz", _mass(m), E=E, m=m, px=px, py=py, pz=pz)
     E = np.abs(E)
-    psq = px * px + py * py + pz * pz
-    scale = np.maximum(np.maximum(E * E, psq + m * m), 1e-300)
-    off = np.abs(E * E - (psq + m * m)) > _ONSHELL_RTOL * scale
-    if off.any():
-        E, psq, m = first_point(off, E, psq, m)
-        raise ValueError(
-            f"inconsistent (E, p, m): E^2 = {E * E} but p^2 + m^2 = {psq + m * m}"
-        )
+    E2, shell = E * E, px * px + py * py + pz * pz + m * m
+    _require((~(np.abs(E2 - shell) > _ONSHELL_RTOL * np.maximum(np.maximum(E2, shell), 1e-300)),
+              "inconsistent (E, p, m): E^2 = {E2} but p^2 + m^2 = {shell}"), E2=E2, shell=shell)
     e = E if branch == "positive" else -E
     column = _SPINOR4_COLUMNS[(branch, spin)](e, px, py, pz, m)
     psi = np.stack(broadcast(*(np.asarray(c, dtype=complex) for c in column)), axis=-1)

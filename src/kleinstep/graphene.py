@@ -36,7 +36,6 @@ from kleinstep.common import (
     _require,
     _shaped,
     _validated_make,
-    require_finite,
 )
 
 __all__ = [
@@ -62,9 +61,7 @@ class GrapheneMaterial(NamedTuple("GrapheneMaterial", [("hbar_vF", float)])):
     __slots__ = ()
 
     def __new__(cls, hbar_vF: float = HBAR_VF_EV_NM):  # eV nm
-        require_finite(hbar_vF=hbar_vF)
-        if not hbar_vF > 0:
-            raise ValueError("hbar_vF must be positive")
+        _require("hbar_vF", (hbar_vF > 0, "hbar_vF must be positive"), hbar_vF=hbar_vF)
         return super().__new__(cls, hbar_vF)
 
     _make = classmethod(_validated_make)
@@ -93,23 +90,15 @@ class AngleKinematics(NamedTuple):
 
 def energy_from_wavelength(lambda_F: float, material: GrapheneMaterial = DEFAULT_MATERIAL) -> float:
     """Fermi energy for a Fermi wavelength lambda_F (nm): E = hbar v_F 2 pi / lambda_F."""
-    require_finite(lambda_F=lambda_F)
-    if not lambda_F > 0:
-        raise ValueError("Fermi wavelength must be positive")
+    _require("lambda_F", (lambda_F > 0, "Fermi wavelength must be positive"), lambda_F=lambda_F)
     return material.hbar_vF * 2.0 * math.pi / lambda_F
 
 
-def _validate_incidence(E, V0, theta_I):
-    require_finite(E=E, V0=V0, theta_I=theta_I)
-    if not E > 0:
-        raise ValueError("electron incidence only: E must be positive")
-    if not abs(theta_I) < math.pi / 2:
-        raise ValueError("incidence angle must lie in (-pi/2, pi/2)")
-
-
-def _incidence_valid(E, V0, theta_I) -> np.ndarray:
-    """The cells that _validate_incidence accepts."""
-    return np.isfinite(E) & np.isfinite(V0) & (E > 0) & (np.abs(theta_I) < math.pi / 2)
+def _incidence(E, V0, theta_I) -> list:
+    """The _require rules of electron incidence: finite E, V0, theta_I; E > 0; |theta_I| < pi/2."""
+    return ["E", "V0", "theta_I",
+            (E > 0, "electron incidence only: E must be positive"),
+            (np.abs(theta_I) < math.pi / 2, "incidence angle must lie in (-pi/2, pi/2)")]
 
 
 def _kinematics(E, V0, theta_I, hv):
@@ -134,7 +123,7 @@ def angle_kinematics(
     invalid cell in C order is the one named in the error.
     """
     shape, (E, V0, theta_I) = _flat(E, V0, theta_I)
-    _require(_incidence_valid(E, V0, theta_I), _validate_incidence, E, V0, theta_I)
+    _require(*_incidence(E, V0, theta_I), E=E, V0=V0, theta_I=theta_I)
     k_F, k_y, k_xII, theta_II, s_II, propagating = _kinematics(
         E, V0, theta_I, material.hbar_vF)
     return AngleKinematics(*_shaped(
@@ -221,9 +210,7 @@ def transmission_probability(t: complex, ak: AngleKinematics) -> float:
 
 def critical_angle(E: float, V0: float) -> float | None:
     """arcsin(|E - V0| / E) when |E - V0| < E, else None (all angles propagate)."""
-    require_finite(E=E, V0=V0)
-    if not E > 0:
-        raise ValueError("electron incidence only: E must be positive")
+    _require(*_incidence(E, V0, 0.0), E=E, V0=V0, theta_I=0.0)
     ratio = abs(E - V0) / E
     if ratio < 1.0:
         return math.asin(ratio)
@@ -259,13 +246,6 @@ def _spinors(hv: float, k_re, k_im, k_y, eps) -> np.ndarray:
     return spinors
 
 
-def _validate_barrier(E, V0, D, theta_I):
-    _validate_incidence(E, V0, theta_I)
-    require_finite(D=D)
-    if not D > 0:
-        raise ValueError("barrier width D must be positive")
-
-
 def solve_barrier(
     E: float,
     V0: float,
@@ -286,8 +266,8 @@ def solve_barrier(
     non-degenerate cell is matched in one batched solve.
     """
     shape, (E, V0, D, theta_I) = _flat(E, V0, D, theta_I)
-    _require(_incidence_valid(E, V0, theta_I) & np.isfinite(D) & (D > 0),
-             _validate_barrier, E, V0, D, theta_I)
+    _require(*_incidence(E, V0, theta_I), "D",
+             (D > 0, "barrier width D must be positive"), E=E, V0=V0, D=D, theta_I=theta_I)
     paper = Convention(convention) is _PAPER
     hv = material.hbar_vF
     k_F, k_y, k_x, _, s_II, propagating = _kinematics(E, V0, theta_I, hv)

@@ -28,8 +28,6 @@ from kleinstep.common import (
     _require,
     _shaped,
     _validated_make,
-    first_point,
-    require_finite,
     unwrap,
 )
 from kleinstep.dirac import current_density, make_spinor2
@@ -75,24 +73,15 @@ class StepProblem(NamedTuple("StepProblem", [("E", float), ("m", float), ("V0", 
     def __new__(cls, E: float, m: float, V0: float):
         self = super().__new__(cls, E, m, V0)
         _, (E, m, V0) = _flat(E, m, V0)
-        _require(np.isfinite(E) & np.isfinite(m) & np.isfinite(V0) & (m >= 0) & (V0 > 0) & (E > m),
-                 _validate, E, m, V0)
+        _require("E", "m", "V0",
+                 (m >= 0, "mass must be nonnegative"),
+                 (V0 > 0, "step height V0 must be positive"),
+                 (E > m, "incident wave must propagate in region I: need E > m, "
+                         "got E = {E}, m = {m}"),
+                 E=E, m=m, V0=V0)
         return self
 
     _make = classmethod(_validated_make)
-
-
-def _validate(E, m, V0):
-    require_finite(E=E, m=m, V0=V0)
-    if m < 0:
-        raise ValueError("mass must be nonnegative")
-    if V0 <= 0:
-        raise ValueError("step height V0 must be positive")
-    if not E > m:
-        raise ValueError(
-            f"incident wave must propagate in region I: need E > m, "
-            f"got E = {E}, m = {m}"
-        )
 
 
 class StepScatteringSolution(NamedTuple):
@@ -104,8 +93,9 @@ class StepScatteringSolution(NamedTuple):
 
     For an array problem every field except ``convention`` is an array of
     the problem's shape, ``regime`` one of Regime members.  A singular cell
-    (the massless Klein step under COMMON) then holds kappa_value = -1,
-    R = inf, T = -inf and r = t = nan instead of raising.
+    (a zero matching determinant: the massless or near-massless Klein step
+    under COMMON) then holds kappa_value = -1, R = inf, T = -inf and
+    r = t = nan instead of raising.
     """
 
     convention: Convention
@@ -133,12 +123,6 @@ def _classify(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> np.ndarray:
 def _kinematics(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> tuple:
     """(regimes, p, q) of validated flat arrays; q is region II's decay rate where evanescent."""
     return _classify(E, m, V0), np.sqrt(E * E - m * m), np.sqrt(np.abs((E - V0) ** 2 - m * m))
-
-
-def _require_regimes(regimes: np.ndarray, allowed: np.ndarray, message: str):
-    if not allowed.all():
-        (regime,) = first_point(~allowed, regimes)
-        raise ValueError(f"{message}, got {regime}")
 
 
 def _cells(problem: StepProblem) -> tuple:
@@ -176,8 +160,8 @@ def kappa(problem: StepProblem) -> float:
     shape, (E, m, V0) = _cells(problem)
     regimes = _classify(E, m, V0)
     klein = regimes == Regime.KLEIN
-    _require_regimes(regimes, klein | (regimes == Regime.THRESHOLD_LOWER),
-                     "kappa is defined in the Klein regime only")
+    _require((klein | (regimes == Regime.THRESHOLD_LOWER),
+              "kappa is defined in the Klein regime only, got {regime}"), regime=regimes)
     with np.errstate(invalid="ignore", divide="ignore"):
         return _shaped(shape, np.where(klein, _kappa_klein(E, m, V0), 0.0))[0]
 
@@ -189,8 +173,8 @@ def kappa_prime(problem: StepProblem) -> float:
     """
     shape, (E, m, V0) = _cells(problem)
     regimes, p, q = _kinematics(E, m, V0)
-    _require_regimes(regimes, regimes == Regime.KLEIN,
-                     "kappa_prime is defined in the Klein regime only")
+    _require((regimes == Regime.KLEIN, "kappa_prime is defined in the Klein regime only, "
+              "got {regime}"), regime=regimes)
     return _shaped(shape, _kappa_prime_klein(E, m, V0, p, q))[0]
 
 
@@ -220,12 +204,12 @@ def solve_step_numeric(
     The region-II spinor is the convention's forward wave: wavevector -q
     (PAPER) or +q (COMMON) in the Klein zone, +q above the barrier, i*kappa_ev
     when evanescent (then R = 1, T = 0 with a decaying region-II amplitude).
-    Threshold regimes return the explicit limiting values; the massless
-    Klein step under COMMON is genuinely singular and raises.
+    Threshold regimes return the explicit limiting values.  A zero matching
+    determinant, which only the (near-)massless Klein step under COMMON has,
+    is singular and raises SingularityError.
 
-    An array problem is matched by Cramer's rule over all of its non-threshold,
-    non-singular cells at once; see StepScatteringSolution for what its singular
-    cells hold.  A zero determinant raises np.linalg.LinAlgError.
+    An array problem is matched by Cramer's rule over all of its non-threshold
+    cells at once; see StepScatteringSolution for what its singular cells hold.
     """
     shape, (E, m, V0) = _cells(problem)
     regimes, p, q = _kinematics(E, m, V0)
@@ -242,26 +226,20 @@ def solve_step_numeric(
     upper = regimes == Regime.THRESHOLD_UPPER
     lower = regimes == Regime.THRESHOLD_LOWER
     kappa_value[upper], kappa_value[lower] = np.inf, 0.0
-    singular = klein & (1.0 + kappa_value == 0.0)
-    if singular.any() and not shape:
-        raise SingularityError(
-            "1 + kappa_prime", "massless Klein step in the momentum-labelled convention"
-        )
 
     r = np.empty(E.size, dtype=complex)
     t = np.empty(E.size, dtype=complex)
     big_r = np.ones(E.size)
     big_t = np.zeros(E.size)
+    singular = np.zeros(E.size, dtype=bool)
     # region-II spinor degenerates to zero at the upper threshold; the limit
     # from both sides is total reflection
     r[upper], t[upper] = -1.0, np.inf
     # q = 0 at the lower threshold: matching gives r = 1 and a zero-current
     # region-II amplitude
     r[lower], t[lower] = 1.0, -(E[lower] - m[lower]) / m[lower]
-    r[singular], t[singular] = np.nan, np.nan
-    big_r[singular], big_t[singular] = np.inf, -np.inf
 
-    cells = ~(upper | lower | singular)
+    cells = ~(upper | lower)
     if cells.any():
         E, m, p, q, eps2 = E[cells], m[cells], p[cells], q[cells], eps2[cells]
         forward = -q if convention is Convention.PAPER else q
@@ -271,8 +249,8 @@ def solve_step_numeric(
         inc, refl, trans = make_spinor2(E, p, m), make_spinor2(E, -p, m), make_spinor2(eps2, k2, m)
         # Cramer's rule on inc + r refl = t trans
         det = trans[0] * refl[1] - refl[0] * trans[1]
-        if not det.all():
-            raise np.linalg.LinAlgError("Singular matrix")
+        singular[cells] = zero = det == 0
+        det[zero] = 1.0  # their results are replaced by the sentinels below
         r_cells = r[cells] = (inc[0] * trans[1] - trans[0] * inc[1]) / det
         t_cells = t[cells] = (inc[0] * refl[1] - refl[0] * inc[1]) / det
 
@@ -282,6 +260,14 @@ def solve_step_numeric(
         )
         big_t[cells] = np.hypot(t_cells.real, t_cells.imag) ** 2 * current_density(trans) / j_inc
 
+    if singular.any():
+        if not shape:
+            raise SingularityError(
+                "1 + kappa_prime", "massless Klein step in the momentum-labelled convention"
+            )
+        kappa_value[singular], r[singular], t[singular] = -1.0, np.nan, np.nan
+        big_r[singular], big_t[singular] = np.inf, -np.inf
+
     fields = (kappa_value, r, t, big_r, big_t, regimes)
     return StepScatteringSolution(convention, *_shaped(shape, *fields))
 
@@ -290,8 +276,8 @@ def group_velocity_region2(problem: StepProblem) -> float:
     """Magnitude-level group velocity q/(V0 - E) of the Klein-zone transmitted wave."""
     shape, (E, m, V0) = _cells(problem)
     regimes, _, q = _kinematics(E, m, V0)
-    _require_regimes(regimes, regimes == Regime.KLEIN,
-                     "group velocity of the transmitted branch needs the Klein regime")
+    _require((regimes == Regime.KLEIN, "group velocity of the transmitted branch needs the "
+              "Klein regime, got {regime}"), regime=regimes)
     return _shaped(shape, q / (V0 - E))[0]
 
 
@@ -347,8 +333,8 @@ def scattering_basis_state(kind: BasisKind, problem: StepProblem) -> BasisState:
     kind = BasisKind(kind)
     shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
     regimes, p, q = _kinematics(E, m, V0)
-    _require_regimes(regimes, regimes == Regime.KLEIN,
-                     "scattering basis states need the Klein regime")
+    _require((regimes == Regime.KLEIN,
+              "scattering basis states need the Klein regime, got {regime}"), regime=regimes)
     k = _kappa_klein(E, m, V0)
     n1 = 1.0 / np.sqrt(2.0 * math.pi * 2.0 * p * (E - m))
     n2 = -1.0 / np.sqrt(2.0 * math.pi * 2.0 * q * np.abs(E - V0 - m))  # times the sign -1

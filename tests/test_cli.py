@@ -526,11 +526,18 @@ def test_angular_current_in_one_kinematics_call(capsys, kinematics_calls):
     assert len(kinematics_calls) <= 2
 
 def test_linalg_failure_is_numerical_exit(capsys, monkeypatch):
-    # kappa' = -1.0000000000000002 misses the singular mask, but the matching determinant is 0
-    code, out, err = run(capsys, "step-rt", "--E", "0.1", "--m", "1e-17", "--V0", "1.5",
-                         "--convention", "common", "--no-manifest")
+    # kappa' rounds to -1.0000000000000002, not -1, but the matching determinant is 0:
+    # a singular cell, not a failed solve
+    args = ("step-rt", "--E", "0.1", "--m", "1e-17", "--V0", "1.5", "--convention", "common",
+            "--no-manifest")
+    code, out, err = run(capsys, *args)
     assert (code, out) == (1, "")
-    assert err == "kleinstep: numerical failure: Singular matrix\n"
+    assert err == ("kleinstep: numerical failure: singular denominator: 1 + kappa_prime "
+                   "(massless Klein step in the momentum-labelled convention)\n"
+                   "kleinstep: rerun with --allow-singular to emit unbounded values\n")
+    code, out, err = run(capsys, *args, "--allow-singular")
+    assert (code, err) == (0, "")
+    assert out.split("\n")[1] == "0.1,1e-17,1.5,common,klein,-1,nan,0,nan,0,inf,-inf"
 
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")

@@ -6,7 +6,9 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kleinstep
 from kleinstep import common, device, dirac, graphene, step
@@ -144,6 +146,85 @@ NEGATIVE_MASS_CASES = [
 def test_negative_mass_rejected(build, args):
     with pytest.raises(ValueError, match="^mass must be nonnegative$"):
         build(*args)
+
+
+# each names its first bad cell in C order, not its first bad argument
+MULTI_FAULT_CASES = [
+    (make_spinor2, (np.array([1.0, math.nan]), np.array([math.inf, 1.0]), 0.0),
+     "k must be finite, got (inf+0j)"),
+    (make_spinor4, ([1.0, 2.0], (0.0, 0.0, [5.0, math.nan]), [-1.0, 1.0]),
+     "mass must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("build,args,message", MULTI_FAULT_CASES,
+                         ids=[case[0].__name__ for case in MULTI_FAULT_CASES])
+def test_multi_fault_input_names_first_bad_cell(build, args, message):
+    with pytest.raises(ValueError) as error:
+        build(*args)
+    assert str(error.value) == message
+
+
+@st.composite
+def faulty_grids(draw, valid_cell):
+    """Cells of a (rows, cols) grid, and one array per argument over the grid.
+
+    Each cell is a valid argument tuple with at most one value made non-finite
+    or negated.
+    """
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = []
+    for _ in range(rows * cols):
+        cell = list(draw(valid_cell))
+        if draw(st.booleans()):
+            index = draw(st.integers(0, len(cell) - 1))
+            fault = draw(st.sampled_from(["nan", "inf", "-inf", "negate"]))
+            cell[index] = -cell[index] if fault == "negate" else float(fault)
+        cells.append(cell)
+    return cells, [np.array(column).reshape(rows, cols) for column in zip(*cells)]
+
+
+def _step_cell(m, gap, V0):
+    return m + gap, m, V0
+
+
+def _spinor_cell(k, m, sign):
+    return sign * math.sqrt(k * k + m * m), k, m
+
+
+VALIDATED_CALLS = {
+    "StepProblem": (StepProblem, st.builds(
+        _step_cell, st.floats(0.0, 2.0), st.floats(0.01, 3.0), st.floats(0.1, 5.0))),
+    "angle_kinematics": (angle_kinematics, st.tuples(
+        st.floats(0.01, 1.0), st.floats(1.5, 3.0), st.floats(-1.5, 1.5))),
+    # V0 above E: no cell is the degenerate E = V0, which a 0-d call rejects and an array
+    # call holds as nan
+    "solve_barrier": (solve_barrier, st.tuples(
+        st.floats(0.01, 1.0), st.floats(1.5, 3.0), st.floats(1.0, 100.0), st.floats(-1.5, 1.5))),
+    "make_spinor2": (make_spinor2, st.builds(
+        _spinor_cell, st.floats(0.1, 3.0), st.floats(0.0, 2.0), st.sampled_from([-1.0, 1.0]))),
+}
+
+
+@pytest.mark.parametrize("name", VALIDATED_CALLS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_array_error_is_first_bad_cells_error(name, data):
+    call, valid_cell = VALIDATED_CALLS[name]
+    cells, arrays = data.draw(faulty_grids(valid_cell))
+    expected = None
+    for cell in cells:
+        try:
+            call(*cell)
+        except ValueError as error:
+            expected = str(error)
+            break
+    if expected is None:
+        call(*arrays)
+    else:
+        with pytest.raises(ValueError) as error:
+            call(*arrays)
+        assert str(error.value) == expected
 
 
 RECORDS = [

@@ -113,6 +113,17 @@ def test_zero_d_massless_common_still_raises():
         rt_from_kappa(np.array(-1.0))
 
 
+def test_near_massless_common_step_is_a_singular_cell():
+    # kappa' rounds to -1.0000000000000002, not -1, but the matching determinant is exactly 0
+    sol = solve_step_numeric(StepProblem(np.array([0.1, 2.0]), 1e-17, 1.5), Convention.COMMON)
+    assert (sol.kappa_value[0], sol.R[0], sol.T[0]) == (-1.0, math.inf, -math.inf)
+    assert bits(sol.r[0]) == bits(sol.t[0]) == bits(math.nan)
+    cell = solve_step_numeric(StepProblem(2.0, 1e-17, 1.5), Convention.COMMON)
+    assert [bits(field[1]) for field in sol[1:6]] == [bits(field) for field in cell[1:6]]
+    with pytest.raises(SingularityError, match="kappa_prime"):
+        solve_step_numeric(StepProblem(0.1, 1e-17, 1.5), Convention.COMMON)
+
+
 def test_array_rt_from_kappa_pole_gives_limits():
     r_coeff, t_coeff = rt_from_kappa(np.array([-1.0, 1.0]))
     assert list(r_coeff) == [math.inf, 0.0] and list(t_coeff) == [-math.inf, 1.0]
