@@ -273,9 +273,9 @@ def _raise_first(bad: np.ndarray, call: Callable, *arrays) -> None:
 
 
 def _raise_if_singular(problem, solution) -> None:
-    """Raise the SingularityError of a step solution's first singular cell (kappa_value = -1)."""
+    """Raise the SingularityError of a step solution's first singular cell (r = nan)."""
     from kleinstep.step import StepProblem, solve_step_numeric
-    _raise_first(solution.kappa_value == -1.0,
+    _raise_first(np.isnan(solution.r),
                  lambda *point: solve_step_numeric(StepProblem(*point), solution.convention),
                  problem.E, problem.m, problem.V0)
 

@@ -94,10 +94,14 @@ def energy_from_wavelength(lambda_F: float, material: GrapheneMaterial = DEFAULT
     return material.hbar_vF * 2.0 * math.pi / lambda_F
 
 
+def _electron(E) -> tuple:
+    """The _require rule E > 0 of electron incidence."""
+    return E > 0, "electron incidence only: E must be positive"
+
+
 def _incidence(E, V0, theta_I) -> list:
-    """The _require rules of electron incidence: finite E, V0, theta_I; E > 0; |theta_I| < pi/2."""
-    return ["E", "V0", "theta_I",
-            (E > 0, "electron incidence only: E must be positive"),
+    """The _require rules of incidence at theta_I: finite E, V0, theta_I; E > 0; |theta_I| < pi/2."""
+    return ["E", "V0", "theta_I", _electron(E),
             (np.abs(theta_I) < math.pi / 2, "incidence angle must lie in (-pi/2, pi/2)")]
 
 
@@ -210,7 +214,7 @@ def transmission_probability(t: complex, ak: AngleKinematics) -> float:
 
 def critical_angle(E: float, V0: float) -> float | None:
     """arcsin(|E - V0| / E) when |E - V0| < E, else None (all angles propagate)."""
-    _require(*_incidence(E, V0, 0.0), E=E, V0=V0, theta_I=0.0)
+    _require("E", "V0", _electron(E), E=E, V0=V0)
     ratio = abs(E - V0) / E
     if ratio < 1.0:
         return math.asin(ratio)

@@ -93,8 +93,8 @@ class StepScatteringSolution(NamedTuple):
 
     For an array problem every field except ``convention`` is an array of
     the problem's shape, ``regime`` one of Regime members.  A singular cell
-    (a zero matching determinant: the massless or near-massless Klein step
-    under COMMON) then holds kappa_value = -1, R = inf, T = -inf and
+    (1 + kappa' = 0 or a zero matching determinant: the massless or
+    near-massless Klein step under COMMON) then holds kappa_value = -1, R = inf, T = -inf and
     r = t = nan instead of raising.
     """
 
@@ -204,12 +204,14 @@ def solve_step_numeric(
     The region-II spinor is the convention's forward wave: wavevector -q
     (PAPER) or +q (COMMON) in the Klein zone, +q above the barrier, i*kappa_ev
     when evanescent (then R = 1, T = 0 with a decaying region-II amplitude).
-    Threshold regimes return the explicit limiting values.  A zero matching
-    determinant, which only the (near-)massless Klein step under COMMON has,
-    is singular and raises SingularityError.
+    Threshold regimes return the explicit limiting values.  The (near-)massless
+    Klein step under COMMON is singular and raises SingularityError: where
+    1 + kappa' = 0, or where the matching determinant is 0 though kappa'
+    rounds past -1.
 
-    An array problem is matched by Cramer's rule over all of its non-threshold
-    cells at once; see StepScatteringSolution for what its singular cells hold.
+    An array problem is matched by Cramer's rule over all of its non-threshold,
+    non-singular cells at once; see StepScatteringSolution for what its
+    singular cells hold.
     """
     shape, (E, m, V0) = _cells(problem)
     regimes, p, q = _kinematics(E, m, V0)
@@ -226,12 +228,13 @@ def solve_step_numeric(
     upper = regimes == Regime.THRESHOLD_UPPER
     lower = regimes == Regime.THRESHOLD_LOWER
     kappa_value[upper], kappa_value[lower] = np.inf, 0.0
+    # singular before matching where 1 + kappa' = 0, after it where the determinant is 0
+    singular = klein & (1.0 + kappa_value == 0.0)
 
     r = np.empty(E.size, dtype=complex)
     t = np.empty(E.size, dtype=complex)
     big_r = np.ones(E.size)
     big_t = np.zeros(E.size)
-    singular = np.zeros(E.size, dtype=bool)
     # region-II spinor degenerates to zero at the upper threshold; the limit
     # from both sides is total reflection
     r[upper], t[upper] = -1.0, np.inf
@@ -239,7 +242,7 @@ def solve_step_numeric(
     # region-II amplitude
     r[lower], t[lower] = 1.0, -(E[lower] - m[lower]) / m[lower]
 
-    cells = ~(upper | lower)
+    cells = ~(upper | lower | singular)
     if cells.any():
         E, m, p, q, eps2 = E[cells], m[cells], p[cells], q[cells], eps2[cells]
         forward = -q if convention is Convention.PAPER else q

@@ -113,15 +113,21 @@ def test_zero_d_massless_common_still_raises():
         rt_from_kappa(np.array(-1.0))
 
 
-def test_near_massless_common_step_is_a_singular_cell():
+@pytest.mark.parametrize("E,m,V0", [
     # kappa' rounds to -1.0000000000000002, not -1, but the matching determinant is exactly 0
-    sol = solve_step_numeric(StepProblem(np.array([0.1, 2.0]), 1e-17, 1.5), Convention.COMMON)
+    (0.1, 1e-17, 1.5),
+    # E + m rounds to E, so kappa' = -1 exactly, while E - m and E - V0 - m round down
+    # and leave the matching determinant at about -2^-54
+    (0.5, 3e-17, 0.9),
+])
+def test_near_massless_common_step_is_a_singular_cell(E, m, V0):
+    sol = solve_step_numeric(StepProblem(np.array([E, 2.0]), m, V0), Convention.COMMON)
     assert (sol.kappa_value[0], sol.R[0], sol.T[0]) == (-1.0, math.inf, -math.inf)
     assert bits(sol.r[0]) == bits(sol.t[0]) == bits(math.nan)
-    cell = solve_step_numeric(StepProblem(2.0, 1e-17, 1.5), Convention.COMMON)
+    cell = solve_step_numeric(StepProblem(2.0, m, V0), Convention.COMMON)
     assert [bits(field[1]) for field in sol[1:6]] == [bits(field) for field in cell[1:6]]
     with pytest.raises(SingularityError, match="kappa_prime"):
-        solve_step_numeric(StepProblem(0.1, 1e-17, 1.5), Convention.COMMON)
+        solve_step_numeric(StepProblem(E, m, V0), Convention.COMMON)
 
 
 def test_array_rt_from_kappa_pole_gives_limits():
