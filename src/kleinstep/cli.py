@@ -8,18 +8,20 @@ list ("0.1,0.2,0.3") or a min:max:count range ("1:5:9"); a config file of
 Output is byte-deterministic: floats printed with 9 significant digits,
 rows in sweep order, the run manifest (version, command, resolved
 parameters, timestamp) in '#' comment lines (CSV) or a "manifest" field
-(JSON), suppressible with --no-manifest.
+(JSON), suppressible with --no-manifest.  It is rendered and written a
+slice of rows at a time, so memory does not grow with its length.
 
 Exit codes: 0 success, 1 numerical failure (a singular denominator without
---allow-singular, an overflowing value, or an unwritable output), 2 usage
-error (nan/inf included).
+--allow-singular, an overflowing value) or a failed write to stdout or
+--output, 2 usage error (nan/inf included).
 """
 
 import argparse
 import math
+import os
 import sys
 from datetime import datetime, timezone
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -478,7 +480,7 @@ _COMMANDS = {
 # ------------------------------------------------------------- emission
 
 
-# sweeps are turned into Python values and text this many rows at a time
+# sweeps become Python values, text and written output this many rows at a time
 _RENDER_SLICE = 1024
 
 
@@ -537,47 +539,56 @@ def _row_slices(columns: list[str], table: dict, cell, float_texts=lambda values
         yield formats, zip(*fields)
 
 
-def render_csv(columns: list[str], table: dict, manifest: RunManifest | None) -> str:
+def render_csv(columns: list[str], table: dict, manifest: RunManifest | None) -> Iterator[str]:
+    """The CSV text in pieces: manifest comment lines and header, then one piece per slice."""
     lines = manifest.comment_lines() if manifest else []
     lines.append(",".join(columns))
+    yield "\n".join(lines) + "\n"
     for formats, rows in _row_slices(columns, table, str):
-        lines.append("\n".join(map(",".join(formats).__mod__, rows)))
-    return "\n".join(lines) + "\n"
+        yield "".join(map((",".join(formats) + "\n").__mod__, rows))
 
 
-def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -> str:
-    """The bytes of json.dumps({"manifest": ..., "rows": [...]}, indent=2), written by hand."""
+def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -> Iterator[str]:
+    """The bytes of json.dumps({"manifest": ..., "rows": [...]}, indent=2) in pieces, by hand.
+
+    The head runs to '"rows": [', then comes one piece per slice of rows, then the trailer.
+    """
     import json
     head = "{\n"
     if manifest:
         head += '  "manifest": ' + json.dumps(manifest.as_dict(), indent=2).replace("\n", "\n  ")
         head += ",\n"
+    yield head + '  "rows": ['
     prefixes = [f"      {json.dumps(name)}: ".replace("%", "%%") for name in columns]
-    slices = []
+    separator, trailer = "\n", "]\n}\n"
     for formats, rows in _row_slices(columns, table, _json_cell, _json_floats):
         row = "    {\n" + ",\n".join(map(str.__add__, prefixes, formats)) + "\n    }"
-        slices.append(",\n".join(map(row.__mod__, rows)))
-    if not slices:
-        return head + '  "rows": []\n}\n'
-    return head + '  "rows": [\n' + ",\n".join(slices) + "\n  ]\n}\n"
+        yield separator + ",\n".join(map(row.__mod__, rows))
+        separator, trailer = ",\n", "\n  ]\n}\n"
+    yield trailer
 
 
 def emit(request: SweepRequest, table: dict) -> int:
-    """Render and write one sweep table; returns the process exit code."""
+    """Render and write one sweep table a slice at a time; returns the process exit code."""
     manifest = None
     if not request.no_manifest:
         manifest = RunManifest(__version__, request.command, request.params)
     render = render_csv if request.format == "csv" else render_json
-    text = render(list(table), table, manifest)
-    if request.output:
-        try:
+    pieces = render(list(table), table, manifest)
+    try:
+        if request.output:
             with open(request.output, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"{PROG}: cannot write {request.output}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
+                handle.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not request.output:
+            # the interpreter flushes stdout again at exit: send what is left to devnull
+            # so that no second error is printed
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"{PROG}: cannot write {request.output or '<stdout>'}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -108,12 +108,14 @@ def _eigen_residual(v: np.ndarray, h: np.ndarray, energy) -> float:
 
 def hamiltonian_residual(psi, eps: float, k: complex, m: float) -> float:
     """||H psi - eps psi|| / ||psi|| for the reduced Hamiltonian at wavevector k."""
-    k, m = broadcast(np.asarray(k, dtype=complex), np.asarray(m, dtype=float))
-    _require(_mass(m), m=m)
+    eps, k, m, upper, lower = broadcast(
+        np.asarray(eps, dtype=float), np.asarray(k, dtype=complex), np.asarray(m, dtype=float),
+        *(np.asarray(c, dtype=complex) for c in psi))
+    _require("eps", "k", "m", _mass(m), "psi_upper", "psi_lower",
+             eps=eps, k=k, m=m, psi_upper=upper, psi_lower=lower)
     h = np.empty(k.shape + (2, 2), dtype=complex)
     h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1] = m, k, k, -m
-    v = np.stack(broadcast(*(np.asarray(c, dtype=complex) for c in psi)), axis=-1)
-    return _eigen_residual(v, h, eps)
+    return _eigen_residual(np.stack((upper, lower), axis=-1), h, eps)
 
 
 def current_density(psi) -> float:
@@ -181,4 +183,9 @@ def make_spinor4(
 
 def hamiltonian_residual4(psi, energy: float, p, m: float) -> float:
     """||H4 psi - energy psi|| / ||psi|| with the signed eigenvalue ``energy``."""
-    return _eigen_residual(np.asarray(psi, dtype=complex), dirac_hamiltonian(p, m), energy)
+    # left unbroadcast: dirac_hamiltonian builds a (..., 4, 4) term per broadcast component
+    energy, px, py, pz, m = (np.asarray(c, dtype=float) for c in (energy, *p, m))
+    _require("energy", "m", "px", "py", "pz", _mass(m),
+             energy=energy, m=m, px=px, py=py, pz=pz)
+    return _eigen_residual(np.asarray(psi, dtype=complex), dirac_hamiltonian((px, py, pz), m),
+                           energy)

@@ -1,8 +1,11 @@
 """CLI behavior: columns, formatting, determinism, exit codes, config handling."""
 
+import errno
 import json
 import math
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +277,55 @@ def test_unwritable_output(capsys, tmp_path):
     assert "cannot write" in err
 
 
+# the console entry point, whose stdout is the process's own
+CONSOLE = "import sys\nfrom kleinstep.cli import main\nsys.exit(main())"
+ONE_ROW = ["step-rt", "--E", "2", "--m", "1", "--V0", "5"]
+MULTI_SLICE = {
+    "json": ["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta=-80:80:3001",
+             "--allow-singular", "--format", "json", "--no-manifest"],
+    "csv": ["step-rt", "--E", "1.5:9:3001", "--m", "1", "--V0", "5", "--no-manifest"],
+}
+
+
+@pytest.mark.parametrize("fmt", list(MULTI_SLICE))
+def test_stdout_and_output_write_the_same_bytes(tmp_path, fmt):
+    path = tmp_path / f"out.{fmt}"
+    piped = run_fresh(CONSOLE, *MULTI_SLICE[fmt], text=False)
+    written = run_fresh(CONSOLE, *MULTI_SLICE[fmt], f"--output={path}", text=False)
+    assert (piped.returncode, piped.stderr, written.returncode, written.stdout) == (0, b"", 0, b"")
+    assert piped.stdout == path.read_bytes()
+    assert piped.stdout.count(b"\n") > 2 * cli._RENDER_SLICE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [ONE_ROW, MULTI_SLICE["csv"]], ids=["one-row", "multi-slice"])
+@pytest.mark.parametrize("to_stdout", [True, False], ids=["stdout", "output"])
+def test_full_device_is_one_write_error(argv, to_stdout):
+    # a short output fails only at the final flush, a multi-slice one inside the writes
+    with open("/dev/full", "wb") as full:
+        if to_stdout:
+            result = run_fresh(CONSOLE, *argv, stdout=full)
+        else:
+            result = run_fresh(CONSOLE, *argv, "--output=/dev/full")
+    name = "<stdout>" if to_stdout else "/dev/full"
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"kleinstep: cannot write {name}: [Errno {errno.ENOSPC}]")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [ONE_ROW, MULTI_SLICE["json"]], ids=["one-row", "multi-slice"])
+def test_broken_pipe_is_one_write_error(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_fresh(CONSOLE, *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr.startswith("kleinstep: cannot write <stdout>: ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_angular_current_defaults(capsys):
     code, out, _ = run(capsys, "angular-current", "--no-manifest")
     assert code == 0
@@ -350,7 +402,7 @@ MANIFEST = RunManifest("0.1.0", "step-rt", {"E": [1.0, 2.5], "m": 1.0, "conventi
 @pytest.mark.parametrize("manifest", [None, MANIFEST], ids=["no-manifest", "manifest"])
 def test_render_json_is_json_dumps(manifest):
     columns = ["x", "label", "y"]
-    assert render_json(columns, SPECIAL_TABLE, manifest) == _reference_json(
+    assert "".join(render_json(columns, SPECIAL_TABLE, manifest)) == _reference_json(
         columns, SPECIAL_TABLE, manifest)
 
 
@@ -358,17 +410,41 @@ def test_render_json_is_json_dumps(manifest):
 def test_render_json_empty_sweep(manifest):
     columns = ["E", "regime"]
     table = {"E": np.array([]), "regime": []}
-    assert render_json(columns, table, manifest) == _reference_json(columns, table, manifest)
+    assert "".join(render_json(columns, table, manifest)) == _reference_json(
+        columns, table, manifest)
 
 
 def test_renderers_across_slices():
+    # a head, one piece per slice of at most _RENDER_SLICE rows, a trailer: memory holds a slice
     count = 2 * cli._RENDER_SLICE + 7
     values = np.random.default_rng(5).standard_normal(count) * 10.0 ** (np.arange(count) % 40 - 20)
     table = {"v": values, "i": list(range(count))}
-    assert render_json(["v", "i"], table, None) == _reference_json(["v", "i"], table, None)
-    lines = render_csv(["v", "i"], table, None).split("\n")
+    json_pieces = list(render_json(["v", "i"], table, None))
+    csv_pieces = list(render_csv(["v", "i"], table, None))
+    for pieces, row_mark in ((json_pieces, "\n    {\n"), (csv_pieces, "\n")):
+        assert len(pieces) <= 3 + 2
+        assert max(piece.count(row_mark) for piece in pieces) == cli._RENDER_SLICE
+    assert "".join(json_pieces) == _reference_json(["v", "i"], table, None)
+    lines = "".join(csv_pieces).split("\n")
     assert lines[0] == "v,i" and lines[-1] == "" and len(lines) == count + 2
     assert lines[1:-1] == [f"{format(v, '.9g')},{i}" for i, v in enumerate(values.tolist())]
+
+
+def test_emit_holds_one_slice_of_a_long_sweep(tmp_path):
+    # emit holds about one slice of text at a time, never the whole document
+    path = tmp_path / "angles.json"
+    request = cli.parse_args(["graphene-angle", "--E", "0.3", "--V0", "0.42",
+                              "--theta=-80:80:12801", "--allow-singular", "--format", "json",
+                              "--no-manifest", "--output", str(path)])
+    table = cli._COMMANDS[request.command].rows(request)
+    tracemalloc.start()
+    try:
+        assert cli.emit(request, table) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2_000_000 and peak < size / 2
 
 
 TINY = np.finfo(float).tiny
@@ -397,10 +473,11 @@ def test_renderers_write_json_dumps_and_9g_bytes(xs, ys, labels, count):
     table = {"x": np.resize(np.array(xs), count), "y %d": np.resize(np.array(ys), count),
              "label": [labels[i % len(labels)] for i in range(count)], "i": list(range(count))}
     columns = list(table)
-    assert render_json(columns, table, None) == _reference_json(columns, table, None)
+    assert "".join(render_json(columns, table, None)) == _reference_json(columns, table, None)
     rows = [f"{format(x, '.9g')},{format(y, '.9g')},{label},{i}" for x, y, label, i
             in zip(table["x"].tolist(), table["y %d"].tolist(), table["label"], table["i"])]
-    assert render_csv(columns, table, None) == "\n".join([",".join(columns)] + rows) + "\n"
+    assert "".join(render_csv(columns, table, None)) == "\n".join(
+        [",".join(columns)] + rows) + "\n"
 
 
 def test_json_floats_take_per_cell_calls_only_where_9g_differs(capsys, monkeypatch):

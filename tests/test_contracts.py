@@ -14,7 +14,8 @@ import kleinstep
 from kleinstep import common, device, dirac, graphene, step
 from kleinstep.cli import RunManifest
 from kleinstep.device import DeviceParams
-from kleinstep.dirac import hamiltonian_residual, make_spinor2, make_spinor4
+from kleinstep.dirac import (hamiltonian_residual, hamiltonian_residual4, make_spinor2,
+                             make_spinor4)
 from kleinstep.graphene import (
     GrapheneMaterial,
     angle_kinematics,
@@ -35,11 +36,13 @@ def test_package_exports_every_module_export():
             assert getattr(kleinstep, name) is getattr(module, name)
 
 
-def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+def run_fresh(code: str, *argv: str, stdout=subprocess.PIPE,
+              text: bool = True) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports kleinstep from the tested tree."""
     path = os.pathsep.join([os.path.dirname(os.path.dirname(kleinstep.__file__)),
                             os.environ.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=text,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
 
 
@@ -124,6 +127,16 @@ NON_FINITE_CASES = [
     (make_spinor2, (2.0, complex(1.0, math.nan), 1.0), {}, "k"),
     (make_spinor2, (2.0, 1.0, math.nan), {}, "m"),
     (make_spinor4, (math.inf, (0.0, 0.0, 0.0), 0.0), {}, "E"),
+    (hamiltonian_residual, ((1.0, 1.0), math.nan, 1.0, 0.0), {}, "eps"),
+    (hamiltonian_residual, ((1.0, 1.0), 1.0, math.inf, 0.0), {}, "k"),
+    (hamiltonian_residual, ((1.0, 1.0), 1.0, 1.0, math.nan), {}, "m"),
+    (hamiltonian_residual, ((complex(1.0, math.inf), 1.0), 1.0, 1.0, 0.0), {}, "psi_upper"),
+    (hamiltonian_residual, ((1.0, math.nan), 1.0, 1.0, 0.0), {}, "psi_lower"),
+    (hamiltonian_residual4, ([1.0, 0.0, 0.0, 0.0], math.inf, (0.0, 0.0, 0.0), 1.0), {}, "energy"),
+    (hamiltonian_residual4, ([1.0, 0.0, 0.0, 0.0], 1.0, (0.0, 0.0, 0.0), math.nan), {}, "m"),
+    (hamiltonian_residual4, ([1.0, 0.0, 0.0, 0.0], 1.0, (math.nan, 0.0, 0.0), 1.0), {}, "px"),
+    (hamiltonian_residual4, ([1.0, 0.0, 0.0, 0.0], 1.0, (0.0, -math.inf, 0.0), 1.0), {}, "py"),
+    (hamiltonian_residual4, ([1.0, 0.0, 0.0, 0.0], 1.0, (0.0, 0.0, math.inf), 1.0), {}, "pz"),
 ]
 
 
@@ -138,6 +151,7 @@ def test_non_finite_input_rejected(build, args, kwargs, name):
 NEGATIVE_MASS_CASES = [
     (make_spinor2, (2.0, math.sqrt(3.0), -1.0)),
     (hamiltonian_residual, ((math.sqrt(3.0), 3.0), 2.0, math.sqrt(3.0), -1.0)),
+    (hamiltonian_residual4, ([1.0, 0.0, 0.0, 0.0], -1.0, (0.0, 0.0, 0.0), -1.0)),
 ]
 
 
@@ -154,6 +168,11 @@ MULTI_FAULT_CASES = [
      "k must be finite, got (inf+0j)"),
     (make_spinor4, ([1.0, 2.0], (0.0, 0.0, [5.0, math.nan]), [-1.0, 1.0]),
      "mass must be nonnegative"),
+    (hamiltonian_residual, ((np.array([math.nan, 1.0]), 1.0), np.array([1.0, 2.0]),
+                            np.array([1.0, math.inf]), [0.0, -1.0]),
+     "psi_upper must be finite, got (nan+0j)"),
+    (hamiltonian_residual4, (np.eye(4)[:2], [1.0, math.nan], (0.0, [math.inf, 0.0], 0.0), 1.0),
+     "py must be finite, got inf"),
 ]
 
 

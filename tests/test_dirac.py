@@ -1,6 +1,7 @@
 """Spinor construction, eigenresiduals, and currents."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,3 +181,26 @@ def test_spinor4_rejects_nonfinite():
         make_spinor4(math.inf, (0, 0, 0), 0)
     with pytest.raises(ValueError, match="pz must be finite"):
         make_spinor4(1.0, (0, 0, math.nan), 1.0)
+
+
+@pytest.mark.parametrize("args,message", [
+    (((1.0, 1.0), math.nan, 1.0, 0.0), "eps must be finite, got nan"),
+    (((1.0, 1.0), 1.0, math.inf, 0.0), "k must be finite, got (inf+0j)"),
+    (((1.0, complex(0.0, -math.inf)), 1.0, 1.0, 0.0), "psi_lower must be finite, got -infj"),
+], ids=["nan-eps", "inf-k", "inf-psi"])
+def test_residual_rejects_nonfinite_without_a_warning(args, message):
+    # rejected before any arithmetic: no nan result and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as error:
+            hamiltonian_residual(*args)
+    assert str(error.value) == message
+
+
+def test_residual4_rejects_nonfinite_without_a_warning():
+    psi = make_spinor4(2.0, (0.0, 0.0, SQRT3), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as error:
+            hamiltonian_residual4(psi, 2.0, (0.0, 0.0, math.inf), 1.0)
+    assert str(error.value) == "pz must be finite, got inf"
