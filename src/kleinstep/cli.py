@@ -609,7 +609,7 @@ def main(argv=None) -> int:
         print(f"{PROG}: rerun with --allow-singular to emit unbounded values",
               file=sys.stderr)
         return 1
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:  # LinAlgError is a ValueError too
+    except FloatingPointError as exc:
         print(f"{PROG}: numerical failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # usage and parameter domain errors

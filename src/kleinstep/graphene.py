@@ -229,7 +229,8 @@ class BarrierSolution(NamedTuple):
     """Amplitudes of the two-interface matching; R = |r|^2, T = |t|^2.
 
     For array arguments every field is an array of their broadcast shape.
-    A cell at E = V0 (where a 0-d call raises) holds r = t = R = T = nan.
+    A cell whose interior is degenerate, at E = V0 or at its critical angle
+    (k_xII = 0), holds r = t = R = T = nan; a 0-d call there raises.
     """
 
     r: complex
@@ -239,15 +240,12 @@ class BarrierSolution(NamedTuple):
     interior_propagating: bool
 
 
-def _spinors(hv: float, k_re, k_im, k_y, eps) -> np.ndarray:
-    """(1, hv (k_x + i k_y)/eps) per cell, k_x = k_re + i k_im, as an (N, 2) array.
-
-    The eigenstate of hv (sigma_x k_x + sigma_y k_y) at energy eps.
-    """
-    spinors = np.ones((eps.size, 2), dtype=complex)
-    spinors[:, 1].real = hv * k_re / eps
-    spinors[:, 1].imag = hv * (k_im + k_y) / eps
-    return spinors
+def _spinor_u(hv: float, k_re, k_im, k_y, eps) -> np.ndarray:
+    """u = hv (k_x + i k_y)/eps, k_x = k_re + i k_im: (1, u) is the eigenspinor at eps."""
+    u = np.empty(eps.size, dtype=complex)
+    u.real = hv * k_re / eps
+    u.imag = hv * (k_im + k_y) / eps
+    return u
 
 
 def solve_barrier(
@@ -260,14 +258,15 @@ def solve_barrier(
 ) -> BarrierSolution:
     """Match both spinor components at x = 0 and x = D for a width-D barrier.
 
-    The interior pair of states is referenced at its own interface (the
-    growing/decaying exponentials never exceed unit magnitude), so the 4x4
-    system stays well conditioned for evanescent interiors.  E = V0 makes
-    the interior spinors degenerate and raises ValueError.  The interior
-    wavevector (or decay rate) is angle_kinematics' k_xII.
+    The interior states are referenced at their own interface, so no factor
+    exceeds unit magnitude and evanescent interiors of any width stay stable.
+    The x = D rows give the interior amplitudes; the x = 0 rows then leave a
+    2x2 system in r and t/phase, solved by Cramer's rule.  E = V0 and k_xII = 0
+    (the critical angle) make the interior states degenerate and raise
+    ValueError.  The interior wavevector (or decay rate) is angle_kinematics' k_xII.
 
     E, V0, D and theta_I may be arrays that broadcast together; every
-    non-degenerate cell is matched in one batched solve.
+    non-degenerate cell is matched in the same array expressions.
     """
     shape, (E, V0, D, theta_I) = _flat(E, V0, D, theta_I)
     _require(*_incidence(E, V0, theta_I), "D",
@@ -275,9 +274,11 @@ def solve_barrier(
     paper = Convention(convention) is _PAPER
     hv = material.hbar_vF
     k_F, k_y, k_x, _, s_II, propagating = _kinematics(E, V0, theta_I, hv)
-    cells = s_II != 0
+    cells = (s_II != 0) & (k_x != 0)
     if not shape and not cells[0]:
-        raise ValueError("E = V0: interior states are degenerate at the Dirac point")
+        if s_II[0] == 0:
+            raise ValueError("E = V0: interior states are degenerate at the Dirac point")
+        raise ValueError("k_xII = 0: interior states are degenerate at the critical angle")
 
     r = np.full(E.size, math.nan, dtype=complex)
     t = r.copy()
@@ -291,30 +292,26 @@ def solve_barrier(
         # conventions disagree on which state is forward
         k_re = np.where(inside, np.where(paper & (s_II < 0), -k_x, k_x), 0.0)
         k_im = np.where(inside, 0.0, k_x)
-        fwd1 = _spinors(hv, k_1, 0.0, k_y, E)
-        bwd1 = _spinors(hv, -k_1, 0.0, k_y, E)
-        fwd2 = _spinors(hv, k_re, k_im, k_y, eps2)
-        bwd2 = _spinors(hv, -k_re, -k_im, k_y, eps2)
+        fwd1 = _spinor_u(hv, k_1, 0.0, k_y, E)
+        bwd1 = _spinor_u(hv, -k_1, 0.0, k_y, E)
+        fwd2 = _spinor_u(hv, k_re, k_im, k_y, eps2)
+        bwd2 = _spinor_u(hv, -k_re, -k_im, k_y, eps2)
         # exp(i k_fwd D), |phase| <= 1 by construction
         decay = np.exp(-k_im * D)
         phase = np.empty(E.size, dtype=complex)
         phase.real = decay * np.cos(k_re * D)
         phase.imag = decay * np.sin(k_re * D)
-        phase = phase[:, None]
-
-        # unknowns (r, A, B, t); interior written A fwd2 e^{i k x} + B bwd2 e^{-i k (x-D)}
-        matrix = np.zeros((E.size, 4, 4), dtype=complex)
-        rhs = np.zeros((E.size, 4, 1), dtype=complex)
-        matrix[:, 0:2, 0] = bwd1
-        matrix[:, 0:2, 1] = -fwd2
-        matrix[:, 0:2, 2] = -phase * bwd2
-        rhs[:, 0:2, 0] = -fwd1
-        matrix[:, 2:4, 1] = phase * fwd2
-        matrix[:, 2:4, 2] = bwd2
-        matrix[:, 2:4, 3] = -fwd1
-        # (N, 4, 1) right-hand side: numpy 2 reads a 2-D b as one (M, K) matrix
-        solution = np.linalg.solve(matrix, rhs)[..., 0]
-        r[cells], t[cells] = solution[:, 0], solution[:, 3]
+        # interior A (1, fwd2) e^{i k x} + B (1, bwd2) e^{-i k (x-D)}: with (1, fwd1) =
+        # alpha (1, fwd2) + beta (1, bwd2), x = D gives A = tau alpha, B = tau beta phase
+        gap = bwd2 - fwd2
+        alpha = (bwd2 - fwd1) / gap
+        beta_2 = (fwd1 - fwd2) / gap * phase * phase  # beta phase^2
+        # x = 0: (1, fwd1) + r (1, bwd1) = tau w, solved for (r, tau = t/phase)
+        w_0 = alpha + beta_2
+        w_1 = alpha * fwd2 + beta_2 * bwd2
+        det = w_0 * bwd1 - w_1
+        r[cells] = (w_1 - w_0 * fwd1) / det
+        t[cells] = (bwd1 - fwd1) / det * phase
 
     fields = (r, t, np.abs(r) ** 2, np.abs(t) ** 2, propagating)
     return BarrierSolution(*_shaped(shape, *fields))
@@ -328,5 +325,5 @@ def barrier_transmission(
     convention: Convention = Convention.PAPER,
     material: GrapheneMaterial = DEFAULT_MATERIAL,
 ) -> float:
-    """Transmission probability through a width-D barrier; lies in [0, 1]."""
+    """Transmission probability through a width-D barrier: in [0, 1], nan where degenerate."""
     return solve_barrier(E, V0, D, theta_I, convention, material).T

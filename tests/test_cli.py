@@ -586,11 +586,32 @@ def kinematics_calls(monkeypatch):
     return calls
 
 
-def test_barrier_solves_in_one_batch_per_convention(capsys, solve_calls):
+@pytest.fixture
+def spinor_u_calls(monkeypatch):
+    """Counts the barrier solver's _spinor_u calls: four per batch, one per wave."""
+    calls = []
+    spinor_u = graphene._spinor_u
+    monkeypatch.setattr(graphene, "_spinor_u", lambda *args: calls.append(1) or spinor_u(*args))
+    return calls
+
+
+# the barrier is matched by 2x2 elimination in closed form: no linear solver, and the
+# spinor count guards against a per-cell loop
+def test_barrier_solves_in_one_batch_per_convention(capsys, solve_calls, spinor_u_calls):
     code, out, _ = run(capsys, "barrier", "--lambdaF", "50", "--V0", "0.3", "--D", "1:200:500",
                        "--theta", "30", "--no-manifest")
     assert code == 0 and len(out.strip().split("\n")) == 1 + 500
-    assert len(solve_calls) <= 2
+    assert len(solve_calls) == 0
+    assert 0 < len(spinor_u_calls) <= 2 * 4
+
+
+def test_barrier_at_critical_interior_is_an_error(capsys):
+    code, out, err = run(capsys, "barrier", "--E", "0.05011252813203301",
+                         "--V0", "0.02505626406601651", "--D", "10", "--theta", "30",
+                         "--no-manifest")
+    assert (code, out) == (2, "")
+    assert err == ("kleinstep: error: k_xII = 0: interior states are degenerate at the "
+                   "critical angle\n")
 
 
 def test_graphene_angle_in_one_kinematics_call(capsys, kinematics_calls):
@@ -606,7 +627,7 @@ def test_angular_current_in_one_kinematics_call(capsys, kinematics_calls):
     assert code == 0 and len(out.strip().split("\n")) == 1 + 1001
     assert len(kinematics_calls) <= 2
 
-def test_linalg_failure_is_numerical_exit(capsys, monkeypatch):
+def test_linalg_failure_is_numerical_exit(capsys):
     # kappa' rounds to -1.0000000000000002, not -1, but the matching determinant is 0:
     # a singular cell, not a failed solve
     args = ("step-rt", "--E", "0.1", "--m", "1e-17", "--V0", "1.5", "--convention", "common",
@@ -620,14 +641,13 @@ def test_linalg_failure_is_numerical_exit(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert out.split("\n")[1] == "0.1,1e-17,1.5,common,klein,-1,nan,0,nan,0,inf,-inf"
 
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    code, out, err = run(capsys, "barrier", "--lambdaF", "50", "--V0", "0.3", "--D", "1:200:5",
+    # the barrier's singular matching: an interior exactly at its critical angle
+    # (k_xII == 0) is degenerate, an error on the first such width, not finite garbage
+    code, out, err = run(capsys, "barrier", "--E", "0.05", "--V0", "0.075", "--D", "10,20",
                          "--theta", "30", "--no-manifest")
-    assert (code, out) == (1, "")
-    assert err == "kleinstep: numerical failure: Singular matrix\n"
+    assert (code, out) == (2, "")
+    assert err == ("kleinstep: error: k_xII = 0: interior states are degenerate at the "
+                   "critical angle\n")
 
 
 # ------------------------------------------------------------- import isolation

@@ -48,6 +48,8 @@ def barrier_grids(draw):
 # an E = V0 cell (r = t = nan) after a cell whose |r|^2 underflows
 UNDERFLOW_THEN_NAN = (np.array([0.25]), np.array([0.25, 0.375]), np.array([1.0]),
                       np.array([5.08340796e-203]))
+# (E, V0) whose interior is exactly at its critical angle at 30 degrees: k_xII == 0
+CRITICAL_30 = [(0.05011252813203301, 0.02505626406601651), (0.05, 0.075)]
 
 
 def _grid(axes):
@@ -90,6 +92,8 @@ def test_step_kernel_cells_equal_zero_d_calls(axes):
 @given(barrier_grids(), st.sampled_from(list(Convention)))
 @settings(max_examples=60, deadline=None)
 @example(UNDERFLOW_THEN_NAN, Convention.PAPER)
+@example((np.array([CRITICAL_30[1][0], 0.1]), np.array([CRITICAL_30[1][1]]), np.array([10.0]),
+          np.array([math.radians(30.0), 0.3])), Convention.COMMON)
 def test_barrier_cells_equal_zero_d_calls(axes, convention):
     batch = solve_barrier(*_grid(axes), convention)
     shape = tuple(axis.size for axis in axes)
@@ -99,7 +103,9 @@ def test_barrier_cells_equal_zero_d_calls(axes, convention):
         try:
             single = solve_barrier(*point, convention)
         except ValueError:
-            assert point[0] == point[1], "only E = V0 may raise"
+            # the cause is read from the kinematics, not from the solver
+            critical = angle_kinematics(point[0], point[1], point[3]).k_xII == 0
+            assert point[0] == point[1] or critical, "only E = V0 or k_xII = 0 may raise"
             assert all(np.isnan(getattr(batch, name)[cell]) for name in ("r", "t", "R", "T"))
             continue
         for name in BARRIER_FIELDS:
@@ -134,6 +140,19 @@ def test_degenerate_cell_after_underflow_gives_nan():
             assert single.r != 0.0 and single.R == 0.0  # |r|^2 underflows
         for name in BARRIER_FIELDS:
             assert bits(getattr(solution, name)[1]) == bits(getattr(single, name)), name
+
+
+@pytest.mark.parametrize("E, V0", CRITICAL_30)
+def test_critical_interior_is_degenerate(E, V0):
+    # the matching has no unique solution: the cell is degenerate, not finite numbers
+    theta = math.radians(30.0)
+    assert angle_kinematics(E, V0, theta).k_xII == 0
+    for convention in Convention:
+        with pytest.raises(ValueError, match="^k_xII = 0: .* at the critical angle$"):
+            solve_barrier(E, V0, 10.0, theta, convention)
+        solution = solve_barrier(E, np.array([V0, 0.3]), 10.0, theta, convention)
+        assert all(np.isnan(getattr(solution, name)[0]) for name in ("r", "t", "R", "T"))
+        assert abs(solution.T[1] - barrier_T_kng(E, 0.3, 10.0, theta)) <= 1e-10
 
 
 def test_barrier_matches_closed_form_in_one_array_call():
