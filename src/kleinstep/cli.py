@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 numerical failure (a singular denominator without
 """
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -586,13 +587,25 @@ def emit(request: SweepRequest, table: dict) -> int:
         if not request.output:
             # the interpreter flushes stdout again at exit: send what is left to devnull
             # so that no second error is printed
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"{PROG}: cannot write {request.output or '<stdout>'}: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
 def main(argv=None) -> int:
+    """Run one command; returns the process exit code.
+
+    With ``argv`` None, main is the process entry (the ``kleinstep`` script,
+    ``python -m kleinstep.cli``) and takes its arguments from ``sys.argv``. It
+    then freezes the start-up heap (``gc.freeze``): those objects live until
+    exit, so neither the sweep's collections nor interpreter finalization need
+    to walk them. An in-process ``main(argv)`` leaves the caller's collector as it is.
+    """
+    if argv is None:
+        gc.freeze()
     try:
         request = parse_args(argv)
     except _UsageError as exc:

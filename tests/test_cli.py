@@ -1,10 +1,12 @@
 """CLI behavior: columns, formatting, determinism, exit codes, config handling."""
 
 import errno
+import gc
 import json
 import math
 import os
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -287,14 +289,50 @@ MULTI_SLICE = {
 }
 
 
-@pytest.mark.parametrize("fmt", list(MULTI_SLICE))
-def test_stdout_and_output_write_the_same_bytes(tmp_path, fmt):
-    path = tmp_path / f"out.{fmt}"
-    piped = run_fresh(CONSOLE, *MULTI_SLICE[fmt], text=False)
-    written = run_fresh(CONSOLE, *MULTI_SLICE[fmt], f"--output={path}", text=False)
+# warnings are errors, and dev mode reports unclosed files and errors raised at exit
+DEV_MODE = ("-X", "dev", "-W", "error")
+
+
+def assert_stdout_is_output(path, argv, options=()):
+    """A console launch of argv writes the same bytes to stdout as to --output=path."""
+    piped = run_fresh(CONSOLE, *argv, text=False, options=options)
+    written = run_fresh(CONSOLE, *argv, f"--output={path}", text=False, options=options)
     assert (piped.returncode, piped.stderr, written.returncode, written.stdout) == (0, b"", 0, b"")
     assert piped.stdout == path.read_bytes()
     assert piped.stdout.count(b"\n") > 2 * cli._RENDER_SLICE
+
+
+@pytest.mark.parametrize("fmt", list(MULTI_SLICE))
+def test_stdout_and_output_write_the_same_bytes(tmp_path, fmt):
+    assert_stdout_is_output(tmp_path / f"out.{fmt}", MULTI_SLICE[fmt])
+
+
+@pytest.mark.parametrize("fmt", list(MULTI_SLICE))
+def test_frozen_launch_loses_no_exit_time_work(tmp_path, fmt):
+    # the console entry freezes its start-up heap, which finalization then skips:
+    # stdout is still flushed whole and --output closed, with nothing said on stderr
+    assert_stdout_is_output(tmp_path / f"out.{fmt}", MULTI_SLICE[fmt], DEV_MODE)
+
+
+FREEZE_COUNT_AFTER_MAIN = """import contextlib, gc, io
+from kleinstep.cli import main
+assert gc.get_freeze_count() == 0, "importing kleinstep.cli froze the heap"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main() == 0
+print(gc.get_freeze_count())
+"""
+
+
+def test_console_entry_freezes_the_start_up_heap():
+    result = run_fresh(FREEZE_COUNT_AFTER_MAIN, *ONE_ROW)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert int(result.stdout) > 0
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert run(capsys, *ONE_ROW)[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -311,6 +349,18 @@ def test_full_device_is_one_write_error(argv, to_stdout):
     assert result.returncode == 1
     assert result.stderr.startswith(f"kleinstep: cannot write {name}: [Errno {errno.ENOSPC}]")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not (os.path.isdir("/proc/self/fd") and os.path.exists("/dev/full")),
+                    reason="needs /proc/self/fd and /dev/full")
+def test_failed_stdout_writes_leak_no_descriptor(capsys, monkeypatch):
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(2):
+        with open("/dev/full", "w") as full, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", full)
+            assert main(ONE_ROW) == 1
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err.count("kleinstep: cannot write <stdout>: ") == 2
 
 
 @pytest.mark.parametrize("argv", [ONE_ROW, MULTI_SLICE["json"]], ids=["one-row", "multi-slice"])

@@ -36,12 +36,15 @@ def test_package_exports_every_module_export():
             assert getattr(kleinstep, name) is getattr(module, name)
 
 
-def run_fresh(code: str, *argv: str, stdout=subprocess.PIPE,
-              text: bool = True) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports kleinstep from the tested tree."""
+def run_fresh(code: str, *argv: str, stdout=subprocess.PIPE, text: bool = True,
+              options: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports kleinstep from the tested tree.
+
+    ``options`` go to the interpreter itself, before ``-c``.
+    """
     path = os.pathsep.join([os.path.dirname(os.path.dirname(kleinstep.__file__)),
                             os.environ.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-c", code, *argv], stdout=stdout,
+    return subprocess.run([sys.executable, *options, "-c", code, *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=text,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
 

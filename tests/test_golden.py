@@ -14,6 +14,7 @@ After an intended output change, rewrite the files with
 """
 
 import contextlib
+import gc
 import io
 import os
 import pathlib
@@ -131,8 +132,11 @@ def test_console_entry_reads_sys_argv(monkeypatch):
     monkeypatch.setenv("COLUMNS", HELP_COLUMNS)
     monkeypatch.setattr(sys, "argv", ["kleinstep", "barrier", "--help"])
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main() == 0
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main() == 0
+    finally:
+        gc.unfreeze()  # main() froze this process's heap as a launch does: hand it back
     assert out.getvalue() == (GOLDEN_DIR / "help-barrier.txt").read_bytes().decode("utf-8")
 
 
