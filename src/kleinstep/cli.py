@@ -78,10 +78,9 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
         raise _UsageError(f"range count must be >= 2, got {count}")
     if not lo < hi:
         raise _UsageError(f"range needs min < max, got {lo} >= {hi}")
-    step = (hi - lo) / (count - 1)
-    grid = [lo + i * step for i in range(count)]
-    grid[-1] = hi
-    return grid
+    if hi - lo == math.inf:
+        raise _UsageError(f"range span max - min overflows, got {lo} to {hi}")
+    return np.linspace(lo, hi, count).tolist()
 
 
 def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
@@ -393,15 +392,13 @@ def _rows_iv_curve(request: SweepRequest) -> dict:
     grid = params["V"] if params["V"] is not None else _linspace(
         params["V_min"], params["V_max"], params["n"]
     )
-    currents = [
-        iv_curve(DeviceParams(
-            mobility=params["mobility"], gate_coefficient=params["alpha"],
-            back_gate=v_back, aspect_ratio=params["aspect_ratio"],
-        ), grid)
-        for v_back in params["Vb"]
-    ]
-    return {"Vb": np.repeat(params["Vb"], len(grid)), "V": np.tile(grid, len(currents)),
-            "I": np.ravel(currents)}
+    gates = np.array(params["Vb"], dtype=float)
+    currents = iv_curve(DeviceParams(
+        mobility=params["mobility"], gate_coefficient=params["alpha"],
+        back_gate=gates[:, None], aspect_ratio=params["aspect_ratio"],
+    ), grid)  # one row per back gate
+    return {"Vb": np.repeat(gates, len(grid)), "V": np.tile(grid, gates.size),
+            "I": currents.ravel()}
 
 
 def _rows_angular_current(request: SweepRequest) -> dict:

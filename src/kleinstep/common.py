@@ -68,6 +68,12 @@ def _shaped(shape: tuple, *arrays: np.ndarray) -> list:
     return [array.reshape(shape) for array in arrays]
 
 
+def _unit_scale(scale: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """e, the exponent of each cell of ``scale``, and each array times 2^-e: exact, so scale-free."""
+    e = np.frexp(scale)[1]
+    return e, [np.ldexp(array, -e) for array in arrays]
+
+
 def _require(*rules, **cells) -> None:
     """Raise ValueError for the first cell in C order that breaks a rule.
 

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from kleinstep.common import _require, _validated_make
+from kleinstep.common import _require, _validated_make, unwrap
 
 __all__ = [
     "AngularProfile",
@@ -30,7 +30,7 @@ ELEMENTARY_CHARGE = 1.602176634e-19  # C
 class DeviceParams(NamedTuple("DeviceParams", [
         ("mobility", float), ("gate_coefficient", float), ("back_gate", float),
         ("aspect_ratio", float), ("elementary_charge", float)])):
-    """Sheet parameters: mobility in cm^2/(V s), gate coefficient in cm^-2 V^-1."""
+    """Sheet parameters: mobility in cm^2/(V s), gate coefficient in cm^-2 V^-1; arrays broadcast."""
 
     __slots__ = ()
 
@@ -59,12 +59,9 @@ class AngularProfile(NamedTuple):
 
 
 def carrier_type(params: DeviceParams) -> str:
-    """'electron' for V_b > 0, 'hole' for V_b < 0, 'neutral' at V_b = 0."""
-    if params.back_gate > 0:
-        return "electron"
-    if params.back_gate < 0:
-        return "hole"
-    return "neutral"
+    """'electron' for V_b > 0, 'hole' for V_b < 0, 'neutral' at V_b = 0; per cell for arrays."""
+    types = np.array(["hole", "neutral", "electron"])
+    return unwrap(types[np.sign(params.back_gate).astype(int) + 1])
 
 
 def sheet_conductivity(params: DeviceParams) -> float:

@@ -21,6 +21,8 @@ Every kernel takes numpy arrays that broadcast together and works cell by
 cell; scalars are the 0-d case and give Python scalars.  Where a 0-d call
 raises at a singular or non-propagating point, an array cell holds a
 sentinel instead (see each function), so one such cell does not end a sweep.
+The kinematics are formed with E and V0 at unit scale, an exact power-of-two
+rescale, so angles and transmissions are the same bits at any energy scale.
 """
 
 import math
@@ -35,7 +37,9 @@ from kleinstep.common import (
     _flat,
     _require,
     _shaped,
+    _unit_scale,
     _validated_make,
+    unwrap,
 )
 
 __all__ = [
@@ -89,9 +93,10 @@ class AngleKinematics(NamedTuple):
 
 
 def energy_from_wavelength(lambda_F: float, material: GrapheneMaterial = DEFAULT_MATERIAL) -> float:
-    """Fermi energy for a Fermi wavelength lambda_F (nm): E = hbar v_F 2 pi / lambda_F."""
+    """Fermi energy E = hbar v_F 2 pi / lambda_F (nm); FloatingPointError beyond float range."""
     _require("lambda_F", (lambda_F > 0, "Fermi wavelength must be positive"), lambda_F=lambda_F)
-    return material.hbar_vF * 2.0 * math.pi / lambda_F
+    with np.errstate(over="raise"):
+        return unwrap(np.divide(material.hbar_vF * 2.0 * math.pi, lambda_F))
 
 
 def _electron(E) -> tuple:
@@ -106,16 +111,21 @@ def _incidence(E, V0, theta_I) -> list:
 
 
 def _kinematics(E, V0, theta_I, hv):
-    """(k_F, k_y, k_xII, theta_II, s_II, propagating) of validated flat arrays."""
+    """(e, E, V0, k_F, k_y, k_xII, theta_II, s_II, propagating) of validated flat arrays.
+
+    E, V0 and the wavevectors are at unit scale: E and V0 times 2^-e, e the
+    exponent of max(E, |V0|).  So the energy scale takes no square out of
+    float range, and every angle and ratio is the same bits at any scale.
+    """
+    e, (E, V0) = _unit_scale(np.maximum(E, np.abs(V0)), E, V0)
     k_F = E / hv
     k_y = k_F * np.sin(theta_I)
     local = E - V0
-    with np.errstate(over="raise"):  # an infinite k^2 would leave nan cells, not an error
-        kx_sq = (local / hv) ** 2 - k_y * k_y
+    kx_sq = (local / hv) ** 2 - k_y * k_y
     propagating = kx_sq > 0
     k_xII = np.sqrt(np.where(propagating, kx_sq, -kx_sq))
     theta_II = np.where(propagating, np.arctan2(k_y, k_xII), math.nan)
-    return k_F, k_y, k_xII, theta_II, np.sign(local).astype(int), propagating
+    return e, E, V0, k_F, k_y, k_xII, theta_II, np.sign(local).astype(int), propagating
 
 
 def angle_kinematics(
@@ -128,8 +138,10 @@ def angle_kinematics(
     """
     shape, (E, V0, theta_I) = _flat(E, V0, theta_I)
     _require(*_incidence(E, V0, theta_I), E=E, V0=V0, theta_I=theta_I)
-    k_F, k_y, k_xII, theta_II, s_II, propagating = _kinematics(
-        E, V0, theta_I, material.hbar_vF)
+    with np.errstate(over="raise"):  # a wavevector beyond float range raises, not inf
+        e, _, _, *wavevectors, theta_II, s_II, propagating = _kinematics(
+            E, V0, theta_I, material.hbar_vF)
+        k_F, k_y, k_xII = (np.ldexp(k, e) for k in wavevectors)
     return AngleKinematics(*_shaped(
         shape, theta_I, k_F, k_y, k_xII, theta_II, np.ones_like(s_II), s_II, propagating))
 
@@ -273,7 +285,9 @@ def solve_barrier(
              (D > 0, "barrier width D must be positive"), E=E, V0=V0, D=D, theta_I=theta_I)
     paper = Convention(convention) is _PAPER
     hv = material.hbar_vF
-    k_F, k_y, k_x, _, s_II, propagating = _kinematics(E, V0, theta_I, hv)
+    with np.errstate(over="raise"):  # a wavevector or width beyond float range raises, not inf
+        e, E, V0, k_F, k_y, k_x, _, s_II, propagating = _kinematics(E, V0, theta_I, hv)
+        D = np.ldexp(D, e)  # the width in the unit-scale wavevectors' length unit
     cells = (s_II != 0) & (k_x != 0)
     if not shape and not cells[0]:
         if s_II[0] == 0:

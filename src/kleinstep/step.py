@@ -27,6 +27,7 @@ from kleinstep.common import (
     _flat,
     _require,
     _shaped,
+    _unit_scale,
     _validated_make,
     unwrap,
 )
@@ -128,8 +129,7 @@ def _kinematics(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> tuple:
 def _cells(problem: StepProblem) -> tuple:
     """Shape and flat E, m, V0 times 2^-e, e the exponent of max(E, V0): exact, so scale-free."""
     shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
-    e = -np.frexp(np.maximum(E, V0))[1]
-    return shape, [np.ldexp(x, e) for x in (E, m, V0)]
+    return shape, _unit_scale(np.maximum(E, V0), E, m, V0)[1]
 
 
 def classify_regime(problem: StepProblem) -> Regime:
@@ -213,6 +213,7 @@ def solve_step_numeric(
     non-singular cells at once; see StepScatteringSolution for what its
     singular cells hold.
     """
+    convention = Convention(convention)
     shape, (E, m, V0) = _cells(problem)
     regimes, p, q = _kinematics(E, m, V0)
     klein = regimes == Regime.KLEIN

@@ -156,6 +156,41 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == "kleinstep: error: mass must be nonnegative\n"
 
+    @pytest.mark.parametrize("args,config,message", [
+        (["step-rt", "--E", "2", "--m", "abc", "--V0", "5"], None, "expected a number, got 'abc'"),
+        (["iv-curve", "--n", "2.5"], None, "expected an integer, got '2.5'"),
+        (["step-rt", "--E", "1:2", "--m", "1", "--V0", "5"], None,
+         "range must be min:max:count, got '1:2'"),
+        (["step-rt", "--E", "2", "--m", "1", "--V0", "5", "--convention", "bogus"], None,
+         "expected one of ('paper', 'common'), got 'bogus'"),
+        (["step-rt", "--E=-1e308:1e308:3", "--m", "1", "--V0", "5"], None,
+         "range span max - min overflows, got -1e+308 to 1e+308"),
+        (["step-rt", "--E", "2", "--m", "1", "--V0", "5"], "allow-singular = maybe\n",
+         "expected a boolean, got 'maybe'"),
+        (["step-rt", "--E", "2", "--m", "1", "--V0", "5"], "m = 1\nV0 5\n",
+         "{config}:2: expected 'key = value'"),
+    ], ids=["non-number", "non-integer", "two-part-range", "choice", "span-overflow",
+            "config-boolean", "config-line"])
+    def test_converter_errors(self, capsys, tmp_path, args, config, message):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            args = [*args, "--config", str(path)]
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err == f"kleinstep: error: {message.format(config=tmp_path / 'run.cfg')}\n"
+
+    @pytest.mark.parametrize("text,value", [
+        (text, value) for value, texts in ((True, ("1", "true", "Yes", "ON")),
+                                           (False, ("0", "false", "No", "OFF")))
+        for text in texts])
+    def test_config_booleans(self, tmp_path, text, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"allow-singular = {text}\nno-manifest = {text}\n")
+        request = cli.parse_args(["step-rt", "--E", "2", "--m", "1", "--V0", "5",
+                                  "--config", str(path)])
+        assert (request.allow_singular, request.no_manifest) == (value, value)
+
     def test_both_energy_and_wavelength(self, capsys):
         code, _, err = run(
             capsys, "graphene-angle", "--E", "0.08", "--lambdaF", "50",
@@ -204,17 +239,39 @@ class TestSingularities:
         assert out.endswith(singular_row_end + "\n")
 
     @pytest.mark.parametrize("args", [
-        ["graphene-angle", "--E", "1e200", "--V0", "0.3", "--theta", "10"],
-        ["barrier", "--E", "1e200", "--V0", "0.3", "--D", "10"],
-        ["angular-current", "--lambdaF", "1e-300", "--n", "3"],
+        # graphene wavevectors beyond float range: k_F = E / hbar v_F
+        ["graphene-angle", "--E", "1.7e308", "--V0", "0.3", "--theta", "10"],
+        ["barrier", "--E", "1.7e308", "--V0", "0.3", "--D", "10"],
+        ["angular-current", "--lambdaF", "3e-308", "--n", "3"],
         ["spinor-check", "--m", "1e200", "--eps", "2e200"],
     ], ids=lambda args: args[0])
     def test_overflow_is_numerical_failure(self, capsys, args):
-        # finite input whose squares overflow: one line and exit 1, no warning or traceback
+        # finite input whose results overflow: one line and exit 1, no warning or traceback
         code, out, err = run(capsys, *args, "--no-manifest")
         assert (code, out) == (1, "")
         assert err.startswith("kleinstep: numerical failure: overflow encountered in ")
         assert err.count("\n") == 1
+
+    def test_wavelength_overflow_is_numerical_failure(self, capsys):
+        # E = hbar v_F 2 pi / lambda_F is beyond float range: not "E must be finite, got inf"
+        code, out, err = run(capsys, "graphene-angle", "--lambdaF", "1e-308", "--V0", "0.3",
+                             "--theta", "10", "--no-manifest")
+        assert (code, out) == (1, "")
+        assert err == "kleinstep: numerical failure: overflow encountered in divide\n"
+
+    def test_graphene_rows_do_not_depend_on_the_energy_scale(self, capsys):
+        # at 8e-170 eV, (E/hbar v_F)^2 - k_y^2 underflows unless the scale is removed first
+        rows = []
+        for energy, height in (("0.08", "0.3"), ("8e-162", "3e-161"), ("8e-170", "3e-169")):
+            code, out, err = run(capsys, "graphene-angle", "--E", energy, "--V0", height,
+                                 "--theta", "10,40", "--no-manifest")
+            assert (code, err) == (0, "")
+            rows.append([line.split(",", 3)[3] for line in out.strip().split("\n")])
+        assert rows[0][1] == "3.62033867,0.985895062,69.8971554"
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+        code, out, err = run(capsys, "barrier", "--E", "8e-170", "--V0", "3e-169", "--D", "10",
+                             "--theta", "10", "--no-manifest")
+        assert (code, err) == (0, "")
 
     def test_step_rt_at_huge_energy_solves(self, capsys):
         # the step kernels remove the energy scale first, so E^2 never forms at 1e200
@@ -670,6 +727,16 @@ def test_graphene_angle_in_one_kinematics_call(capsys, kinematics_calls):
     assert code == 0 and len(out.strip().split("\n")) == 1 + 1000
     assert ",nan,nan,0,0" in out  # angles beyond the critical angle are in the sweep
     assert len(kinematics_calls) <= 2
+
+
+def test_iv_curve_in_one_call(capsys, monkeypatch):
+    from kleinstep import device
+    calls = []
+    iv_curve = device.iv_curve
+    monkeypatch.setattr(device, "iv_curve", lambda *args: calls.append(args) or iv_curve(*args))
+    code, out, _ = run(capsys, "iv-curve", "--Vb", "0.1:0.5:40", "--n", "25", "--no-manifest")
+    assert code == 0 and len(out.strip().split("\n")) == 1 + 40 * 25
+    assert len(calls) == 1
 
 
 def test_angular_current_in_one_kinematics_call(capsys, kinematics_calls):

@@ -48,6 +48,24 @@ def test_carrier_type_tracks_gate_sign():
     assert carrier_type(DeviceParams(back_gate=-0.2)) == "hole"
 
 
+def test_carrier_type_cells_equal_zero_d_calls():
+    gates = np.array([[0.2, -0.0], [-0.2, 0.0]])
+    types = carrier_type(DeviceParams(back_gate=gates))
+    assert types.tolist() == [["electron", "neutral"], ["hole", "neutral"]]
+    for cell in np.ndindex(gates.shape):
+        single = carrier_type(DeviceParams(back_gate=float(gates[cell])))
+        assert type(single) is str and types[cell] == single
+
+
+def test_iv_family_rows_equal_per_gate_curves():
+    gates, grid = np.array([0.1, -0.2, 0.0, 0.3]), np.linspace(-5e-3, 5e-3, 7)
+    family = iv_curve(DeviceParams(back_gate=gates[:, None], aspect_ratio=2.0), grid)
+    assert family.shape == (gates.size, grid.size)
+    for row, gate in zip(family, gates.tolist()):
+        assert row.tobytes() == iv_curve(DeviceParams(back_gate=gate, aspect_ratio=2.0),
+                                         grid).tobytes()
+
+
 def test_iv_reference_point():
     currents = iv_curve(DeviceParams(back_gate=0.2), [1e-3])
     assert currents[0] == pytest.approx(3.50876682846e-08, rel=1e-12)

@@ -45,6 +45,12 @@ def test_energy_from_wavelength():
     assert energy_from_wavelength(50.0) == pytest.approx(E_FERMI, rel=1e-14)
 
 
+def test_energy_from_too_short_a_wavelength_raises():
+    # hbar v_F 2 pi / 1e-308 is beyond float range: an error, not E = inf
+    with pytest.raises(FloatingPointError, match="overflow"):
+        energy_from_wavelength(1e-308)
+
+
 class TestAngleKinematics:
     def test_reference_point(self):
         ak = angle_kinematics(E_FERMI, V0, math.radians(45.0))
@@ -85,9 +91,10 @@ class TestAngleKinematics:
         with pytest.raises(ValueError):
             angle_kinematics(E_FERMI, V0, math.pi / 2)
 
-    @pytest.mark.parametrize("E,height", [(1e200, V0), (1e160, 1e160)])
+    @pytest.mark.parametrize("E,height", [(1.7e308, V0), (1.7e308, -1.7e308)])
     def test_wavevector_overflow_raises(self, E, height):
-        # (E - V0)^2 or k_y^2 beyond float range raises instead of giving nan cells
+        # the kinematics are formed at unit scale, so only a wavevector that is itself
+        # beyond float range overflows: it raises instead of giving inf or nan cells
         with pytest.raises(FloatingPointError, match="overflow"):
             angle_kinematics(np.array([E_FERMI, E]), height, 0.5)
         with pytest.raises(FloatingPointError, match="overflow"):

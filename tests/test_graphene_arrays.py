@@ -112,6 +112,26 @@ def test_barrier_cells_equal_zero_d_calls(axes, convention):
             assert bits(getattr(batch, name)[cell]) == bits(getattr(single, name)), name
 
 
+@given(barrier_grids(), st.integers(-1000, 1000))
+@settings(max_examples=100, deadline=None)
+def test_power_of_two_energy_scale_changes_no_bit(axes, k):
+    # the drawn energies and widths stay normal numbers times 2^k and 2^-k
+    E, V0, D, theta = _grid(axes)
+    unit, scaled = (angle_kinematics(np.ldexp(E, n), np.ldexp(V0, n), theta) for n in (0, k))
+    for name in ("theta_II", "propagating"):
+        assert getattr(unit, name).tobytes() == getattr(scaled, name).tobytes(), name
+    for amplitude in (t_paper, t_common):
+        t_unit, t_scaled = amplitude(unit), amplitude(scaled)
+        assert t_unit.tobytes() == t_scaled.tobytes(), amplitude
+        assert (transmission_probability(t_unit, unit).tobytes()
+                == transmission_probability(t_scaled, scaled).tobytes()), amplitude
+    for convention in Convention:
+        # the barrier's phase k_xII D is unchanged when D scales inversely
+        T_unit, T_scaled = (solve_barrier(np.ldexp(E, n), np.ldexp(V0, n), np.ldexp(D, -n), theta,
+                                          convention).T for n in (0, k))
+        assert T_unit.tobytes() == T_scaled.tobytes(), convention
+
+
 @given(barrier_grids())
 @settings(max_examples=40, deadline=None)
 @example(UNDERFLOW_THEN_NAN)

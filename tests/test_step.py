@@ -190,6 +190,14 @@ class TestSolveStepNumeric:
         assert sol.kappa_value == pytest.approx(KAPPA_REF, rel=1e-14)
         assert sol.regime is Regime.KLEIN
 
+    def test_convention_may_be_its_name(self):
+        problem = StepProblem(2.0, 1.0, 5.0)
+        for convention in Convention:
+            assert (solve_step_numeric(problem, convention.value)
+                    == solve_step_numeric(problem, convention))
+        with pytest.raises(ValueError, match="'bogus' is not a valid Convention"):
+            solve_step_numeric(problem, "bogus")
+
     def test_klein_common_matches_closed_form(self):
         sol = solve_step_numeric(StepProblem(2.0, 1.0, 5.0), Convention.COMMON)
         assert sol.R == pytest.approx(RT_COMMON_REF[0], abs=1e-9)
