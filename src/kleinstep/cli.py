@@ -58,11 +58,14 @@ def _int_scalar(text: str) -> int:
         raise _UsageError(f"expected an integer, got {text!r}") from None
 
 
-def _values(text: str) -> list[float]:
-    """Parse '2', '1,2,3' or 'min:max:count'; empty string = empty sweep."""
+def _values(text: str) -> np.ndarray:
+    """Parse '2', '1,2,3' or 'min:max:count' into a float64 array; empty string = empty sweep.
+
+    A list fills the array straight from the parsed tokens: no Python float outlives its cell.
+    """
     text = text.strip()
     if not text:
-        return []
+        return np.empty(0)
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -70,17 +73,18 @@ def _values(text: str) -> list[float]:
         lo, hi = _float_scalar(parts[0]), _float_scalar(parts[1])
         count = _int_scalar(parts[2])
         return _linspace(lo, hi, count)
-    return [_float_scalar(part) for part in text.split(",")]
+    parts = text.split(",")
+    return np.fromiter(map(_float_scalar, parts), float, len(parts))
 
 
-def _linspace(lo: float, hi: float, count: int) -> list[float]:
+def _linspace(lo: float, hi: float, count: int) -> np.ndarray:
     if count < 2:
         raise _UsageError(f"range count must be >= 2, got {count}")
     if not lo < hi:
         raise _UsageError(f"range needs min < max, got {lo} >= {hi}")
     if hi - lo == math.inf:
         raise _UsageError(f"range span max - min overflows, got {lo} to {hi}")
-    return np.linspace(lo, hi, count).tolist()
+    return np.linspace(lo, hi, count)
 
 
 def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
@@ -107,7 +111,7 @@ def _bool(text: str) -> bool:
 class _Param(NamedTuple):
     name: str  # long flag name, dashes allowed
     convert: Callable
-    default: object = None
+    default: object = None  # text is converted as a flag's is
     required: bool = False
     help: str = ""
 
@@ -134,7 +138,11 @@ _HBAR_VF = _Param("hbar-vF", _float_scalar, default=HBAR_VF_EV_NM, help="eV nm")
 
 
 class SweepRequest(NamedTuple):
-    """A fully resolved invocation: command, parameters, output handling."""
+    """A fully resolved invocation: command, parameters, output handling.
+
+    ``params`` maps each of the command's parameters to its value: a swept one
+    (a value, list or range flag) to a 1-d float64 array, even for one value.
+    """
 
     command: str
     params: dict
@@ -176,7 +184,7 @@ class RunManifest(NamedTuple("RunManifest", [("version", str), ("command", str),
 def _manifest_value(value):
     if isinstance(value, float):
         return format(value, ".9g")
-    if isinstance(value, list):
+    if isinstance(value, (list, np.ndarray)):
         return ",".join(format(v, ".9g") for v in value)
     return value
 
@@ -205,7 +213,9 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str, command: str) -> dict[str, str]:
+    """The config file's values by parameter dest; a key that names none of ``command``'s fails."""
+    known = {param.dest for param in _COMMANDS[command].params + _COMMON_PARAMS} - {"config"}
     entries: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -215,8 +225,11 @@ def _load_config(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = line.split("=", 1)
-                entries[key.strip().replace("-", "_")] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                dest = key.replace("-", "_")
+                if dest not in known:
+                    raise _UsageError(f"{path}:{lineno}: unknown key {key!r} for {command}")
+                entries[dest] = value
     except OSError as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}") from None
     return entries
@@ -231,7 +244,7 @@ def parse_args(argv=None) -> SweepRequest:
         parser.print_usage(sys.stderr)
         raise _UsageError("a command is required")
     command = namespace.command
-    config = _load_config(namespace.config) if namespace.config else {}
+    config = _load_config(namespace.config, command) if namespace.config else {}
 
     resolved: dict = {}
     for param in _COMMANDS[command].params + _COMMON_PARAMS:
@@ -241,8 +254,7 @@ def parse_args(argv=None) -> SweepRequest:
         if raw is None:
             if param.required:
                 raise _UsageError(f"{command}: missing required parameter --{param.name}")
-            resolved[param.dest] = param.default
-            continue
+            raw = param.default
         resolved[param.dest] = param.convert(raw) if isinstance(raw, str) else raw
 
     common = {param.dest: resolved.pop(param.dest) for param in _COMMON_PARAMS}
@@ -286,7 +298,7 @@ def _rows_step_rt(request: SweepRequest) -> dict:
     from kleinstep.step import StepProblem, solve_step_numeric
     params = request.params
     convention = Convention(params["convention"])
-    problem = StepProblem(np.array(params["E"], dtype=float), params["m"], params["V0"])
+    problem = StepProblem(params["E"], params["m"], params["V0"])
     sol = solve_step_numeric(problem, convention)
     if not request.allow_singular:
         _raise_if_singular(problem, sol)
@@ -304,8 +316,7 @@ def _rows_step_rt(request: SweepRequest) -> dict:
 
 def _rows_step_compare(request: SweepRequest) -> dict:
     from kleinstep.step import Regime, StepProblem, solve_step_numeric
-    grid = np.meshgrid(*(np.array(request.params[name], dtype=float) for name in ("E", "m", "V0")),
-                       indexing="ij")
+    grid = np.meshgrid(*(request.params[name] for name in ("E", "m", "V0")), indexing="ij")
     problem = StepProblem(*(axis.ravel() for axis in grid))
     paper = solve_step_numeric(problem, Convention.PAPER)
     common = solve_step_numeric(problem, Convention.COMMON)
@@ -326,7 +337,7 @@ def _rows_spinor_check(request: SweepRequest) -> dict:
     from kleinstep.dirac import (current_density, hamiltonian_residual, hamiltonian_residual4,
                                  make_spinor2, make_spinor4)
     m = request.params["m"]
-    eps = np.array(request.params["eps"], dtype=float)
+    eps = request.params["eps"]
     gap = eps * eps - m * m
     root = np.sqrt(np.abs(gap))
     k = np.where(gap >= 0, root, 1j * root)
@@ -359,7 +370,7 @@ def _rows_graphene_angle(request: SweepRequest) -> dict:
                      theta)
     # non-propagating rows: kxII = thetaII_deg = nan and T = 0; singular ones T_common = inf
     return {
-        "theta_deg": np.asarray(params["theta"]), "ky": ak.k_y,
+        "theta_deg": params["theta"], "ky": ak.k_y,
         "kxII": np.where(ak.propagating, ak.k_xII, math.nan),
         "thetaII_deg": np.degrees(ak.theta_II),
         "T_paper": transmission_probability(t_paper(ak), ak),
@@ -371,7 +382,7 @@ def _rows_barrier(request: SweepRequest) -> dict:
     from kleinstep.graphene import solve_barrier
     params = request.params
     material, energy = _material_and_fermi_energy(params)
-    widths = np.array(params["D"], dtype=float)
+    widths = params["D"]
     theta = math.radians(params["theta"])
     paper = solve_barrier(energy, params["V0"], widths, theta, Convention.PAPER, material)
     _raise_first(np.isnan(paper.T),
@@ -392,7 +403,7 @@ def _rows_iv_curve(request: SweepRequest) -> dict:
     grid = params["V"] if params["V"] is not None else _linspace(
         params["V_min"], params["V_max"], params["n"]
     )
-    gates = np.array(params["Vb"], dtype=float)
+    gates = params["Vb"]
     currents = iv_curve(DeviceParams(
         mobility=params["mobility"], gate_coefficient=params["alpha"],
         back_gate=gates[:, None], aspect_ratio=params["aspect_ratio"],
@@ -405,7 +416,7 @@ def _rows_angular_current(request: SweepRequest) -> dict:
     from kleinstep.device import angular_current_profile
     params = request.params
     material, energy = _material_and_fermi_energy(params)
-    thetas_deg = np.array(_linspace(-params["theta_max"], params["theta_max"], params["n"]))
+    thetas_deg = _linspace(-params["theta_max"], params["theta_max"], params["n"])
     profile = angular_current_profile(params["V0"], np.radians(thetas_deg), E=energy,
                                       material=material)
     return {"theta_deg": thetas_deg, "T": profile.transmission,
@@ -456,7 +467,7 @@ _COMMANDS = {
         _HBAR_VF,
     ], _rows_barrier),
     "iv-curve": _Command([
-        _Param("Vb", _values, default=[0.1, 0.2, 0.3], help="back-gate voltages"),
+        _Param("Vb", _values, default="0.1,0.2,0.3", help="back-gate voltages"),
         _Param("V", _values, help="explicit bias grid in volts"),
         _Param("V-min", _float_scalar, default=0.0, help="bias grid start"),
         _Param("V-max", _float_scalar, default=5e-3, help="bias grid end"),

@@ -225,12 +225,17 @@ def transmission_probability(t: complex, ak: AngleKinematics) -> float:
 
 
 def critical_angle(E: float, V0: float) -> float | None:
-    """arcsin(|E - V0| / E) when |E - V0| < E, else None (all angles propagate)."""
+    """arcsin(|E - V0| / E) per cell where |E - V0| < E; where all angles propagate, nan.
+
+    A 0-d call gives None there instead.  The ratio is taken at unit scale, so
+    E - V0 cannot overflow.
+    """
+    shape, (E, V0) = _flat(E, V0)
     _require("E", "V0", _electron(E), E=E, V0=V0)
-    ratio = abs(E - V0) / E
-    if ratio < 1.0:
-        return math.asin(ratio)
-    return None
+    _, (E, V0) = _unit_scale(np.maximum(E, np.abs(V0)), E, V0)
+    ratio = np.abs(E - V0) / E
+    angle = _shaped(shape, np.where(ratio < 1.0, np.arcsin(np.minimum(ratio, 1.0)), math.nan))[0]
+    return None if not shape and math.isnan(angle) else angle
 
 
 # --------------------------------------------------------------------------

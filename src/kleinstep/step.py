@@ -333,9 +333,13 @@ def scattering_basis_state(kind: BasisKind, problem: StepProblem) -> BasisState:
     wavevector.  The printed coefficients alone leave the two regions with
     opposite signs at z = 0, so region II's amplitudes carry the overall
     sign -1 that makes the state continuous there.
+
+    The state is formed at unit scale (see _cells) and scaled back exactly:
+    amplitudes go as 1/energy, wavevectors and spinors as energy.
     """
     kind = BasisKind(kind)
     shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
+    e, (E, m, V0) = _unit_scale(np.maximum(E, V0), E, m, V0)
     regimes, p, q = _kinematics(E, m, V0)
     _require((regimes == Regime.KLEIN,
               "scattering basis states need the Klein regime, got {regime}"), regime=regimes)
@@ -356,7 +360,11 @@ def scattering_basis_state(kind: BasisKind, problem: StepProblem) -> BasisState:
     # the spinor of kz goes as exp(i kz z) in region I and as exp(-i kz z) in region II
     wavevector = kz * np.array([[1.0], [-1.0]])
     amplitude = np.stack([np.stack(region, -1) for region in amplitude], -2)
-    return BasisState(*(a.reshape(shape + (2, 2)) for a in (amplitude, wavevector, upper, lower)))
+    e = e[:, None, None]
+    # the Klein regime's spinors are real: their real parts scale without a complex overflow
+    fields = (np.ldexp(amplitude, -e), np.ldexp(wavevector, e),
+              *(np.ldexp(c.real, e).astype(complex) for c in (upper, lower)))
+    return BasisState(*(a.reshape(shape + (2, 2)) for a in fields))
 
 
 _SAMPLE_POINTS = (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5)

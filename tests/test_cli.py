@@ -101,6 +101,58 @@ def test_empty_sweep_header_only(capsys):
     assert out == "E,m,V0,kappa,R_paper,T_paper,kappa_prime,R_common,T_common,regime\n"
 
 
+EMPTY_SWEEPS = [
+    ["step-rt", "--E=", "--m", "1", "--V0", "5"],
+    ["step-compare", "--E", "2", "--m=", "--V0", "5"],
+    ["spinor-check", "--m", "1", "--eps="],
+    ["graphene-angle", "--E", "0.08", "--V0", "0.3", "--theta="],
+    ["barrier", "--E", "0.08", "--V0", "0.3", "--D="],
+    ["iv-curve", "--Vb="],
+    ["iv-curve", "--V="],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("args", EMPTY_SWEEPS, ids=" ".join)
+def test_every_empty_sweep_prints_no_rows(capsys, args, fmt):
+    code, out, err = run(capsys, *args, "--no-manifest", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out) == {"rows": []}
+    else:
+        table = cli._COMMANDS[args[0]].rows(cli.parse_args(args))
+        assert out == ",".join(table) + "\n"
+
+
+SWEEP_E = ["step-compare", "--m", "1", "--V0", "5", "--E"]
+
+
+@pytest.mark.parametrize("argv,name,values", [
+    (SWEEP_E + ["2"], "E", [2.0]), (SWEEP_E + ["0.5, 1,-3e-300"], "E", [0.5, 1.0, -3e-300]),
+    (SWEEP_E + ["1:2:5"], "E", [1.0, 1.25, 1.5, 1.75, 2.0]), (SWEEP_E + [""], "E", []),
+    (SWEEP_E + [" "], "E", []), (["iv-curve"], "Vb", [0.1, 0.2, 0.3]),
+], ids=["value", "list", "range", "empty", "blank", "default"])
+def test_swept_values_parse_to_float64_arrays(argv, name, values):
+    value = cli.parse_args(argv).params[name]
+    assert type(value) is np.ndarray and value.dtype == np.float64 and value.tolist() == values
+
+
+@pytest.mark.parametrize("text", ["1:3:20001", ",".join(f"{i}.5" for i in range(1, 20002))],
+                         ids=["range", "list"])
+def test_parsed_sweep_holds_no_float_per_point(text):
+    # a 20,001-cell float64 array is 160 kB; a Python float per point would hold 480 kB more
+    argv = ["step-rt", "--E", text, "--m", "0.5", "--V0", "5"]
+    cli.parse_args(argv)  # argparse's first-call caches are not the sweep's
+    tracemalloc.start()
+    try:
+        request = cli.parse_args(argv)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert request.params["E"].size == 20001
+    assert held < 250_000
+
+
 class TestUsageErrors:
     def test_missing_required(self, capsys):
         code, _, err = run(capsys, "step-compare", "--E", "2", "--m", "1")
@@ -169,8 +221,10 @@ class TestUsageErrors:
          "expected a boolean, got 'maybe'"),
         (["step-rt", "--E", "2", "--m", "1", "--V0", "5"], "m = 1\nV0 5\n",
          "{config}:2: expected 'key = value'"),
+        (["step-rt", "--E", "2", "--m", "1", "--V0", "5"], "# run\n\nconventon = common\n",
+         "{config}:3: unknown key 'conventon' for step-rt"),
     ], ids=["non-number", "non-integer", "two-part-range", "choice", "span-overflow",
-            "config-boolean", "config-line"])
+            "config-boolean", "config-line", "config-unknown-key"])
     def test_converter_errors(self, capsys, tmp_path, args, config, message):
         if config is not None:
             path = tmp_path / "run.cfg"
@@ -504,6 +558,16 @@ SPECIAL_TABLE = {
 MANIFEST = RunManifest("0.1.0", "step-rt", {"E": [1.0, 2.5], "m": 1.0, "convention": "paper",
                                             "lambdaF": None, "n": 5},
                        timestamp="2026-01-01T00:00:00+00:00")
+
+
+@pytest.mark.parametrize("values", [[1.0, 2.5, 1.0 / 3.0, -1e-300, 123456789.5], []],
+                         ids=["values", "empty"])
+def test_manifest_formats_an_array_as_its_list(values):
+    as_list, as_array = (RunManifest("0.1.0", "step-rt", {"E": E, "m": 1.0, "n": 5},
+                                     timestamp="2026-01-01T00:00:00+00:00")
+                         for E in (values, np.array(values)))
+    assert as_array.comment_lines() == as_list.comment_lines()
+    assert json.dumps(as_array.as_dict()) == json.dumps(as_list.as_dict())
 
 
 @pytest.mark.parametrize("manifest", [None, MANIFEST], ids=["no-manifest", "manifest"])

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from kleinstep.common import Convention, SingularityError
 from kleinstep.graphene import (
     angle_kinematics,
+    critical_angle,
     solve_barrier,
     t_common,
     t_paper,
@@ -189,6 +190,22 @@ def test_barrier_matches_closed_form_in_one_array_call():
         np.testing.assert_allclose(solution.T, expected, rtol=0.0, atol=1e-10)
     evanescent = np.count_nonzero(~solution.interior_propagating)
     assert 100 < evanescent < count - 100
+
+
+@given(barrier_grids(), st.integers(-1000, 1000))
+@settings(max_examples=60, deadline=None)
+def test_critical_angle_cells_equal_zero_d_calls(axes, k):
+    E, V0 = axes[0][:, None], axes[1]
+    angles = critical_angle(E, V0)
+    assert angles.shape == (E.size, V0.size)
+    for cell in np.ndindex(angles.shape):
+        point = critical_angle(float(E[cell[0], 0]), float(V0[cell[1]]))
+        # nan in an array cell where the 0-d call gives None: every angle propagates
+        assert (point is None) == math.isnan(angles[cell])
+        if point is not None:
+            assert bits(angles[cell]) == bits(point)
+    # taken at unit scale: a power-of-two energy scale changes no bit
+    assert critical_angle(np.ldexp(E, k), np.ldexp(V0, k)).tobytes() == angles.tobytes()
 
 
 def test_zero_d_results_are_python_scalars():
