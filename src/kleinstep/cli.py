@@ -8,8 +8,10 @@ list ("0.1,0.2,0.3") or a min:max:count range ("1:5:9"); a config file of
 Output is byte-deterministic: floats printed with 9 significant digits,
 rows in sweep order, the run manifest (version, command, resolved
 parameters, timestamp) in '#' comment lines (CSV) or a "manifest" field
-(JSON), suppressible with --no-manifest.  It is rendered and written a
-slice of rows at a time, so memory does not grow with its length.
+(JSON), suppressible with --no-manifest.  A sweep is solved a block of
+cells at a time into its output table, which is rendered and written a
+slice of rows at a time, so neither the kernels' temporaries nor the
+output's text grow with its length.
 
 Exit codes: 0 success, 1 numerical failure (a singular denominator without
 --allow-singular, an overflowing value) or a failed write to stdout or
@@ -185,7 +187,10 @@ def _manifest_value(value):
     if isinstance(value, float):
         return format(value, ".9g")
     if isinstance(value, (list, np.ndarray)):
-        return ",".join(format(v, ".9g") for v in value)
+        # %.9g (format(v, ".9g")'s bytes) a slice at a time: no str per value outlives its slice
+        values = np.asarray(value, dtype=float)
+        return ",".join(",".join(map("%.9g".__mod__, values[start:start + _RENDER_SLICE].tolist()))
+                        for start in range(0, values.size, _RENDER_SLICE))
     return value
 
 
@@ -294,145 +299,224 @@ def _raise_if_singular(problem, solution) -> None:
                  problem.E, problem.m, problem.V0)
 
 
-def _rows_step_rt(request: SweepRequest) -> dict:
+def _step_rt(request: SweepRequest) -> tuple:
     from kleinstep.step import StepProblem, solve_step_numeric
     params = request.params
     convention = Convention(params["convention"])
-    problem = StepProblem(params["E"], params["m"], params["V0"])
-    sol = solve_step_numeric(problem, convention)
-    if not request.allow_singular:
-        _raise_if_singular(problem, sol)
-    return {
-        "E": problem.E, "m": np.full_like(problem.E, params["m"]),
-        "V0": np.full_like(problem.E, params["V0"]),
-        "convention": [convention.value] * problem.E.size,
-        "regime": [regime.value for regime in sol.regime.tolist()],
-        "kappa": sol.kappa_value,
-        "r_re": sol.r.real, "r_im": sol.r.imag,
-        "t_re": sol.t.real, "t_im": sol.t.imag,
-        "R": sol.R, "T": sol.T,
-    }
+
+    def solve(E):
+        problem = StepProblem(E, params["m"], params["V0"])
+        sol = solve_step_numeric(problem, convention)
+        if not request.allow_singular:
+            _raise_if_singular(problem, sol)
+        return {
+            "E": E, "m": np.full_like(E, params["m"]), "V0": np.full_like(E, params["V0"]),
+            "convention": [convention.value] * E.size,
+            "regime": [regime.value for regime in sol.regime.tolist()],
+            "kappa": sol.kappa_value,
+            "r_re": sol.r.real, "r_im": sol.r.imag,
+            "t_re": sol.t.real, "t_im": sol.t.imag,
+            "R": sol.R, "T": sol.T,
+        }
+
+    return solve, [params["E"]]
 
 
-def _rows_step_compare(request: SweepRequest) -> dict:
+def _step_compare(request: SweepRequest) -> tuple:
     from kleinstep.step import Regime, StepProblem, solve_step_numeric
     grid = np.meshgrid(*(request.params[name] for name in ("E", "m", "V0")), indexing="ij")
-    problem = StepProblem(*(axis.ravel() for axis in grid))
-    paper = solve_step_numeric(problem, Convention.PAPER)
-    common = solve_step_numeric(problem, Convention.COMMON)
-    if not request.allow_singular:
-        _raise_if_singular(problem, common)
-    # singular cells already hold the --allow-singular values: kappa' = -1, R = inf, T = -inf
-    return {
-        "E": problem.E, "m": problem.m, "V0": problem.V0,
-        "kappa": paper.kappa_value,
-        "R_paper": paper.R, "T_paper": paper.T,
-        "kappa_prime": np.where(common.regime == Regime.KLEIN, common.kappa_value, math.nan),
-        "R_common": common.R, "T_common": common.T,
-        "regime": [regime.value for regime in paper.regime.tolist()],
-    }
+
+    def solve(E, m, V0):
+        problem = StepProblem(E, m, V0)
+        paper = solve_step_numeric(problem, Convention.PAPER)
+        common = solve_step_numeric(problem, Convention.COMMON)
+        if not request.allow_singular:
+            _raise_if_singular(problem, common)
+        # singular cells already hold the --allow-singular values: kappa' = -1, R = inf, T = -inf
+        return {
+            "E": E, "m": m, "V0": V0,
+            "kappa": paper.kappa_value,
+            "R_paper": paper.R, "T_paper": paper.T,
+            "kappa_prime": np.where(common.regime == Regime.KLEIN, common.kappa_value, math.nan),
+            "R_common": common.R, "T_common": common.T,
+            "regime": [regime.value for regime in paper.regime.tolist()],
+        }
+
+    return solve, [axis.ravel() for axis in grid]
 
 
-def _rows_spinor_check(request: SweepRequest) -> dict:
+def _spinor_check(request: SweepRequest) -> tuple:
     from kleinstep.dirac import (current_density, hamiltonian_residual, hamiltonian_residual4,
                                  make_spinor2, make_spinor4)
     m = request.params["m"]
-    eps = request.params["eps"]
-    gap = eps * eps - m * m
-    root = np.sqrt(np.abs(gap))
-    k = np.where(gap >= 0, root, 1j * root)
-    spinor = make_spinor2(eps, k, m)
-    residual4 = np.full(eps.shape, math.nan)
-    for branch, cells in (("positive", (gap >= 0) & (eps > 0)),
-                          ("negative", (gap >= 0) & (eps < 0))):
-        p_vec = (0.0, 0.0, root[cells])
-        psi4 = make_spinor4(np.abs(eps[cells]), p_vec, m, branch=branch)
-        residual4[cells] = hamiltonian_residual4(psi4, eps[cells], p_vec, m)
-    return {
-        "eps": eps,
-        "k_re": k.real, "k_im": k.imag,
-        "m": np.full(eps.size, m),
-        "residual2": hamiltonian_residual(spinor, eps, k, m), "residual4": residual4,
-        "current": current_density(spinor),
-    }
+
+    def solve(eps):
+        gap = eps * eps - m * m
+        root = np.sqrt(np.abs(gap))
+        k = np.where(gap >= 0, root, 1j * root)
+        spinor = make_spinor2(eps, k, m)
+        residual4 = np.full(eps.shape, math.nan)
+        for branch, cells in (("positive", (gap >= 0) & (eps > 0)),
+                              ("negative", (gap >= 0) & (eps < 0))):
+            p_vec = (0.0, 0.0, root[cells])
+            psi4 = make_spinor4(np.abs(eps[cells]), p_vec, m, branch=branch)
+            residual4[cells] = hamiltonian_residual4(psi4, eps[cells], p_vec, m)
+        return {
+            "eps": eps,
+            "k_re": k.real, "k_im": k.imag,
+            "m": np.full(eps.size, m),
+            "residual2": hamiltonian_residual(spinor, eps, k, m), "residual4": residual4,
+            "current": current_density(spinor),
+        }
+
+    return solve, [request.params["eps"]]
 
 
-def _rows_graphene_angle(request: SweepRequest) -> dict:
+def _graphene_angle(request: SweepRequest) -> tuple:
     from kleinstep.graphene import angle_kinematics, t_common, t_paper, transmission_probability
     params = request.params
     material, energy = _material_and_fermi_energy(params)
-    theta = np.radians(params["theta"])
-    ak = angle_kinematics(energy, params["V0"], theta, material)
-    common = t_common(ak)
-    if not request.allow_singular:
-        _raise_first(np.isinf(common),
-                     lambda angle: t_common(angle_kinematics(energy, params["V0"], angle, material)),
-                     theta)
-    # non-propagating rows: kxII = thetaII_deg = nan and T = 0; singular ones T_common = inf
-    return {
-        "theta_deg": params["theta"], "ky": ak.k_y,
-        "kxII": np.where(ak.propagating, ak.k_xII, math.nan),
-        "thetaII_deg": np.degrees(ak.theta_II),
-        "T_paper": transmission_probability(t_paper(ak), ak),
-        "T_common": transmission_probability(common, ak),
-    }
+
+    def solve(theta_deg):
+        theta = np.radians(theta_deg)
+        ak = angle_kinematics(energy, params["V0"], theta, material)
+        common = t_common(ak)
+        if not request.allow_singular:
+            _raise_first(np.isinf(common), lambda angle: t_common(
+                angle_kinematics(energy, params["V0"], angle, material)), theta)
+        # non-propagating rows: kxII = thetaII_deg = nan and T = 0; singular ones T_common = inf
+        return {
+            "theta_deg": theta_deg, "ky": ak.k_y,
+            "kxII": np.where(ak.propagating, ak.k_xII, math.nan),
+            "thetaII_deg": np.degrees(ak.theta_II),
+            "T_paper": transmission_probability(t_paper(ak), ak),
+            "T_common": transmission_probability(common, ak),
+        }
+
+    return solve, [params["theta"]]
 
 
-def _rows_barrier(request: SweepRequest) -> dict:
+def _barrier(request: SweepRequest) -> tuple:
     from kleinstep.graphene import solve_barrier
     params = request.params
     material, energy = _material_and_fermi_energy(params)
-    widths = params["D"]
     theta = math.radians(params["theta"])
-    paper = solve_barrier(energy, params["V0"], widths, theta, Convention.PAPER, material)
-    _raise_first(np.isnan(paper.T),
-                 lambda width: solve_barrier(energy, params["V0"], width, theta,
-                                             Convention.PAPER, material),
-                 widths)
-    common = solve_barrier(energy, params["V0"], widths, theta, Convention.COMMON, material)
-    return {
-        "E": np.full_like(widths, energy), "V0": np.full_like(widths, params["V0"]), "D": widths,
-        "theta_deg": np.full_like(widths, params["theta"]),
-        "T_paper": paper.T, "T_common": common.T,
-    }
+
+    def solve(widths):
+        paper = solve_barrier(energy, params["V0"], widths, theta, Convention.PAPER, material)
+        _raise_first(np.isnan(paper.T),
+                     lambda width: solve_barrier(energy, params["V0"], width, theta,
+                                                 Convention.PAPER, material),
+                     widths)
+        common = solve_barrier(energy, params["V0"], widths, theta, Convention.COMMON, material)
+        return {
+            "E": np.full_like(widths, energy), "V0": np.full_like(widths, params["V0"]),
+            "D": widths,
+            "theta_deg": np.full_like(widths, params["theta"]),
+            "T_paper": paper.T, "T_common": common.T,
+        }
+
+    return solve, [params["D"]]
 
 
-def _rows_iv_curve(request: SweepRequest) -> dict:
+def _flag_grid(lo: float, hi: float, count: int, order_error: str) -> np.ndarray:
+    """The --n-point grid from lo to hi that iv-curve and angular-current build from flags."""
+    if count < 2:
+        raise _UsageError(f"--n must be >= 2, got {count}")
+    if not lo < hi:
+        raise _UsageError(order_error)
+    return _linspace(lo, hi, count)
+
+
+def _iv_curve(request: SweepRequest) -> tuple:
     from kleinstep.device import DeviceParams, iv_curve
     params = request.params
-    grid = params["V"] if params["V"] is not None else _linspace(
-        params["V_min"], params["V_max"], params["n"]
+    grid = params["V"] if params["V"] is not None else _flag_grid(
+        params["V_min"], params["V_max"], params["n"], "--V-min must be below --V-max"
     )
     gates = params["Vb"]
-    currents = iv_curve(DeviceParams(
+    device = DeviceParams(
         mobility=params["mobility"], gate_coefficient=params["alpha"],
-        back_gate=gates[:, None], aspect_ratio=params["aspect_ratio"],
-    ), grid)  # one row per back gate
-    return {"Vb": np.repeat(gates, len(grid)), "V": np.tile(grid, gates.size),
-            "I": currents.ravel()}
+        back_gate=gates, aspect_ratio=params["aspect_ratio"],
+    )
+
+    def solve(Vb, V):
+        return {"Vb": Vb, "V": V, "I": iv_curve(device._replace(back_gate=Vb), V)}
+
+    # one row per (back gate, bias), back gates outermost
+    return solve, [np.repeat(gates, grid.size), np.tile(grid, gates.size)]
 
 
-def _rows_angular_current(request: SweepRequest) -> dict:
+def _angular_current(request: SweepRequest) -> tuple:
     from kleinstep.device import angular_current_profile
     params = request.params
     material, energy = _material_and_fermi_energy(params)
-    thetas_deg = _linspace(-params["theta_max"], params["theta_max"], params["n"])
-    profile = angular_current_profile(params["V0"], np.radians(thetas_deg), E=energy,
-                                      material=material)
-    return {"theta_deg": thetas_deg, "T": profile.transmission,
-            "relative_current": profile.relative_current}
+    half_width = params["theta_max"]
+    thetas_deg = _flag_grid(-half_width, half_width, params["n"],
+                            f"--theta-max must be positive, got {half_width}")
+
+    def solve(theta_deg):
+        profile = angular_current_profile(params["V0"], np.radians(theta_deg), E=energy,
+                                          material=material)
+        return {"theta_deg": theta_deg, "T": profile.transmission,
+                "relative_current": profile.relative_current}
+
+    return solve, [thetas_deg]
 
 
 class _Command(NamedTuple):
-    """One subcommand: its flags and the sweep that makes its rows.
+    """One subcommand: its flags and its sweep.
 
-    ``rows`` returns the sweep as a table, keys in output column order: column
-    name -> one sequence of cells per column, all of one length, in sweep order;
-    float columns are float64 arrays, which the renderers format without a call per cell.
+    ``sweep`` runs a launch's setup once and returns ``(solve, cells)``.
+    ``cells`` are the sweep's input cells as flat arrays of one length, in
+    sweep order. ``solve(*block)`` makes the rows of any block of them (the
+    same slice of every cell array) as a table, keys in output column order:
+    column name -> one sequence of cells per column, all of the block's
+    length, in sweep order; float columns are float64 arrays, which the
+    renderers format without a call per cell. A column that repeats a cell
+    array's block is that very slice, so a blocked table reuses the whole array.
     """
 
     params: list[_Param]
-    rows: Callable[[SweepRequest], dict]
+    sweep: Callable[[SweepRequest], tuple[Callable[..., dict], list[np.ndarray]]]
+
+
+# a sweep is solved this many cells at a time into its output table
+_SOLVE_BLOCK = 2048
+
+
+def _table(request: SweepRequest) -> dict:
+    """The sweep's output table, solved _SOLVE_BLOCK cells at a time.
+
+    A launch then holds its table and one block's kernel temporaries, not
+    the whole sweep's. A sweep of at most one block is one call. A sweep that
+    fails in any block is solved again whole, which raises the whole sweep's
+    error: its first invalid point in sweep order, else its first singular one.
+    """
+    solve, cells = _COMMANDS[request.command].sweep(request)
+    count = len(cells[0])
+    if count > _SOLVE_BLOCK:
+        try:
+            return _solve_blocks(solve, cells, count)
+        except (ArithmeticError, ValueError):
+            pass
+    return solve(*cells)
+
+
+def _solve_blocks(solve: Callable[..., dict], cells: list[np.ndarray], count: int) -> dict:
+    """solve's table of ``count`` cells, preallocated from its first block."""
+    table = {}
+    for start in range(0, count, _SOLVE_BLOCK):
+        block = [array[start:start + _SOLVE_BLOCK] for array in cells]
+        for name, column in solve(*block).items():
+            if name not in table:
+                # a column that is a cell array's block is that array whole
+                whole = [array for array, part in zip(cells, block) if column is part]
+                table[name] = whole[0] if whole else (
+                    np.empty(count, column.dtype) if isinstance(column, np.ndarray)
+                    else [None] * count)
+            table[name][start:start + len(column)] = column
+    return table
 
 
 _COMMANDS = {
@@ -441,23 +525,23 @@ _COMMANDS = {
         _Param("m", _float_scalar, required=True, help="rest mass"),
         _Param("V0", _float_scalar, required=True, help="step height"),
         _CONVENTION,
-    ], _rows_step_rt),
+    ], _step_rt),
     "step-compare": _Command([
         _Param("E", _values, required=True, help="incident energies"),
         _Param("m", _values, required=True, help="rest masses"),
         _Param("V0", _values, required=True, help="step heights"),
-    ], _rows_step_compare),
+    ], _step_compare),
     "spinor-check": _Command([
         _Param("m", _float_scalar, required=True, help="rest mass"),
         _Param("eps", _values, required=True, help="local energies E - V"),
-    ], _rows_spinor_check),
+    ], _spinor_check),
     "graphene-angle": _Command([
         _FERMI_ENERGY,
         _FERMI_WAVELENGTH,
         _Param("V0", _float_scalar, required=True, help="step height in eV"),
         _Param("theta", _values, required=True, help="incidence angles in degrees"),
         _HBAR_VF,
-    ], _rows_graphene_angle),
+    ], _graphene_angle),
     "barrier": _Command([
         _FERMI_ENERGY,
         _FERMI_WAVELENGTH,
@@ -465,7 +549,7 @@ _COMMANDS = {
         _Param("D", _values, required=True, help="barrier widths in nm"),
         _Param("theta", _float_scalar, default=0.0, help="incidence angle in degrees"),
         _HBAR_VF,
-    ], _rows_barrier),
+    ], _barrier),
     "iv-curve": _Command([
         _Param("Vb", _values, default="0.1,0.2,0.3", help="back-gate voltages"),
         _Param("V", _values, help="explicit bias grid in volts"),
@@ -475,14 +559,14 @@ _COMMANDS = {
         _Param("mobility", _float_scalar, default=15000.0, help="cm^2/(V s)"),
         _Param("alpha", _float_scalar, default=7.3e10, help="carriers per cm^2 per V"),
         _Param("aspect-ratio", _float_scalar, default=1.0, help="W/L"),
-    ], _rows_iv_curve),
+    ], _iv_curve),
     "angular-current": _Command([
         _Param("lambdaF", _float_scalar, default=50.0, help="Fermi wavelength in nm"),
         _Param("V0", _float_scalar, default=0.3, help="step height in eV"),
         _Param("theta-max", _float_scalar, default=85.0, help="half-width of the angle grid, deg"),
         _Param("n", _int_scalar, default=171, help="number of angles"),
         _HBAR_VF,
-    ], _rows_angular_current),
+    ], _angular_current),
 }
 
 
@@ -553,6 +637,7 @@ def render_csv(columns: list[str], table: dict, manifest: RunManifest | None) ->
     lines = manifest.comment_lines() if manifest else []
     lines.append(",".join(columns))
     yield "\n".join(lines) + "\n"
+    del lines  # the manifest text, which no slice needs
     for formats, rows in _row_slices(columns, table, str):
         yield "".join(map((",".join(formats) + "\n").__mod__, rows))
 
@@ -568,6 +653,7 @@ def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -
         head += '  "manifest": ' + json.dumps(manifest.as_dict(), indent=2).replace("\n", "\n  ")
         head += ",\n"
     yield head + '  "rows": ['
+    del head  # the manifest text, which no slice needs
     prefixes = [f"      {json.dumps(name)}: ".replace("%", "%%") for name in columns]
     separator, trailer = "\n", "]\n}\n"
     for formats, rows in _row_slices(columns, table, _json_cell, _json_floats):
@@ -624,7 +710,7 @@ def main(argv=None) -> int:
     try:
         # an overflowing value raises where it arises instead of leaving inf and nan cells
         with np.errstate(over="raise"):
-            table = _COMMANDS[request.command].rows(request)
+            table = _table(request)
     except SingularityError as exc:
         print(f"{PROG}: numerical failure: {exc}", file=sys.stderr)
         print(f"{PROG}: rerun with --allow-singular to emit unbounded values",

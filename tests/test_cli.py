@@ -120,7 +120,7 @@ def test_every_empty_sweep_prints_no_rows(capsys, args, fmt):
     if fmt == "json":
         assert json.loads(out) == {"rows": []}
     else:
-        table = cli._COMMANDS[args[0]].rows(cli.parse_args(args))
+        table = cli._table(cli.parse_args(args))
         assert out == ",".join(table) + "\n"
 
 
@@ -233,6 +233,21 @@ class TestUsageErrors:
         code, out, err = run(capsys, *args)
         assert (code, out) == (2, "")
         assert err == f"kleinstep: error: {message.format(config=tmp_path / 'run.cfg')}\n"
+
+    @pytest.mark.parametrize("args,message", [
+        (["angular-current", "--theta-max=-5"], "--theta-max must be positive, got -5.0"),
+        (["angular-current", "--theta-max", "0"], "--theta-max must be positive, got 0.0"),
+        (["angular-current", "--n", "1"], "--n must be >= 2, got 1"),
+        (["iv-curve", "--n", "1"], "--n must be >= 2, got 1"),
+        (["iv-curve", "--V-min", "1", "--V-max", "0"], "--V-min must be below --V-max"),
+        (["iv-curve", "--V-min", "1", "--V-max", "1"], "--V-min must be below --V-max"),
+    ], ids=["theta-max-negative", "theta-max-zero", "angular-current-n", "iv-curve-n",
+            "V-min-above-V-max", "V-min-at-V-max"])
+    def test_grid_errors_name_the_flag(self, capsys, args, message):
+        # these grids are built from flags, not from a min:max:count range the user gave
+        code, out, err = run(capsys, *args, "--no-manifest")
+        assert (code, out) == (2, "")
+        assert err == f"kleinstep: error: {message}\n"
 
     @pytest.mark.parametrize("text,value", [
         (text, value) for value, texts in ((True, ("1", "true", "Yes", "ON")),
@@ -560,8 +575,9 @@ MANIFEST = RunManifest("0.1.0", "step-rt", {"E": [1.0, 2.5], "m": 1.0, "conventi
                        timestamp="2026-01-01T00:00:00+00:00")
 
 
-@pytest.mark.parametrize("values", [[1.0, 2.5, 1.0 / 3.0, -1e-300, 123456789.5], []],
-                         ids=["values", "empty"])
+@pytest.mark.parametrize("values", [[1.0, 2.5, 1.0 / 3.0, -1e-300, 123456789.5], [],
+                                    [(-1.0) ** i * 10.0 ** (i % 40 - 20) / 3 for i in range(2500)]],
+                         ids=["values", "empty", "several-slices"])
 def test_manifest_formats_an_array_as_its_list(values):
     as_list, as_array = (RunManifest("0.1.0", "step-rt", {"E": E, "m": 1.0, "n": 5},
                                      timestamp="2026-01-01T00:00:00+00:00")
@@ -607,7 +623,7 @@ def test_emit_holds_one_slice_of_a_long_sweep(tmp_path):
     request = cli.parse_args(["graphene-angle", "--E", "0.3", "--V0", "0.42",
                               "--theta=-80:80:12801", "--allow-singular", "--format", "json",
                               "--no-manifest", "--output", str(path)])
-    table = cli._COMMANDS[request.command].rows(request)
+    table = cli._table(request)
     tracemalloc.start()
     try:
         assert cli.emit(request, table) == 0
@@ -616,6 +632,46 @@ def test_emit_holds_one_slice_of_a_long_sweep(tmp_path):
         tracemalloc.stop()
     size = path.stat().st_size
     assert size > 2_000_000 and peak < size / 2
+
+
+def test_emit_drops_the_manifest_text_before_the_rows(tmp_path):
+    # the manifest writes the 20,001 angles as ~180 kB of text; it is made without a str
+    # per angle (1.2 MB) and is gone before the first slice of rows is rendered
+    argv = ["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta=-80:80:20001",
+            "--allow-singular", "--format", "json", "--output", str(tmp_path / "angles.json")]
+    peaks = []
+    for options in ([], ["--no-manifest"]):
+        request = cli.parse_args(argv + options)
+        table = cli._table(request)
+        assert cli.emit(request, table) == 0  # first-call caches are not the document's
+        tracemalloc.start()
+        try:
+            assert cli.emit(request, table) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    with_manifest, without = peaks
+    assert with_manifest < without + 250_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta=-80:80:200001", "--allow-singular"],
+    ["step-rt", "--E", "1.5:9:200001", "--m", "1", "--V0", "5"],
+], ids=lambda argv: argv[0])
+def test_solve_holds_its_table_and_one_block(argv):
+    # a 2,048-cell block's kernel temporaries take under 1 MB; the whole sweep's take 20-40 MB
+    request = cli.parse_args(argv)
+    cli._table(request)  # first-call caches and imports are not the sweep's
+    tracemalloc.start()
+    try:
+        table = cli._table(request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {len(column) for column in table.values()} == {200_001}
+    own = sum(column.nbytes if isinstance(column, np.ndarray) else sys.getsizeof(column)
+              for column in table.values())
+    assert peak < own + 2_000_000
 
 
 TINY = np.finfo(float).tiny
@@ -663,7 +719,7 @@ def test_json_floats_take_per_cell_calls_only_where_9g_differs(capsys, monkeypat
     args = ["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta=-85:85:2001",
             "--allow-singular", "--format", "json", "--no-manifest"]
     code, out, _ = run(capsys, *args)
-    table = cli._COMMANDS["graphene-angle"].rows(cli.parse_args(args))
+    table = cli._table(cli.parse_args(args))
     assert code == 0 and out == _reference_json(list(table), table, None)
     cells = [value for column in table.values() for value in np.asarray(column).tolist()]
     strings = sum(isinstance(value, str) for value in cells)
@@ -685,7 +741,7 @@ def test_string_cells_take_one_call_per_distinct_value_and_slice(capsys, monkeyp
     args = ["step-rt", "--E", "1.5:9:3001", "--m", "1", "--V0", "5", "--format", "json",
             "--no-manifest"]
     code, out, _ = run(capsys, *args)
-    table = cli._COMMANDS["step-rt"].rows(cli.parse_args(args))
+    table = cli._table(cli.parse_args(args))
     assert code == 0 and out == _reference_json(list(table), table, None)
     slices = -(-3001 // cli._RENDER_SLICE)
     regimes = set(table["regime"])
@@ -738,6 +794,50 @@ def test_step_rt_solves_in_one_batch(capsys, solve_calls, spinor_calls):
     assert len(solve_calls) == 0
     assert len(spinor_calls) <= 3
 
+
+def test_step_rt_solves_in_one_batch_per_block(capsys, solve_calls, spinor_calls):
+    code, out, _ = run(capsys, "step-rt", "--E", "1.5:9:5000", "--m", "1", "--V0", "5",
+                       "--no-manifest")
+    assert code == 0 and len(out.strip().split("\n")) == 1 + 5000
+    assert len(solve_calls) == 0
+    assert len(spinor_calls) == 3 * math.ceil(5000 / 2048)
+
+
+# every sweep with --allow-singular sentinels, non-propagating rows or both; {n} cells per axis
+BLOCKED_SWEEPS = [
+    "step-rt --E 0.1:9:{n} --m 0 --V0 5 --convention common --allow-singular",
+    "step-compare --E 1.5:9:{n} --m 0,0.5 --V0 1,8 --allow-singular",
+    "spinor-check --m 1 --eps=-8:8:{n}",
+    "graphene-angle --E 0.3 --V0 0.42 --theta=-85:85:{n} --allow-singular --format json",
+    "barrier --lambdaF 50 --V0 0.3 --D 1:200:{n} --theta 30",
+    "iv-curve --Vb=-0.2:0.3:{n} --n 3 --format json",
+    "angular-current --n {n}",
+]
+
+
+@pytest.mark.parametrize("block", [1, 7, 2048])
+@pytest.mark.parametrize("sweep", BLOCKED_SWEEPS, ids=lambda sweep: sweep.split()[0])
+def test_blocked_output_is_whole_output(capsys, monkeypatch, sweep, block):
+    # an odd count puts theta = 0 in the graphene sweep; each sweep spans four blocks or more
+    # blocks first: a preallocated column can then not reuse the whole sweep's freed memory
+    argv = sweep.format(n=4 * block + 5).split() + ["--no-manifest"]
+    monkeypatch.setattr(cli, "_SOLVE_BLOCK", block)
+    blocked = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_SOLVE_BLOCK", 10 ** 9)
+    assert blocked == run(capsys, *argv)
+    assert blocked[0] == 0 and blocked[2] == ""
+
+
+def test_blocked_sweep_names_its_first_invalid_point(capsys):
+    # block 0 holds a singular cell (the near-massless common-convention step); an E <= m
+    # point lies past the block boundary: the sweep fails on that point, as a whole sweep does
+    energies = [0.1, *np.linspace(2.0, 3.0, 2100).tolist(), 5e-18]
+    code, out, err = run(capsys, "step-rt", "--E", ",".join(map(repr, energies)),
+                         "--m", "1e-17", "--V0", "1.5", "--convention", "common", "--no-manifest")
+    assert len(energies) > cli._SOLVE_BLOCK
+    assert (code, out) == (2, "")
+    assert err == ("kleinstep: error: incident wave must propagate in region I: need E > m, "
+                   "got E = 5e-18, m = 1e-17\n")
 
 
 @pytest.fixture
