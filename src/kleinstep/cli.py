@@ -18,12 +18,12 @@ Exit codes: 0 success, 1 numerical failure (a singular denominator without
 --output, 2 usage error (nan/inf included).
 """
 
-import argparse
 import gc
 import math
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -63,7 +63,8 @@ def _int_scalar(text: str) -> int:
 def _values(text: str) -> np.ndarray:
     """Parse '2', '1,2,3' or 'min:max:count' into a float64 array; empty string = empty sweep.
 
-    A list fills the array straight from the parsed tokens: no Python float outlives its cell.
+    A list fills the array straight from its tokens, split a slice of text at a
+    time: no token's str or Python float outlives its slice.
     """
     text = text.strip()
     if not text:
@@ -75,8 +76,30 @@ def _values(text: str) -> np.ndarray:
         lo, hi = _float_scalar(parts[0]), _float_scalar(parts[1])
         count = _int_scalar(parts[2])
         return _linspace(lo, hi, count)
-    parts = text.split(",")
-    return np.fromiter(map(_float_scalar, parts), float, len(parts))
+    count = text.count(",") + 1
+    try:
+        values = np.fromiter(chain.from_iterable(map(float, part) for part in _list_parts(text)),
+                             float, count)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    # _float_scalar, token by token, raises the first bad token's error
+    return np.fromiter(chain.from_iterable(map(_float_scalar, part) for part in _list_parts(text)),
+                       float, count)
+
+
+# a comma list is split this many characters (and up to the next comma) at a time
+_LIST_SLICE = 4096
+
+
+def _list_parts(text: str) -> Iterator[list[str]]:
+    """text.split(",") in consecutive pieces of about _LIST_SLICE characters each."""
+    start = 0
+    while (end := text.find(",", start + _LIST_SLICE)) >= 0:
+        yield text[start:end].split(",")
+        start = end + 1
+    yield text[start:].split(",")
 
 
 def _linspace(lo: float, hi: float, count: int) -> np.ndarray:
@@ -197,11 +220,13 @@ def _manifest_value(value):
 # ------------------------------------------------------------- parsing
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``: with every subparser, or only the one argv[0] names.
+def _build_parser(argv: list[str]) -> "argparse.ArgumentParser":
+    """The parser for argv that _read_flags does not take: help, abbreviations and errors.
 
-    When argv starts with a command, argparse can run or print no other subparser.
+    It has every subparser, or only the one argv[0] names: when argv starts with
+    a command, argparse can run or print no other subparser.
     """
+    import argparse
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="step-barrier scattering, graphene junctions, gated-device sweeps",
@@ -216,6 +241,36 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
             sub.add_argument(f"--{param.name}", dest=param.dest, default=None, help=param.help,
                              **flags)
     return parser
+
+
+def _read_flags(argv: list[str]) -> dict | None:
+    """argparse's values for argv that is a command and whole flag names, without argparse.
+
+    Each token after the command is --name=value, --name value (a value that
+    does not start with '-') or a bare switch, by an exact flag name of the
+    command; a repeated flag keeps its last value. Returns the command and each
+    given flag's dest -> text (True for a switch), or None for any other argv.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    params = {f"--{param.name}": param for param in _COMMANDS[argv[0]].params + _COMMON_PARAMS}
+    flags = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, equals, value = token.partition("=")
+        param = params.get(name)
+        if param is None:
+            return None
+        if param.convert is _bool:
+            if equals:
+                return None
+            value = True
+        elif not equals:
+            value = next(tokens, "-")  # a missing value reads as one that starts with '-'
+            if value.startswith("-"):
+                return None
+        flags[param.dest] = value
+    return flags
 
 
 def _load_config(path: str, command: str) -> dict[str, str]:
@@ -241,19 +296,25 @@ def _load_config(path: str, command: str) -> dict[str, str]:
 
 
 def parse_args(argv=None) -> SweepRequest:
-    """Resolve CLI flags plus config-file defaults into a SweepRequest."""
+    """Resolve CLI flags plus config-file defaults into a SweepRequest.
+
+    _read_flags reads argv that is a command and whole flag names; the argparse
+    parser of _build_parser reads any other argv, and alone prints help and usage errors.
+    """
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv)
-    namespace = parser.parse_args(argv)
-    if namespace.command is None:
-        parser.print_usage(sys.stderr)
-        raise _UsageError("a command is required")
-    command = namespace.command
-    config = _load_config(namespace.config, command) if namespace.config else {}
+    flags = _read_flags(argv)
+    if flags is None:
+        parser = _build_parser(argv)
+        flags = vars(parser.parse_args(argv))
+        if flags["command"] is None:
+            parser.print_usage(sys.stderr)
+            raise _UsageError("a command is required")
+    command = flags["command"]
+    config = _load_config(flags["config"], command) if flags.get("config") else {}
 
     resolved: dict = {}
     for param in _COMMANDS[command].params + _COMMON_PARAMS:
-        raw = getattr(namespace, param.dest)
+        raw = flags.get(param.dest)
         if raw is None:
             raw = config.get(param.dest)
         if raw is None:
@@ -419,21 +480,25 @@ def _barrier(request: SweepRequest) -> tuple:
     return solve, [params["D"]]
 
 
-def _flag_grid(lo: float, hi: float, count: int, order_error: str) -> np.ndarray:
+def _flag_grid(lo: float, hi: float, count: int, order_error: str,
+               span_error: str) -> np.ndarray:
     """The --n-point grid from lo to hi that iv-curve and angular-current build from flags."""
     if count < 2:
         raise _UsageError(f"--n must be >= 2, got {count}")
     if not lo < hi:
         raise _UsageError(order_error)
-    return _linspace(lo, hi, count)
+    if hi - lo == math.inf:
+        raise _UsageError(span_error)
+    return np.linspace(lo, hi, count)
 
 
 def _iv_curve(request: SweepRequest) -> tuple:
     from kleinstep.device import DeviceParams, iv_curve
     params = request.params
+    lo, hi = params["V_min"], params["V_max"]
     grid = params["V"] if params["V"] is not None else _flag_grid(
-        params["V_min"], params["V_max"], params["n"], "--V-min must be below --V-max"
-    )
+        lo, hi, params["n"], "--V-min must be below --V-max",
+        f"--V-max - --V-min overflows, got {lo} to {hi}")
     gates = params["Vb"]
     device = DeviceParams(
         mobility=params["mobility"], gate_coefficient=params["alpha"],
@@ -452,8 +517,11 @@ def _angular_current(request: SweepRequest) -> tuple:
     params = request.params
     material, energy = _material_and_fermi_energy(params)
     half_width = params["theta_max"]
+    too_wide = f"--theta-max must be below 90 degrees, got {half_width}"
     thetas_deg = _flag_grid(-half_width, half_width, params["n"],
-                            f"--theta-max must be positive, got {half_width}")
+                            f"--theta-max must be positive, got {half_width}", too_wide)
+    if half_width >= 90:
+        raise _UsageError(too_wide)
 
     def solve(theta_deg):
         profile = angular_current_profile(params["V0"], np.radians(theta_deg), E=energy,
@@ -583,8 +651,21 @@ def _json_cell(value) -> str:
         if math.isfinite(value):
             return float.__repr__(float(format(value, ".9g")))
         return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, str):
+        return _json_string(value)
     import json
     return json.dumps(value)
+
+
+def _json_string(text: str) -> str:
+    """json.dumps(text), without json for an ASCII identifier, which has nothing to escape.
+
+    Every column name, regime and convention value is one.
+    """
+    if text.isascii() and text.isidentifier():
+        return '"' + text + '"'
+    import json
+    return json.dumps(text)
 
 
 def _json_floats(values: np.ndarray) -> list[str] | None:
@@ -647,14 +728,14 @@ def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -
 
     The head runs to '"rows": [', then comes one piece per slice of rows, then the trailer.
     """
-    import json
     head = "{\n"
     if manifest:
+        import json
         head += '  "manifest": ' + json.dumps(manifest.as_dict(), indent=2).replace("\n", "\n  ")
         head += ",\n"
     yield head + '  "rows": ['
     del head  # the manifest text, which no slice needs
-    prefixes = [f"      {json.dumps(name)}: ".replace("%", "%%") for name in columns]
+    prefixes = [f"      {_json_string(name)}: ".replace("%", "%%") for name in columns]
     separator, trailer = "\n", "]\n}\n"
     for formats, rows in _row_slices(columns, table, _json_cell, _json_floats):
         row = "    {\n" + ",\n".join(map(str.__add__, prefixes, formats)) + "\n    }"

@@ -1,7 +1,9 @@
 """CLI behavior: columns, formatting, determinism, exit codes, config handling."""
 
+import contextlib
 import errno
 import gc
+import io
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from kleinstep import cli, graphene, step
 from kleinstep.cli import RunManifest, main, render_csv, render_json
@@ -140,17 +142,39 @@ def test_swept_values_parse_to_float64_arrays(argv, name, values):
 @pytest.mark.parametrize("text", ["1:3:20001", ",".join(f"{i}.5" for i in range(1, 20002))],
                          ids=["range", "list"])
 def test_parsed_sweep_holds_no_float_per_point(text):
-    # a 20,001-cell float64 array is 160 kB; a Python float per point would hold 480 kB more
+    # a 20,001-cell float64 array is 160 kB; a Python float per point would hold 480 kB more,
+    # and a str per token of the list (one split of the whole text) peaks 1.3 MB above it
     argv = ["step-rt", "--E", text, "--m", "0.5", "--V0", "5"]
-    cli.parse_args(argv)  # argparse's first-call caches are not the sweep's
+    cli.parse_args(argv)  # first-call caches are not the sweep's
     tracemalloc.start()
     try:
         request = cli.parse_args(argv)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert request.params["E"].size == 20001
     assert held < 250_000
+    assert peak < 400_000
+
+
+@pytest.mark.parametrize("size", [1, 3, cli._LIST_SLICE])
+@pytest.mark.parametrize("text,message", [
+    ("1.5,22,333,4444,5", None),
+    ("1,,2", "expected a number, got ''"),
+    ("1,2,", "expected a number, got ''"),
+    ("1,inf,x", "expected a finite number, got 'inf'"),
+    ("1,22,333,x,nan", "expected a number, got 'x'"),
+])
+def test_list_parses_a_slice_of_text_at_a_time(monkeypatch, size, text, message):
+    # a list is split at commas about _LIST_SLICE characters at a time: its values and its
+    # first bad token are those of one whole text.split(",")
+    monkeypatch.setattr(cli, "_LIST_SLICE", size)
+    if message is None:
+        assert cli._values(text).tolist() == [float(token) for token in text.split(",")]
+    else:
+        with pytest.raises(cli._UsageError) as caught:
+            cli._values(text)
+        assert str(caught.value) == message
 
 
 class TestUsageErrors:
@@ -241,8 +265,15 @@ class TestUsageErrors:
         (["iv-curve", "--n", "1"], "--n must be >= 2, got 1"),
         (["iv-curve", "--V-min", "1", "--V-max", "0"], "--V-min must be below --V-max"),
         (["iv-curve", "--V-min", "1", "--V-max", "1"], "--V-min must be below --V-max"),
+        (["angular-current", "--theta-max", "95"],
+         "--theta-max must be below 90 degrees, got 95.0"),
+        (["angular-current", "--theta-max", "1e308"],
+         "--theta-max must be below 90 degrees, got 1e+308"),
+        (["iv-curve", "--V-min=-1e308", "--V-max", "1e308"],
+         "--V-max - --V-min overflows, got -1e+308 to 1e+308"),
     ], ids=["theta-max-negative", "theta-max-zero", "angular-current-n", "iv-curve-n",
-            "V-min-above-V-max", "V-min-at-V-max"])
+            "V-min-above-V-max", "V-min-at-V-max", "theta-max-above-90", "theta-max-overflow",
+            "V-span-overflow"])
     def test_grid_errors_name_the_flag(self, capsys, args, message):
         # these grids are built from flags, not from a min:max:count range the user gave
         code, out, err = run(capsys, *args, "--no-manifest")
@@ -546,6 +577,66 @@ def test_stdout_matches_file_output(tmp_path, capsys):
     path = tmp_path / "out.csv"
     assert main(args + ["--output", str(path)]) == 0
     assert path.read_text() == out
+
+
+# ------------------------------------------------------------- argument reader
+
+# flag values: blank, '-'-led, holding '=' or ':', a flag
+FLAG_VALUES = ["2", "", " ", "-5", "a=b", "1:2:3", "--E"]
+ODD_TOKENS = ["bogus", "--bogus", "-h", "--help", "--", "-", "x", "--=2", "--D", "--eps"]
+
+
+@st.composite
+def reader_argv(draw):
+    """A command and its flags, some repeated, each with a joined or separate value; then
+    perhaps one token put in or swapped for an odd one: stray, help, another command's
+    flag, an abbreviation or a switch's explicit value."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv = [command]
+    for param in draw(st.lists(st.sampled_from(cli._COMMANDS[command].params
+                                               + cli._COMMON_PARAMS), max_size=6)):
+        flag, value = f"--{param.name}", draw(st.sampled_from(FLAG_VALUES))
+        argv += ([flag] if param.convert is cli._bool
+                 else draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+    if draw(st.booleans()):
+        index = draw(st.integers(0, len(argv) - 1))
+        token = argv[index].split("=")[0]
+        odd = draw(st.sampled_from([*ODD_TOKENS, token[:-1], token[:4], f"{token}=1"]))
+        argv[index:index + draw(st.integers(0, 1))] = [odd]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=reader_argv())
+@example(argv=["step-rt", "--E", "2", "--E=3", "--E", "4"])
+@example(argv=["step-rt", "--no-manifest=1"])
+@example(argv=["step-rt", "--co", "common"])
+@example(argv=["iv-curve", "--V-m=1"])
+@example(argv=["barrier", "--D", "-5"])
+@example(argv=["barrier", "--D"])
+@example(argv=["barrier", "--", "--D", "2"])
+@example(argv=["barrier", "--D", "2", "x"])
+def test_read_flags_gives_argparse_values(argv):
+    # whenever the reader takes argv, argparse takes it too and reads the same values
+    flags = cli._read_flags(argv)
+    if flags is None:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            namespace = vars(cli._build_parser(argv).parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv}, which the reader takes")
+    assert flags.keys() <= namespace.keys()
+    assert {dest: flags.get(dest) for dest in namespace} == namespace
+
+
+def test_abbreviated_flag_reads_as_its_whole_name(capsys):
+    whole = ["step-rt", "--E", "2,7", "--m", "1", "--V0", "5", "--convention", "common"]
+    abbreviated = [*whole[:-2], "--conv", "common"]
+    assert cli._read_flags(abbreviated) is None  # argparse resolves the prefix
+    code, out, err = run(capsys, *abbreviated, "--no-manifest")
+    assert (code, out.count(",common,"), err) == (0, 2, "")
+    assert run(capsys, *whole, "--no-manifest") == (code, out, err)
 
 
 # ------------------------------------------------------------- rendering
@@ -975,21 +1066,42 @@ import numpy
 before = set(sys.modules)
 import kleinstep.cli
 
-for fmt in ("csv", "json"):
+for options in (["--format", "csv"], ["--format", "json", "--no-manifest"], ["--format", "json"]):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = kleinstep.cli.main(sys.argv[1:] + ["--format", fmt])
+        code = kleinstep.cli.main(sys.argv[1:] + options)
     new = {"dataclasses", "json"} & set(sys.modules) - before
-    print(fmt, code, "json" in before, *sorted(new))
+    print(*options[1:], code, "json" in before, *sorted(new))
 """
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in COMMAND_MODULES[1:]],
                          ids=[argv[0] for argv, _ in COMMAND_MODULES[1:]])
 def test_launch_loads_json_only_for_json(argv):
-    # after numpy, a CSV launch loads neither dataclasses nor json; a JSON launch then loads json
+    # after numpy, a CSV launch loads neither dataclasses nor json, nor does a JSON launch
+    # without its manifest; a JSON launch with its manifest then loads json
     result = run_fresh(IMPORT_GUARD, *argv)
     assert result.returncode == 0, result.stderr
     preloaded = result.stdout.split()[2]
     json_loaded = [] if preloaded == "True" else ["json"]
-    assert result.stdout.split("\n")[:2] == [f"csv 0 {preloaded}",
+    assert result.stdout.split("\n")[:3] == [f"csv 0 {preloaded}",
+                                              f"json --no-manifest 0 {preloaded}",
                                               " ".join(["json 0", preloaded, *json_loaded])]
+
+
+PARSER_GUARD = """
+import contextlib, io, sys
+import kleinstep.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = kleinstep.cli.main(sys.argv[1:])
+print(code, *sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMAND_MODULES[1:]],
+                         ids=[argv[0] for argv, _ in COMMAND_MODULES[1:]])
+def test_well_formed_launch_loads_no_argparse(argv):
+    # a command and whole flag names need no argparse, nor the gettext and locale it loads
+    result = run_fresh(PARSER_GUARD, *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0"]
