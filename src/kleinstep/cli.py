@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
-from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -63,8 +62,7 @@ def _int_scalar(text: str) -> int:
 def _values(text: str) -> np.ndarray:
     """Parse '2', '1,2,3' or 'min:max:count' into a float64 array; empty string = empty sweep.
 
-    A list fills the array straight from its tokens, split a slice of text at a
-    time: no token's str or Python float outlives its slice.
+    A list fills the array straight from the parsed tokens: no Python float outlives its cell.
     """
     text = text.strip()
     if not text:
@@ -76,40 +74,24 @@ def _values(text: str) -> np.ndarray:
         lo, hi = _float_scalar(parts[0]), _float_scalar(parts[1])
         count = _int_scalar(parts[2])
         return _linspace(lo, hi, count)
-    count = text.count(",") + 1
-    try:
-        values = np.fromiter(chain.from_iterable(map(float, part) for part in _list_parts(text)),
-                             float, count)
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
-    # _float_scalar, token by token, raises the first bad token's error
-    return np.fromiter(chain.from_iterable(map(_float_scalar, part) for part in _list_parts(text)),
-                       float, count)
+    parts = text.split(",")
+    return np.fromiter(map(_float_scalar, parts), float, len(parts))
 
 
-# a comma list is split this many characters (and up to the next comma) at a time
-_LIST_SLICE = 4096
-
-
-def _list_parts(text: str) -> Iterator[list[str]]:
-    """text.split(",") in consecutive pieces of about _LIST_SLICE characters each."""
-    start = 0
-    while (end := text.find(",", start + _LIST_SLICE)) >= 0:
-        yield text[start:end].split(",")
-        start = end + 1
-    yield text[start:].split(",")
-
-
-def _linspace(lo: float, hi: float, count: int) -> np.ndarray:
+def _linspace(lo: float, hi: float, count: int,
+              count_error: str = "range count must be >= 2, got {count}",
+              order_error: str = "range needs min < max, got {lo} >= {hi}",
+              span_error: str = "range span max - min overflows, got {lo} to {hi}") -> np.ndarray:
+    """The count-point grid from lo to hi; a failed check's text is formatted with lo, hi, count."""
     if count < 2:
-        raise _UsageError(f"range count must be >= 2, got {count}")
-    if not lo < hi:
-        raise _UsageError(f"range needs min < max, got {lo} >= {hi}")
-    if hi - lo == math.inf:
-        raise _UsageError(f"range span max - min overflows, got {lo} to {hi}")
-    return np.linspace(lo, hi, count)
+        error = count_error
+    elif not lo < hi:
+        error = order_error
+    elif hi - lo == math.inf:
+        error = span_error
+    else:
+        return np.linspace(lo, hi, count)
+    raise _UsageError(error.format(lo=lo, hi=hi, count=count))
 
 
 def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
@@ -480,25 +462,16 @@ def _barrier(request: SweepRequest) -> tuple:
     return solve, [params["D"]]
 
 
-def _flag_grid(lo: float, hi: float, count: int, order_error: str,
-               span_error: str) -> np.ndarray:
-    """The --n-point grid from lo to hi that iv-curve and angular-current build from flags."""
-    if count < 2:
-        raise _UsageError(f"--n must be >= 2, got {count}")
-    if not lo < hi:
-        raise _UsageError(order_error)
-    if hi - lo == math.inf:
-        raise _UsageError(span_error)
-    return np.linspace(lo, hi, count)
+# iv-curve and angular-current build their grids from flags, with --n points
+_N_ERROR = "--n must be >= 2, got {count}"
 
 
 def _iv_curve(request: SweepRequest) -> tuple:
     from kleinstep.device import DeviceParams, iv_curve
     params = request.params
-    lo, hi = params["V_min"], params["V_max"]
-    grid = params["V"] if params["V"] is not None else _flag_grid(
-        lo, hi, params["n"], "--V-min must be below --V-max",
-        f"--V-max - --V-min overflows, got {lo} to {hi}")
+    grid = params["V"] if params["V"] is not None else _linspace(
+        params["V_min"], params["V_max"], params["n"], _N_ERROR, "--V-min must be below --V-max",
+        "--V-max - --V-min overflows, got {lo} to {hi}")
     gates = params["Vb"]
     device = DeviceParams(
         mobility=params["mobility"], gate_coefficient=params["alpha"],
@@ -517,11 +490,10 @@ def _angular_current(request: SweepRequest) -> tuple:
     params = request.params
     material, energy = _material_and_fermi_energy(params)
     half_width = params["theta_max"]
-    too_wide = f"--theta-max must be below 90 degrees, got {half_width}"
-    thetas_deg = _flag_grid(-half_width, half_width, params["n"],
-                            f"--theta-max must be positive, got {half_width}", too_wide)
-    if half_width >= 90:
-        raise _UsageError(too_wide)
+    if half_width >= 90:  # so that no span overflows
+        raise _UsageError(f"--theta-max must be below 90 degrees, got {half_width}")
+    thetas_deg = _linspace(-half_width, half_width, params["n"], _N_ERROR,
+                           "--theta-max must be positive, got {hi}")
 
     def solve(theta_deg):
         profile = angular_current_profile(params["V0"], np.radians(theta_deg), E=energy,
