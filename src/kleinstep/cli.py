@@ -446,17 +446,13 @@ def _barrier(request: SweepRequest) -> tuple:
     theta = math.radians(params["theta"])
 
     def solve(widths):
-        paper = solve_barrier(energy, params["V0"], widths, theta, Convention.PAPER, material)
-        _raise_first(np.isnan(paper.T),
-                     lambda width: solve_barrier(energy, params["V0"], width, theta,
-                                                 Convention.PAPER, material),
-                     widths)
-        common = solve_barrier(energy, params["V0"], widths, theta, Convention.COMMON, material)
+        # a barrier's r and t do not depend on the convention: one solve fills both columns
+        T = solve_barrier(energy, params["V0"], widths, theta, material=material).T
         return {
             "E": np.full_like(widths, energy), "V0": np.full_like(widths, params["V0"]),
             "D": widths,
             "theta_deg": np.full_like(widths, params["theta"]),
-            "T_paper": paper.T, "T_common": common.T,
+            "T_paper": T, "T_common": T,
         }
 
     return solve, [params["D"]]

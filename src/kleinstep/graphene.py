@@ -14,8 +14,9 @@ Two conventions for the hole-like transmitted wave are implemented:
   interior phase -i k_xII x, equal to 1 at normal incidence.
 
 For a barrier of finite width both conventions span the same interior state
-space and give identical transmission; barrier solvers for both are kept as
-separate code paths so that equivalence stays a checkable property.
+space and give identical transmission, so the barrier is solved once, through
+the interior's transfer matrix, which labels no interior state; the tests
+check that equivalence against an eigenbasis product in each labelling.
 
 Every kernel takes numpy arrays that broadcast together and works cell by
 cell; scalars are the 0-d case and give Python scalars.  Where a 0-d call
@@ -57,9 +58,6 @@ __all__ = [
     "t_paper",
     "transmission_probability",
 ]
-
-_PAPER = Convention.PAPER
-
 
 class GrapheneMaterial(NamedTuple("GrapheneMaterial", [("hbar_vF", float)])):
     __slots__ = ()
@@ -239,15 +237,15 @@ def critical_angle(E: float, V0: float) -> float | None:
 
 
 # --------------------------------------------------------------------------
-# finite-width barrier: two-interface matching
+# finite-width barrier: the interior's transfer matrix
 
 
 class BarrierSolution(NamedTuple):
     """Amplitudes of the two-interface matching; R = |r|^2, T = |t|^2.
 
-    For array arguments every field is an array of their broadcast shape.
-    A cell whose interior is degenerate, at E = V0 or at its critical angle
-    (k_xII = 0), holds r = t = R = T = nan; a 0-d call there raises.
+    r is referenced at x = 0 and t at x = D.  Every cell is finite, E = V0 and
+    the interior's critical angle (k_xII = 0) included.  For array arguments
+    every field is an array of their broadcast shape.
     """
 
     r: complex
@@ -255,14 +253,6 @@ class BarrierSolution(NamedTuple):
     R: float
     T: float
     interior_propagating: bool
-
-
-def _spinor_u(hv: float, k_re, k_im, k_y, eps) -> np.ndarray:
-    """u = hv (k_x + i k_y)/eps, k_x = k_re + i k_im: (1, u) is the eigenspinor at eps."""
-    u = np.empty(eps.size, dtype=complex)
-    u.real = hv * k_re / eps
-    u.imag = hv * (k_im + k_y) / eps
-    return u
 
 
 def solve_barrier(
@@ -273,67 +263,38 @@ def solve_barrier(
     convention: Convention = Convention.PAPER,
     material: GrapheneMaterial = DEFAULT_MATERIAL,
 ) -> BarrierSolution:
-    """Match both spinor components at x = 0 and x = D for a width-D barrier.
+    """Match the leads at x = 0 and x = D through the interior's transfer matrix.
 
-    The interior states are referenced at their own interface, so no factor
-    exceeds unit magnitude and evanescent interiors of any width stay stable.
-    The x = D rows give the interior amplitudes; the x = 0 rows then leave a
-    2x2 system in r and t/phase, solved by Cramer's rule.  E = V0 and k_xII = 0
-    (the critical angle) make the interior states degenerate and raise
-    ValueError.  The interior wavevector (or decay rate) is angle_kinematics' k_xII.
+    Inside, psi' = A psi with A = [[k_y, i a], [i a, -k_y]], a = (E - V0)/hbar v_F,
+    and A^2 = -k_xII^2, so psi(0) = (c - s A) psi(D) with c = cos(k_xII D) and
+    s = sin(k_xII D)/k_xII: both are entire in k_xII^2, so no interior eigenbasis
+    is formed and E = V0 and k_xII = 0 are regular cells.  An evanescent interior
+    (decay rate k_xII) scales c and s by sigma = exp(-k_xII D), so every factor
+    is bounded and a barrier of any width is stable.  Both conventions label the
+    same interior states, so r and t do not depend on ``convention``; it is
+    still checked.  The interior wavevector is angle_kinematics' k_xII.
 
-    E, V0, D and theta_I may be arrays that broadcast together; every
-    non-degenerate cell is matched in the same array expressions.
+    E, V0, D and theta_I may be arrays that broadcast together.
     """
     shape, (E, V0, D, theta_I) = _flat(E, V0, D, theta_I)
     _require(*_incidence(E, V0, theta_I), "D",
              (D > 0, "barrier width D must be positive"), E=E, V0=V0, D=D, theta_I=theta_I)
-    paper = Convention(convention) is _PAPER
+    Convention(convention)
     hv = material.hbar_vF
-    with np.errstate(over="raise"):  # a wavevector or width beyond float range raises, not inf
-        e, E, V0, k_F, k_y, k_x, _, s_II, propagating = _kinematics(E, V0, theta_I, hv)
+    with np.errstate(over="raise"):  # a wavevector or k_xII D beyond float range raises, not inf
+        e, E, V0, _, k_y, k, _, _, inside = _kinematics(E, V0, theta_I, hv)
         D = np.ldexp(D, e)  # the width in the unit-scale wavevectors' length unit
-    cells = (s_II != 0) & (k_x != 0)
-    if not shape and not cells[0]:
-        if s_II[0] == 0:
-            raise ValueError("E = V0: interior states are degenerate at the Dirac point")
-        raise ValueError("k_xII = 0: interior states are degenerate at the critical angle")
-
-    r = np.full(E.size, math.nan, dtype=complex)
-    t = r.copy()
-    if cells.any():
-        E, V0, D, theta_I, k_F, k_y, k_x, s_II, inside = (
-            array[cells] for array in (E, V0, D, theta_I, k_F, k_y, k_x, s_II, propagating))
-        eps2 = E - V0
-        k_1 = k_F * np.cos(theta_I)
-        # the interior's forward wave: decaying to the right when evanescent (the
-        # same for both conventions); for a hole-like propagating interior the
-        # conventions disagree on which state is forward
-        k_re = np.where(inside, np.where(paper & (s_II < 0), -k_x, k_x), 0.0)
-        k_im = np.where(inside, 0.0, k_x)
-        fwd1 = _spinor_u(hv, k_1, 0.0, k_y, E)
-        bwd1 = _spinor_u(hv, -k_1, 0.0, k_y, E)
-        fwd2 = _spinor_u(hv, k_re, k_im, k_y, eps2)
-        bwd2 = _spinor_u(hv, -k_re, -k_im, k_y, eps2)
-        # exp(i k_fwd D), |phase| <= 1 by construction
-        decay = np.exp(-k_im * D)
-        phase = np.empty(E.size, dtype=complex)
-        phase.real = decay * np.cos(k_re * D)
-        phase.imag = decay * np.sin(k_re * D)
-        # interior A (1, fwd2) e^{i k x} + B (1, bwd2) e^{-i k (x-D)}: with (1, fwd1) =
-        # alpha (1, fwd2) + beta (1, bwd2), x = D gives A = tau alpha, B = tau beta phase
-        gap = bwd2 - fwd2
-        alpha = (bwd2 - fwd1) / gap
-        beta_2 = (fwd1 - fwd2) / gap * phase * phase  # beta phase^2
-        # x = 0: (1, fwd1) + r (1, bwd1) = tau w, solved for (r, tau = t/phase)
-        w_0 = alpha + beta_2
-        w_1 = alpha * fwd2 + beta_2 * bwd2
-        det = w_0 * bwd1 - w_1
-        r[cells] = (w_1 - w_0 * fwd1) / det
-        t[cells] = (bwd1 - fwd1) / det * phase
-
-    fields = (r, t, np.abs(r) ** 2, np.abs(t) ** 2, propagating)
-    return BarrierSolution(*_shaped(shape, *fields))
+        kD = k * D
+    sigma = np.where(inside, 1.0, np.exp(-kD))
+    c = np.where(inside, np.cos(kD), (1.0 + sigma * sigma) / 2)  # sigma cosh(kD) if evanescent
+    odd = np.where(inside, np.sin(kD), -np.expm1(-kD) * (1.0 + sigma) / 2)  # or sigma sinh(kD)
+    s = D * np.divide(odd, kD, out=np.ones_like(kD), where=kD > 0)  # odd / k, D at k = 0
+    a, cos, sin = (E - V0) / hv, np.cos(theta_I), np.sin(theta_I)
+    # (1, e^{i theta}) + r (1, -e^{-i theta}) = t (c - s A)(1, e^{i theta}) / sigma, solved for r, t
+    den = c * cos - 1j * (s * (a - k_y * sin))
+    t = sigma * cos / den
+    r = s * (a * sin - k_y) * np.exp(1j * theta_I) / den
+    return BarrierSolution(*_shaped(shape, r, t, np.abs(r) ** 2, np.abs(t) ** 2, inside))
 
 
 def barrier_transmission(
@@ -344,5 +305,5 @@ def barrier_transmission(
     convention: Convention = Convention.PAPER,
     material: GrapheneMaterial = DEFAULT_MATERIAL,
 ) -> float:
-    """Transmission probability through a width-D barrier: in [0, 1], nan where degenerate."""
+    """Transmission probability through a width-D barrier, in [0, 1] in every cell."""
     return solve_barrier(E, V0, D, theta_I, convention, material).T

@@ -97,12 +97,14 @@ def graphene_T_common(E, V0, theta_I, hbar_vF=HBAR_VF):
     return abs(t) ** 2 * math.cos(th2) / math.cos(theta_I)
 
 
-def barrier_T_matrix(E, V0, D, theta_I, hbar_vF=HBAR_VF):
+def barrier_T_matrix(E, V0, D, theta_I, hbar_vF=HBAR_VF, current_labelled=False):
     """Finite-width barrier transmission via an inverse-matrix transfer product.
 
     Momentum-labelled interior basis; columns of W are the +k_x and -k_x
     eigenstates evaluated at position x.  T = |1/M[0,0]|^2 with
-    M = W1(0)^-1 W2(0) W2(D)^-1 W3(D).
+    M = W1(0)^-1 W2(0) W2(D)^-1 W3(D).  With ``current_labelled`` the
+    interior's first column is the state that carries current towards +x
+    instead: k_x -> -k_x for a propagating hole-like interior (E < V0).
     """
     k_F = E / hbar_vF
     k_y = k_F * math.sin(theta_I)
@@ -117,6 +119,8 @@ def barrier_T_matrix(E, V0, D, theta_I, hbar_vF=HBAR_VF):
 
     eps2 = E - V0
     k_2 = cmath.sqrt(complex((eps2 / hbar_vF) ** 2 - k_y * k_y))
+    if current_labelled and eps2 < 0 and k_2.imag == 0:
+        k_2 = -k_2
     m_tot = (
         np.linalg.inv(basis(E, k_1, 0.0))
         @ basis(eps2, k_2, 0.0)
@@ -125,6 +129,10 @@ def barrier_T_matrix(E, V0, D, theta_I, hbar_vF=HBAR_VF):
     )
     return float(abs(1.0 / m_tot[0, 0]) ** 2)
 
+
+def barrier_T_matrix_current(E, V0, D, theta_I, hbar_vF=HBAR_VF):
+    """barrier_T_matrix with the current-labelled interior basis (the paper's convention)."""
+    return barrier_T_matrix(E, V0, D, theta_I, hbar_vF, current_labelled=True)
 
 
 def barrier_T_kng(E, V0, D, theta_I, hbar_vF=HBAR_VF):

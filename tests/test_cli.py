@@ -927,31 +927,35 @@ def kinematics_calls(monkeypatch):
 
 
 @pytest.fixture
-def spinor_u_calls(monkeypatch):
-    """Counts the barrier solver's _spinor_u calls: four per batch, one per wave."""
+def barrier_calls(monkeypatch):
+    """Counts graphene.solve_barrier calls, which the CLI looks up at call time."""
     calls = []
-    spinor_u = graphene._spinor_u
-    monkeypatch.setattr(graphene, "_spinor_u", lambda *args: calls.append(1) or spinor_u(*args))
+    solve_barrier = graphene.solve_barrier
+    monkeypatch.setattr(graphene, "solve_barrier",
+                        lambda *args, **kwargs: calls.append(1) or solve_barrier(*args, **kwargs))
     return calls
 
 
-# the barrier is matched by 2x2 elimination in closed form: no linear solver, and the
-# spinor count guards against a per-cell loop
-def test_barrier_solves_in_one_batch_per_convention(capsys, solve_calls, spinor_u_calls):
-    code, out, _ = run(capsys, "barrier", "--lambdaF", "50", "--V0", "0.3", "--D", "1:200:500",
-                       "--theta", "30", "--no-manifest")
-    assert code == 0 and len(out.strip().split("\n")) == 1 + 500
+# the barrier is matched through the interior's transfer matrix in closed form: no linear
+# solver, and one solve per block fills both convention columns
+def test_barrier_solves_in_one_batch_per_convention(capsys, solve_calls, barrier_calls):
+    for count, blocks in ((500, 1), (5000, 3)):
+        barrier_calls.clear()
+        code, out, _ = run(capsys, "barrier", "--lambdaF", "50", "--V0", "0.3", "--D",
+                           f"1:200:{count}", "--theta", "30", "--no-manifest")
+        assert code == 0 and len(out.strip().split("\n")) == 1 + count
+        assert len(barrier_calls) == blocks == math.ceil(count / cli._SOLVE_BLOCK)
     assert len(solve_calls) == 0
-    assert 0 < len(spinor_u_calls) <= 2 * 4
 
 
 def test_barrier_at_critical_interior_is_an_error(capsys):
+    # an interior exactly at its critical angle (k_xII == 0) is a regular cell: its row holds
+    # the regular closed form's T at 50 digits in both columns
     code, out, err = run(capsys, "barrier", "--E", "0.05011252813203301",
                          "--V0", "0.02505626406601651", "--D", "10", "--theta", "30",
                          "--no-manifest")
-    assert (code, out) == (2, "")
-    assert err == ("kleinstep: error: k_xII = 0: interior states are degenerate at the "
-                   "critical angle\n")
+    assert (code, err) == (0, "")
+    assert out.split("\n")[1] == ("0.0501125281,0.0250562641,10,30,0.953867023,0.953867023")
 
 
 def test_graphene_angle_in_one_kinematics_call(capsys, kinematics_calls):
@@ -991,13 +995,14 @@ def test_linalg_failure_is_numerical_exit(capsys):
     assert (code, err) == (0, "")
     assert out.split("\n")[1] == "0.1,1e-17,1.5,common,klein,-1,nan,0,nan,0,inf,-inf"
 
-    # the barrier's singular matching: an interior exactly at its critical angle
-    # (k_xII == 0) is degenerate, an error on the first such width, not finite garbage
+    # the barrier has no singular matching: an interior exactly at its critical angle
+    # (k_xII == 0) gives the regular closed form's T at 50 digits (0.697678578 and
+    # 0.365858233), the same in both columns, not an error or finite garbage
     code, out, err = run(capsys, "barrier", "--E", "0.05", "--V0", "0.075", "--D", "10,20",
                          "--theta", "30", "--no-manifest")
-    assert (code, out) == (2, "")
-    assert err == ("kleinstep: error: k_xII = 0: interior states are degenerate at the "
-                   "critical angle\n")
+    assert (code, err) == (0, "")
+    assert out.split("\n")[1:] == ["0.05,0.075,10,30,0.697678578,0.697678578",
+                                   "0.05,0.075,20,30,0.365858233,0.365858233", ""]
 
 
 # ------------------------------------------------------------- import isolation

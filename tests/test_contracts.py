@@ -219,8 +219,6 @@ VALIDATED_CALLS = {
         _step_cell, st.floats(0.0, 2.0), st.floats(0.01, 3.0), st.floats(0.1, 5.0))),
     "angle_kinematics": (angle_kinematics, st.tuples(
         st.floats(0.01, 1.0), st.floats(1.5, 3.0), st.floats(-1.5, 1.5))),
-    # V0 above E: no cell is the degenerate E = V0, which a 0-d call rejects and an array
-    # call holds as nan
     "solve_barrier": (solve_barrier, st.tuples(
         st.floats(0.01, 1.0), st.floats(1.5, 3.0), st.floats(1.0, 100.0), st.floats(-1.5, 1.5))),
     "make_spinor2": (make_spinor2, st.builds(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kleinstep.common import Convention, SingularityError
 from kleinstep.graphene import (
@@ -22,7 +22,7 @@ from kleinstep.graphene import (
 )
 from kleinstep.step import StepProblem, solve_step_numeric
 
-from oracles import barrier_T_matrix, graphene_T_common, graphene_T_paper
+from oracles import barrier_T_matrix, barrier_T_matrix_current, graphene_T_common, graphene_T_paper
 
 # frozen from tests/oracles.py with hbar v_F = 0.6578 eV nm, lambda_F = 50 nm
 E_FERMI = 0.08266158590125464
@@ -33,6 +33,8 @@ T_PAPER_80 = 0.21048421502075365
 T_COMMON_45 = 2.675459261941154
 T_BARRIER_50_45 = 0.9226092859246967
 D_RESONANCE_30 = 9.685134123061177
+# E = V0 = 0.3 eV, D = 10 nm, theta = 0.2 rad: cos^2 th / (cosh^2(k_y D) - sin^2 th) at 50 digits
+T_DIRAC_POINT = 0.47265106926544626
 
 
 def test_default_material_constant():
@@ -251,6 +253,20 @@ class TestBarrier:
             saw_evanescent += not paper.interior_propagating
         assert saw_evanescent > 10
 
+    @given(st.floats(0.03, 0.25), st.floats(0.05, 0.45), st.floats(2.0, 80.0),
+           st.floats(-1.2, 1.2), st.sampled_from(list(Convention)))
+    @settings(max_examples=150, deadline=None)
+    def test_both_labelled_oracles_match_either_convention(self, energy, height, width, theta,
+                                                          convention):
+        # the momentum- and current-labelled interior bases span the same states, so both
+        # eigenbasis products give the one solve's T; away from theta_c, where they degenerate
+        k_2 = abs(energy - height) / HBAR_VF_EV_NM
+        assume(abs(energy - height) > 0.01)
+        assume(angle_kinematics(energy, height, theta).k_xII > 0.05 * k_2)
+        mine = barrier_transmission(energy, height, width, theta, convention)
+        for oracle in (barrier_T_matrix, barrier_T_matrix_current):
+            assert mine == pytest.approx(oracle(energy, height, width, theta), abs=1e-10)
+
     def test_unitarity(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
@@ -263,8 +279,11 @@ class TestBarrier:
             assert -1e-10 <= sol.T <= 1.0 + 1e-10
 
     def test_degenerate_interior_rejected(self):
-        with pytest.raises(ValueError, match="Dirac point"):
-            barrier_transmission(0.3, 0.3, 10.0, 0.2)
+        # E = V0 is a regular cell of the transfer matrix, not an error
+        for conv in Convention:
+            assert barrier_transmission(0.3, 0.3, 10.0, 0.2, conv) == pytest.approx(
+                T_DIRAC_POINT, rel=1e-12
+            )
 
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):

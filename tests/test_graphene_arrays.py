@@ -1,6 +1,8 @@
 """Array graphene kernels: every cell of an array call equals its 0-d call, bit for bit."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -31,10 +33,10 @@ def bits(value) -> bytes:
 def barrier_grids(draw):
     """(E, V0, D, theta) axes of a grid that touches every graphene regime.
 
-    Energies include the drawn heights themselves (E = V0, a degenerate
-    interior) and heights a little above or below them (angles beyond the
-    critical angle, evanescent interiors); angles include 0 (singular under
-    COMMON in the Klein zone) and steep ones.
+    Energies include the drawn heights themselves (E = V0, an interior at
+    the Dirac point) and heights a little above or below them (angles beyond
+    the critical angle, evanescent interiors); angles include 0 (singular
+    under COMMON in the Klein zone) and steep ones.
     """
     heights = draw(st.lists(st.floats(0.05, 0.45), min_size=1, max_size=3))
     near = [V0 * factor for V0 in heights for factor in (1.0, 0.7, 1.4)]
@@ -46,11 +48,18 @@ def barrier_grids(draw):
     return np.array(energies), np.array(heights), np.array(widths), np.array(angles)
 
 
-# an E = V0 cell (r = t = nan) after a cell whose |r|^2 underflows
+# an E = V0 cell after a cell whose |r|^2 underflows
 UNDERFLOW_THEN_NAN = (np.array([0.25]), np.array([0.25, 0.375]), np.array([1.0]),
                       np.array([5.08340796e-203]))
-# (E, V0) whose interior is exactly at its critical angle at 30 degrees: k_xII == 0
-CRITICAL_30 = [(0.05011252813203301, 0.02505626406601651), (0.05, 0.075)]
+# (E, V0) whose interior is exactly at its critical angle at 30 degrees: k_xII == 0;
+# with T of D = 10 nm from the regular closed form at 50 digits
+CRITICAL_30 = [(0.05011252813203301, 0.02505626406601651, 0.9538670234519766),
+               (0.05, 0.075, 0.6976785777974761)]
+# T at E = V0 = 0.3 eV, D = 10 nm, theta = 0.2 rad: cos^2 th / (cosh^2(k_y D) - sin^2 th)
+T_DIRAC_POINT = 0.47265106926544626
+# cells at theta_c (1 +- 10^u), u in [-16, -6], with T from the closed form at 50 digits
+CRITICAL_CELLS = np.array(json.loads(
+    (pathlib.Path(__file__).parent / "barrier_critical_angle.json").read_text())["cells"])
 
 
 def _grid(axes):
@@ -100,15 +109,7 @@ def test_barrier_cells_equal_zero_d_calls(axes, convention):
     shape = tuple(axis.size for axis in axes)
     assert all(np.shape(getattr(batch, name)) == shape for name in BARRIER_FIELDS)
     for cell in np.ndindex(shape):
-        point = [float(axis[i]) for axis, i in zip(axes, cell)]
-        try:
-            single = solve_barrier(*point, convention)
-        except ValueError:
-            # the cause is read from the kinematics, not from the solver
-            critical = angle_kinematics(point[0], point[1], point[3]).k_xII == 0
-            assert point[0] == point[1] or critical, "only E = V0 or k_xII = 0 may raise"
-            assert all(np.isnan(getattr(batch, name)[cell]) for name in ("r", "t", "R", "T"))
-            continue
+        single = solve_barrier(*(float(axis[i]) for axis, i in zip(axes, cell)), convention)
         for name in BARRIER_FIELDS:
             assert bits(getattr(batch, name)[cell]) == bits(getattr(single, name)), name
 
@@ -143,37 +144,49 @@ def test_transmission_even_in_angle(axes):
     step = transmission_probability(t_paper(ak), ak)
     np.testing.assert_allclose(step[..., 0, :], step[..., 1, :], rtol=0.0, atol=1e-12)
     for convention in Convention:
-        # cells at E = V0 hold nan on both sides, which assert_allclose treats as equal
         T = solve_barrier(E[:, None, None, None, None], V0[None, :, None, None, None],
                           D[None, None, :, None, None], mirrored, convention).T
         np.testing.assert_allclose(T[..., 0, :], T[..., 1, :], rtol=0.0, atol=1e-12)
 
 
 def test_degenerate_cell_after_underflow_gives_nan():
-    # the E = V0 cell holds nan in r, t, R and T although the cell before it underflows
+    # the E = V0 cell is finite, T = 1 as the closed form's cos^2 th / (cosh^2(k_y D) - sin^2 th)
+    # at this angle, and every cell equals its 0-d call although the cell after it underflows
     E, V0, D, theta = (axis.tolist() for axis in UNDERFLOW_THEN_NAN)
     for convention in Convention:
         solution = solve_barrier(E[0], np.array(V0), D[0], theta[0], convention)
-        assert np.isnan(solution.r[0]) and np.isnan(solution.t[0])
-        assert math.isnan(solution.R[0]) and math.isnan(solution.T[0])
+        assert solution.T[0] == 1.0 and np.isfinite(solution.r[0])
         single = solve_barrier(E[0], V0[1], D[0], theta[0], convention)
-        if convention is Convention.PAPER:
-            assert single.r != 0.0 and single.R == 0.0  # |r|^2 underflows
-        for name in BARRIER_FIELDS:
-            assert bits(getattr(solution, name)[1]) == bits(getattr(single, name)), name
+        assert single.r != 0.0 and single.R == 0.0  # |r|^2 underflows
+        for index, height in enumerate(V0):
+            single = solve_barrier(E[0], height, D[0], theta[0], convention)
+            for name in BARRIER_FIELDS:
+                assert bits(getattr(solution, name)[index]) == bits(getattr(single, name)), name
 
 
-@pytest.mark.parametrize("E, V0", CRITICAL_30)
-def test_critical_interior_is_degenerate(E, V0):
-    # the matching has no unique solution: the cell is degenerate, not finite numbers
+@pytest.mark.parametrize("E, V0, T", CRITICAL_30)
+def test_critical_interior_is_degenerate(E, V0, T):
+    # an interior exactly at its critical angle is a regular cell of the transfer matrix
     theta = math.radians(30.0)
     assert angle_kinematics(E, V0, theta).k_xII == 0
     for convention in Convention:
-        with pytest.raises(ValueError, match="^k_xII = 0: .* at the critical angle$"):
-            solve_barrier(E, V0, 10.0, theta, convention)
+        single = solve_barrier(E, V0, 10.0, theta, convention)
+        assert abs(single.T - T) <= 1e-10 and abs(single.R + single.T - 1.0) <= 1e-10
         solution = solve_barrier(E, np.array([V0, 0.3]), 10.0, theta, convention)
-        assert all(np.isnan(getattr(solution, name)[0]) for name in ("r", "t", "R", "T"))
+        assert bits(solution.T[0]) == bits(single.T) and bits(solution.r[0]) == bits(single.r)
         assert abs(solution.T[1] - barrier_T_kng(E, 0.3, 10.0, theta)) <= 1e-10
+
+
+def test_full_precision_through_the_critical_angle():
+    # the eigenbasis matching lost up to 8 digits here and gave nan at k_xII = 0
+    assert len(CRITICAL_CELLS) >= 200
+    E, V0, D, theta, T = CRITICAL_CELLS.T
+    critical = np.arcsin(np.abs(E - V0) / E)
+    assert np.all(np.abs(np.abs(theta) / critical - 1.0) <= 1.1e-6)
+    for convention in Convention:
+        solution = solve_barrier(E, V0, D, theta, convention)
+        assert np.max(np.abs(solution.T - T) / T) <= 1e-12
+        assert np.max(np.abs(solution.R + solution.T - 1.0)) <= 1e-14
 
 
 def test_barrier_matches_closed_form_in_one_array_call():
@@ -227,8 +240,8 @@ def test_zero_d_calls_still_raise():
         t_paper(beyond)
     with pytest.raises(ValueError, match="no propagating"):
         transmission_probability(0.0, beyond)
-    with pytest.raises(ValueError, match="Dirac point"):
-        solve_barrier(np.array(0.3), 0.3, 10.0, 0.2)
+    # E = V0 is a regular barrier cell: its 0-d call gives the closed form's T
+    assert abs(solve_barrier(np.array(0.3), 0.3, 10.0, 0.2).T - T_DIRAC_POINT) <= 1e-12
 
 
 def test_empty_sweeps():
