@@ -71,7 +71,8 @@ CASES = [
     ("step-compare-below-mass.stderr", 2, ["step-compare", "--E", "1.2", "--m", "1.5", "--V0", "5"]),
     ("graphene-angle-singular.stderr", 1,
      ["graphene-angle", "--E", "0.08", "--V0", "0.3", "--theta", "0"]),
-    ("barrier-degenerate.stderr", 2, ["barrier", "--E", "0.3", "--V0", "0.3", "--D", "10"]),
+    # an interior at the Dirac point (E = V0): T = 1/cosh^2(k_y D) = 1 at normal incidence
+    ("barrier-dirac-point.csv", 0, ["barrier", "--E", "0.3", "--V0", "0.3", "--D", "10"]),
     ("help.txt", 0, ["--help"]),
 ] + [(f"help-{command}.txt", 0, [command, "--help"]) for command in _COMMANDS]
 
