@@ -996,8 +996,7 @@ def test_linalg_failure_is_numerical_exit(capsys):
     assert out.split("\n")[1] == "0.1,1e-17,1.5,common,klein,-1,nan,0,nan,0,inf,-inf"
 
     # the barrier has no singular matching: an interior exactly at its critical angle
-    # (k_xII == 0) gives the regular closed form's T at 50 digits (0.697678578 and
-    # 0.365858233), the same in both columns, not an error or finite garbage
+    # (k_xII == 0) gives the regular closed form's T at 50 digits in both columns
     code, out, err = run(capsys, "barrier", "--E", "0.05", "--V0", "0.075", "--D", "10,20",
                          "--theta", "30", "--no-manifest")
     assert (code, err) == (0, "")
