@@ -955,7 +955,7 @@ def test_barrier_at_critical_interior_is_an_error(capsys):
                          "--V0", "0.02505626406601651", "--D", "10", "--theta", "30",
                          "--no-manifest")
     assert (code, err) == (0, "")
-    assert out.split("\n")[1] == ("0.0501125281,0.0250562641,10,30,0.953867023,0.953867023")
+    assert out.split("\n")[1] == "0.0501125281,0.0250562641,10,30,0.953867023,0.953867023"
 
 
 def test_graphene_angle_in_one_kinematics_call(capsys, kinematics_calls):
