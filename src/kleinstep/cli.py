@@ -28,7 +28,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from kleinstep import __version__
-from kleinstep.common import HBAR_VF_EV_NM, Convention, SingularityError, first_point
+from kleinstep.common import HBAR_VF_EV_NM, Convention, SingularityError, _raise_where
 
 __all__ = ["RunManifest", "SweepRequest", "main", "parse_args"]
 
@@ -324,34 +324,15 @@ def _material_and_fermi_energy(params: dict) -> tuple:
     return material, energy_from_wavelength(params["lambdaF"], material)
 
 
-def _raise_first(bad: np.ndarray, call: Callable, *arrays) -> None:
-    """Repeat the first bad cell of an array call as a 0-d call, which raises its error.
-
-    Array kernels hold sentinels (e.g. kappa_value = -1, t = inf) where a 0-d
-    call raises; the sweep fails on its first such cell in sweep order.
-    """
-    if bad.any():
-        call(*first_point(bad, *arrays))
-
-
-def _raise_if_singular(problem, solution) -> None:
-    """Raise the SingularityError of a step solution's first singular cell (r = nan)."""
-    from kleinstep.step import StepProblem, solve_step_numeric
-    _raise_first(np.isnan(solution.r),
-                 lambda *point: solve_step_numeric(StepProblem(*point), solution.convention),
-                 problem.E, problem.m, problem.V0)
-
-
 def _step_rt(request: SweepRequest) -> tuple:
     from kleinstep.step import StepProblem, solve_step_numeric
     params = request.params
     convention = Convention(params["convention"])
 
     def solve(E):
-        problem = StepProblem(E, params["m"], params["V0"])
-        sol = solve_step_numeric(problem, convention)
+        sol = solve_step_numeric(StepProblem(E, params["m"], params["V0"]), convention)
         if not request.allow_singular:
-            _raise_if_singular(problem, sol)
+            _raise_where(np.isnan(sol.r), "kappa_prime")
         return {
             "E": E, "m": np.full_like(E, params["m"]), "V0": np.full_like(E, params["V0"]),
             "convention": [convention.value] * E.size,
@@ -374,7 +355,7 @@ def _step_compare(request: SweepRequest) -> tuple:
         paper = solve_step_numeric(problem, Convention.PAPER)
         common = solve_step_numeric(problem, Convention.COMMON)
         if not request.allow_singular:
-            _raise_if_singular(problem, common)
+            _raise_where(np.isnan(common.r), "kappa_prime")
         # singular cells already hold the --allow-singular values: kappa' = -1, R = inf, T = -inf
         return {
             "E": E, "m": m, "V0": V0,
@@ -425,8 +406,7 @@ def _graphene_angle(request: SweepRequest) -> tuple:
         ak = angle_kinematics(energy, params["V0"], theta, material)
         common = t_common(ak)
         if not request.allow_singular:
-            _raise_first(np.isinf(common), lambda angle: t_common(
-                angle_kinematics(energy, params["V0"], angle, material)), theta)
+            _raise_where(np.isinf(common), "t_common")
         # non-propagating rows: kxII = thetaII_deg = nan and T = 0; singular ones T_common = inf
         return {
             "theta_deg": theta_deg, "ky": ak.k_y,
@@ -525,9 +505,12 @@ def _table(request: SweepRequest) -> dict:
     """The sweep's output table, solved _SOLVE_BLOCK cells at a time.
 
     A launch then holds its table and one block's kernel temporaries, not
-    the whole sweep's. A sweep of at most one block is one call. A sweep that
-    fails in any block is solved again whole, which raises the whole sweep's
-    error: its first invalid point in sweep order, else its first singular one.
+    the whole sweep's. A sweep of at most one block is one call. A block sees
+    only its own cells, so a sweep that fails in any block is solved again
+    whole, which raises the whole sweep's error: its first invalid point in
+    sweep order even past a block with a singular cell (the kernels check
+    every cell's domain before the fail-fast reads their sentinels), and
+    spinor-check's overflow or zero spinor in the whole sweep's order.
     """
     solve, cells = _COMMANDS[request.command].sweep(request)
     count = len(cells[0])

@@ -39,13 +39,25 @@ class SingularityError(ArithmeticError):
         super().__init__(message)
 
 
-def first_point(mask: np.ndarray, *arrays: np.ndarray) -> list:
-    """The elements of ``arrays`` at the first true cell of ``mask``, as Python scalars.
+# Each kind of bad cell: its error's class and arguments.  A 0-d call raises it
+# where an array call holds the kernel's documented sentinel, and the CLI's
+# fail-fast raises it from a sweep's own sentinels.
+_BAD_CELLS = {
+    "kappa": (SingularityError, "1 + kappa", "R and T diverge at kappa = -1"),
+    "kappa_prime": (SingularityError, "1 + kappa_prime",
+                    "massless Klein step in the momentum-labelled convention"),
+    "t_common": (SingularityError, "s_I exp(-i theta_I) + s_II exp(i theta_II)",
+                 "transmitted amplitude diverges at normal incidence for 0 < E < V0"),
+    "t_paper": (SingularityError, "exp(-i theta_I) + exp(-i theta_II)"),
+    "non_propagating": (ValueError, "no propagating transmitted wave at this angle"),
+}
 
-    Cells are taken in C order, which is sweep order for the CLI's grids.
-    """
-    index = int(np.flatnonzero(mask)[0])
-    return [unwrap(np.broadcast_to(array, mask.shape).flat[index]) for array in arrays]
+
+def _raise_where(bad, kind: str) -> None:
+    """Raise the error of bad-cell ``kind`` (a key of _BAD_CELLS) if any cell of ``bad`` is set."""
+    if np.any(bad):
+        error, *args = _BAD_CELLS[kind]
+        raise error(*args)
 
 
 def broadcast(*arrays: np.ndarray) -> list[np.ndarray]:
@@ -90,7 +102,9 @@ def _require(*rules, **cells) -> None:
         valid = mask if valid is None else valid & mask
     if np.count_nonzero(valid) == valid.size:  # valid.all(), at a third of its cost on one cell
         return
-    point = first_point(~valid, *masks, *cells.values())
+    index = int(np.flatnonzero(~valid)[0])  # C order: sweep order for the CLI's grids
+    point = [unwrap(np.broadcast_to(array, valid.shape).flat[index])
+             for array in (*masks, *cells.values())]
     values = dict(zip(cells, point[len(rules):]))
     rule = next(rule for rule, ok in zip(rules, point) if not ok)
     message = f"{rule} must be finite, got {{{rule}}}" if isinstance(rule, str) else rule[1]

@@ -20,8 +20,9 @@ check that equivalence against an eigenbasis product in each labelling.
 
 Every kernel takes numpy arrays that broadcast together and works cell by
 cell; scalars are the 0-d case and give Python scalars.  Where a 0-d call
-raises at a singular or non-propagating point, an array cell holds a
-sentinel instead (see each function), so one such cell does not end a sweep.
+raises at a singular or non-propagating point (the error of its kind in
+common._BAD_CELLS), an array cell holds a sentinel instead (see each
+function), so one such cell does not end a sweep.
 The kinematics are formed with E and V0 at unit scale, an exact power-of-two
 rescale, so angles and transmissions are the same bits at any energy scale.
 """
@@ -34,8 +35,8 @@ import numpy as np
 from kleinstep.common import (
     HBAR_VF_EV_NM,
     Convention,
-    SingularityError,
     _flat,
+    _raise_where,
     _require,
     _shaped,
     _unit_scale,
@@ -144,19 +145,17 @@ def angle_kinematics(
         shape, theta_I, k_F, k_y, k_xII, theta_II, np.ones_like(s_II), s_II, propagating))
 
 
-def _amplitude(shape: tuple, propagating, numerator, den_re, den_im, singular_error):
+def _amplitude(shape: tuple, propagating, numerator, den_re, den_im, kind: str):
     """numerator / (den_re + i den_im) per cell: inf where singular, 0 where not propagating.
 
-    A 0-d call raises ValueError or SingularityError(*singular_error) instead.
+    A 0-d call raises instead: the bad-cell error "non_propagating", or ``kind``'s where singular.
     """
     den = np.empty(propagating.size, dtype=complex)
     den.real, den.imag = den_re, den_im
     singular = propagating & (np.abs(den) < 1e-12)
     if not shape:
-        if not propagating[0]:
-            raise ValueError("no propagating transmitted wave at this angle")
-        if singular[0]:
-            raise SingularityError(*singular_error)
+        _raise_where(~propagating, "non_propagating")
+        _raise_where(singular, kind)
     den[singular] = 1.0
     with np.errstate(invalid="ignore"):  # a non-propagating cell's theta_II is nan
         t = numerator / den
@@ -178,9 +177,7 @@ def t_common(ak: AngleKinematics) -> complex:
     return _amplitude(
         shape, propagating, 2.0 * s_I * cos_I,
         s_I * cos_I + s_II * np.cos(theta_II),
-        s_I * np.sin(-theta_I) + s_II * np.sin(theta_II),
-        ("s_I exp(-i theta_I) + s_II exp(i theta_II)",
-         "transmitted amplitude diverges at normal incidence for 0 < E < V0"),
+        s_I * np.sin(-theta_I) + s_II * np.sin(theta_II), "t_common",
     )
 
 
@@ -196,8 +193,7 @@ def t_paper(ak: AngleKinematics) -> complex:
     # |den| = 2 cos((th_I - th_II)/2) > 0 for angles below pi/2; checked, not assumed
     return _amplitude(
         shape, propagating, 2.0 * cos_I,
-        cos_I + np.cos(theta_II), np.sin(-theta_I) + np.sin(-theta_II),
-        ("exp(-i theta_I) + exp(-i theta_II)",),
+        cos_I + np.cos(theta_II), np.sin(-theta_I) + np.sin(-theta_II), "t_paper",
     )
 
 
@@ -214,8 +210,8 @@ def transmission_probability(t: complex, ak: AngleKinematics) -> float:
     cos_in = np.cos(theta_I)
     if (cos_in == 0.0).any():
         raise ValueError("grazing incidence: cos(theta_I) = 0")
-    if not shape and not propagating[0]:
-        raise ValueError("no propagating transmitted wave at this angle")
+    if not shape:
+        _raise_where(~propagating, "non_propagating")
     t = np.broadcast_to(np.asarray(t, dtype=complex), shape).ravel()
     transmission = np.abs(t) ** 2 * np.cos(theta_II) / cos_in
     transmission[~propagating] = 0.0

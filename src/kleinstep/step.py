@@ -23,8 +23,8 @@ import numpy as np
 
 from kleinstep.common import (
     Convention,
-    SingularityError,
     _flat,
+    _raise_where,
     _require,
     _shaped,
     _unit_scale,
@@ -187,8 +187,8 @@ def rt_from_kappa(x: float) -> tuple[float, float]:
     not end a sweep.
     """
     shape, (x,) = _flat(x)
-    if not shape and 1.0 + x[0] == 0.0:
-        raise SingularityError("1 + kappa", "R and T diverge at kappa = -1")
+    if not shape:
+        _raise_where(1.0 + x == 0.0, "kappa")
     with np.errstate(divide="ignore", invalid="ignore"):
         denominator = 1.0 + x
         r_coeff = ((1.0 - x) / denominator) ** 2
@@ -264,13 +264,10 @@ def solve_step_numeric(
         )
         big_t[cells] = np.hypot(t_cells.real, t_cells.imag) ** 2 * current_density(trans) / j_inc
 
-    if singular.any():
-        if not shape:
-            raise SingularityError(
-                "1 + kappa_prime", "massless Klein step in the momentum-labelled convention"
-            )
-        kappa_value[singular], r[singular], t[singular] = -1.0, np.nan, np.nan
-        big_r[singular], big_t[singular] = np.inf, -np.inf
+    if not shape:
+        _raise_where(singular, "kappa_prime")
+    kappa_value[singular], r[singular], t[singular] = -1.0, np.nan, np.nan
+    big_r[singular], big_t[singular] = np.inf, -np.inf
 
     fields = (kappa_value, r, t, big_r, big_t, regimes)
     return StepScatteringSolution(convention, *_shaped(shape, *fields))

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import struct
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from kleinstep import cli, graphene, step
 from kleinstep.cli import RunManifest, main, render_csv, render_json
+from kleinstep.common import _BAD_CELLS
 
 from oracles import rt_pair, step_kappa, step_kappa_prime
 from test_contracts import run_fresh
@@ -948,7 +950,7 @@ def test_barrier_solves_in_one_batch_per_convention(capsys, solve_calls, barrier
     assert len(solve_calls) == 0
 
 
-def test_barrier_at_critical_interior_is_an_error(capsys):
+def test_barrier_at_critical_interior_is_regular(capsys):
     # an interior exactly at its critical angle (k_xII == 0) is a regular cell: its row holds
     # the regular closed form's T at 50 digits in both columns
     code, out, err = run(capsys, "barrier", "--E", "0.05011252813203301",
@@ -981,7 +983,7 @@ def test_angular_current_in_one_kinematics_call(capsys, kinematics_calls):
     assert code == 0 and len(out.strip().split("\n")) == 1 + 1001
     assert len(kinematics_calls) <= 2
 
-def test_linalg_failure_is_numerical_exit(capsys):
+def test_zero_determinant_is_a_singular_cell(capsys):
     # kappa' rounds to -1.0000000000000002, not -1, but the matching determinant is 0:
     # a singular cell, not a failed solve
     args = ("step-rt", "--E", "0.1", "--m", "1e-17", "--V0", "1.5", "--convention", "common",
@@ -1002,6 +1004,83 @@ def test_linalg_failure_is_numerical_exit(capsys):
     assert (code, err) == (0, "")
     assert out.split("\n")[1:] == ["0.05,0.075,10,30,0.697678578,0.697678578",
                                    "0.05,0.075,20,30,0.365858233,0.365858233", ""]
+
+
+# a failing sweep fails fast from its own sentinels: no kernel is called again at 0-d
+SINGULAR_STEP = ["step-rt", "--E", "0.1", "--m", "1e-17", "--V0", "1.5", "--convention", "common"]
+SINGULAR_ANGLES = ["graphene-angle", "--lambdaF", "50", "--V0", "0.3", "--theta", "0,45"]
+SINGULAR_STEP_ERR = ("kleinstep: numerical failure: singular denominator: 1 + kappa_prime "
+                     "(massless Klein step in the momentum-labelled convention)\n"
+                     "kleinstep: rerun with --allow-singular to emit unbounded values\n")
+
+
+def test_singular_step_sweep_is_solved_once(capsys, spinor_calls):
+    code, out, err = run(capsys, *SINGULAR_STEP, "--no-manifest")
+    assert (code, out, err) == (1, "", SINGULAR_STEP_ERR)
+    assert len(spinor_calls) == 3
+
+
+def test_singular_angle_sweep_is_solved_once(capsys, kinematics_calls):
+    code, out, err = run(capsys, *SINGULAR_ANGLES, "--no-manifest")
+    assert (code, out) == (1, "")
+    assert err.startswith("kleinstep: numerical failure: singular denominator: s_I exp")
+    assert len(kinematics_calls) == 1
+
+
+def test_singular_cell_past_the_first_block(capsys, spinor_calls, kinematics_calls):
+    # the only singular cell lies in the third block (theta = 0 is cell 5,001; E = 0.1 is cell
+    # 4,200): the blocks up to it are solved once each, then the whole sweep once for its error
+    golden = pathlib.Path(__file__).parent / "golden" / "graphene-angle-singular.stderr"
+    code, out, err = run(capsys, "graphene-angle", "--E", "0.3", "--V0", "0.42",
+                         "--theta=-80:80:10001")
+    assert (code, out, err) == (1, "", golden.read_text(encoding="utf-8"))
+    assert len(kinematics_calls) == 3 + 1
+    energies = ",".join(map(repr, [*np.linspace(2.0, 3.0, 4200).tolist(), 0.1]))
+    code, out, err = run(capsys, *SINGULAR_STEP[:2], energies, *SINGULAR_STEP[3:])
+    assert (code, out, err) == (1, "", SINGULAR_STEP_ERR)
+    assert len(spinor_calls) == 3 * (3 + 1)
+
+
+def _beyond_critical():
+    return graphene.angle_kinematics(0.3, 0.42, math.radians(80))
+
+
+# t_paper's |den| = 2 cos((theta_I - theta_II)/2) vanishes only for kinematics no step gives
+_T_PAPER_POLE = graphene.AngleKinematics(math.pi / 2 - 1e-13, 1.0, 1.0, 1e-13,
+                                         -(math.pi / 2 - 1e-13), 1, 1, True)
+
+
+BAD_CELL_CALLS = [
+    ("kappa", lambda: step.rt_from_kappa(-1.0), None),
+    ("kappa_prime", lambda: step.solve_step_numeric(step.StepProblem(0.1, 1e-17, 1.5), "common"),
+     SINGULAR_STEP),
+    ("kappa_prime", lambda: step.solve_step_numeric(step.StepProblem(2.0, 0.0, 5.0), "common"),
+     ["step-compare", "--E", "2", "--m", "0", "--V0", "5"]),
+    ("t_common", lambda: graphene.t_common(graphene.angle_kinematics(0.08, 0.3, 0.0)),
+     ["graphene-angle", "--E", "0.08", "--V0", "0.3", "--theta", "0"]),
+    ("t_paper", lambda: graphene.t_paper(_T_PAPER_POLE), None),
+    ("non_propagating", lambda: graphene.t_paper(_beyond_critical()), None),
+    ("non_propagating", lambda: graphene.t_common(_beyond_critical()), None),
+    ("non_propagating", lambda: graphene.transmission_probability(0j, _beyond_critical()), None),
+]
+
+
+def test_every_bad_cell_kind_has_a_call():
+    assert {kind for kind, _, _ in BAD_CELL_CALLS} == set(_BAD_CELLS)
+
+
+@pytest.mark.parametrize("kind,call,argv", BAD_CELL_CALLS, ids=[
+    "kappa", "kappa_prime-zero-determinant", "kappa_prime-massless", "t_common", "t_paper",
+    "non_propagating-t_paper", "non_propagating-t_common", "non_propagating-probability"])
+def test_bad_cell_errors_come_from_one_table(capsys, kind, call, argv):
+    error, *args = _BAD_CELLS[kind]
+    with pytest.raises(Exception) as excinfo:
+        call()
+    assert type(excinfo.value) is error and str(excinfo.value) == str(error(*args))
+    if argv is not None:
+        code, out, err = run(capsys, *argv, "--no-manifest")
+        assert (code, out) == (1, "")
+        assert err.split("\n")[0] == f"kleinstep: numerical failure: {excinfo.value}"
 
 
 # ------------------------------------------------------------- import isolation
