@@ -25,7 +25,17 @@ import sys
 from datetime import datetime, timezone
 from typing import Callable, Iterator, NamedTuple
 
+# kleinstep's only BLAS calls are 2- and 4-element matmuls, and OpenBLAS's idle
+# second thread spins for 50-100 ms after numpy loads, on a vCPU the launch may
+# need. So when this module is the one to load numpy and no thread count is set,
+# numpy loads with one BLAS thread; the variable is then removed, so no child inherits it.
+_ONE_BLAS_THREAD = "numpy" not in sys.modules and not (
+    {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys())
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
+if _ONE_BLAS_THREAD:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from kleinstep import __version__
 from kleinstep.common import HBAR_VF_EV_NM, Convention, SingularityError, _raise_where
@@ -324,6 +334,14 @@ def _material_and_fermi_energy(params: dict) -> tuple:
     return material, energy_from_wavelength(params["lambdaF"], material)
 
 
+def _check_theta(theta) -> None:
+    """Fail on the first --theta angle (one, or an array of them) outside (-90, 90) degrees."""
+    angles = np.atleast_1d(theta)
+    outside = np.flatnonzero((angles <= -90) | (angles >= 90))
+    if outside.size:
+        raise _UsageError(f"--theta must lie in (-90, 90) degrees, got {angles[outside[0]]}")
+
+
 def _step_rt(request: SweepRequest) -> tuple:
     from kleinstep.step import StepProblem, solve_step_numeric
     params = request.params
@@ -400,6 +418,7 @@ def _graphene_angle(request: SweepRequest) -> tuple:
     from kleinstep.graphene import angle_kinematics, t_common, t_paper, transmission_probability
     params = request.params
     material, energy = _material_and_fermi_energy(params)
+    _check_theta(params["theta"])
 
     def solve(theta_deg):
         theta = np.radians(theta_deg)
@@ -423,6 +442,7 @@ def _barrier(request: SweepRequest) -> tuple:
     from kleinstep.graphene import solve_barrier
     params = request.params
     material, energy = _material_and_fermi_energy(params)
+    _check_theta(params["theta"])
     theta = math.radians(params["theta"])
 
     def solve(widths):
@@ -593,7 +613,7 @@ _COMMANDS = {
 
 
 # sweeps become Python values, text and written output this many rows at a time
-_RENDER_SLICE = 1024
+_RENDER_SLICE = 256
 
 
 def _json_cell(value) -> str:
@@ -619,49 +639,81 @@ def _json_string(text: str) -> str:
     return json.dumps(text)
 
 
-def _json_floats(values: np.ndarray) -> list[str] | None:
-    """json.dumps's texts of a float64 slice; None where %.9g writes every one of them.
+_TINY = np.finfo(float).tiny  # the smallest normal float64
+
+
+def _raw_floats(arrays: list[np.ndarray]) -> list[tuple[str, list]]:
+    """Each float64 slice as its floats under %.9g, which writes format(v, ".9g")'s bytes."""
+    return [("%.9g", values.tolist()) for values in arrays]
+
+
+def _json_floats(arrays: list[np.ndarray]) -> list[tuple[str, list]]:
+    """Each float64 slice under %.9g, or as json.dumps's texts under %s where %.9g differs.
 
     Only non-finite, subnormal and whole-after-rounding cells differ; a masked
-    superset of them takes exact texts.
+    superset of them takes exact texts. The slices are stacked into one block,
+    so that the mask takes a fixed number of numpy calls per slice of rows.
     """
-    magnitude = np.abs(values)
+    if not arrays:
+        return []
+    block = np.array(arrays)
+    magnitude = np.abs(block)
     with np.errstate(invalid="ignore"):
-        exact = ~np.isfinite(values) | (magnitude < np.finfo(float).tiny) | (
-            np.abs(values - np.round(values)) <= 1e-8 * magnitude)
-    if not exact.any():
-        return None
-    cells = values.tolist()
-    texts = list(map("%.9g".__mod__, cells))
+        distance = np.abs(block - np.rint(block))  # nan at nan and inf
+    exact = ~(distance > 1e-8 * magnitude) | (magnitude < _TINY)  # a nan distance is exact
+    fields = []
     exact_texts = {"nan": "NaN"}  # per distinct value; hex tells -0.0 from 0.0, which are equal
-    for index in np.flatnonzero(exact).tolist():
-        key = cells[index].hex()
-        if key not in exact_texts:
-            exact_texts[key] = _json_cell(cells[index])
-        texts[index] = exact_texts[key]
-    return texts
+    for cells, mask, any_exact in zip(block.tolist(), exact, exact.any(axis=1).tolist()):
+        if not any_exact:
+            fields.append(("%.9g", cells))
+            continue
+        texts = list(map("%.9g".__mod__, cells))
+        for index in np.flatnonzero(mask).tolist():
+            key = cells[index].hex()
+            if key not in exact_texts:
+                exact_texts[key] = _json_cell(cells[index])
+            texts[index] = exact_texts[key]
+        fields.append(("%s", texts))
+    return fields
 
 
-def _row_slices(columns: list[str], table: dict, cell, float_texts=lambda values: None):
-    """Per slice of rows: each column's %-format in a row, and the rows' values for them.
-
-    A float64 array goes in as raw floats under %.9g (format(v, ".9g")'s
-    bytes) unless float_texts gives it texts; any other column, which holds no
-    floats (see _Command), as cell texts made once per distinct value.
-    """
+def _row_slices(columns: list[str], table: dict, template: Callable[[tuple, int, int], str],
+                float_fields=_raw_floats, cell=None) -> Iterator[str]:
+    """The table's text a slice of rows at a time: see _slice_text."""
     count = len(table[columns[0]]) if columns else 0
     for start in range(0, count, _RENDER_SLICE):
-        formats, fields = [], []
-        for name in columns:
-            values = table[name][start:start + _RENDER_SLICE]
-            if isinstance(values, np.ndarray) and values.dtype == np.float64:
-                texts = float_texts(values)
-            else:
-                cells = np.asarray(values, dtype=object).tolist()
-                texts = list(map({value: cell(value) for value in set(cells)}.__getitem__, cells))
-            formats.append("%.9g" if texts is None else "%s")
-            fields.append(values.tolist() if texts is None else texts)
-        yield formats, zip(*fields)
+        yield _slice_text(columns, table, start, template, float_fields, cell)
+
+
+def _slice_text(columns, table, start, template, float_fields, cell) -> str:
+    """template(formats, rows, start) % the cells of the slice of rows from ``start``.
+
+    ``formats`` holds each column's %-format in a row, and the cells go in row
+    after row, so that one call formats the slice's ``rows`` rows. The float64
+    arrays' formats and values come from float_fields(their slices); any other
+    column, which holds no floats (see _Command), goes in under %s as
+    cell(value) texts made once per distinct value, or without ``cell`` as its
+    raw values, whose %s text is str's. The slice's values are gone on return.
+    """
+    rows = slice(start, start + _RENDER_SLICE)
+    floats = [name for name in columns
+              if isinstance(table[name], np.ndarray) and table[name].dtype == np.float64]
+    fields = dict(zip(floats, float_fields([table[name][rows] for name in floats])))
+    for name in columns:
+        if name not in fields:
+            values = table[name][rows]
+            values = values.tolist() if isinstance(values, np.ndarray) else values
+            if cell is not None:
+                values = list(map({value: cell(value) for value in set(values)}.__getitem__,
+                                  values))
+            fields[name] = "%s", values
+    formats, values = zip(*map(fields.pop, columns))
+    count = len(values[0])
+    cells = [None] * (count * len(columns))
+    for offset in range(len(columns)):
+        cells[offset::len(columns)] = values[offset]
+    del values  # the columns' lists: only the cells hold the slice's values now
+    return template(formats, count, start) % tuple(cells)
 
 
 def render_csv(columns: list[str], table: dict, manifest: RunManifest | None) -> Iterator[str]:
@@ -670,8 +722,8 @@ def render_csv(columns: list[str], table: dict, manifest: RunManifest | None) ->
     lines.append(",".join(columns))
     yield "\n".join(lines) + "\n"
     del lines  # the manifest text, which no slice needs
-    for formats, rows in _row_slices(columns, table, str):
-        yield "".join(map((",".join(formats) + "\n").__mod__, rows))
+    yield from _row_slices(columns, table,
+                           lambda formats, rows, start: (",".join(formats) + "\n") * rows)
 
 
 def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -> Iterator[str]:
@@ -687,12 +739,13 @@ def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -
     yield head + '  "rows": ['
     del head  # the manifest text, which no slice needs
     prefixes = [f"      {_json_string(name)}: ".replace("%", "%%") for name in columns]
-    separator, trailer = "\n", "]\n}\n"
-    for formats, rows in _row_slices(columns, table, _json_cell, _json_floats):
+
+    def template(formats, rows, start):
         row = "    {\n" + ",\n".join(map(str.__add__, prefixes, formats)) + "\n    }"
-        yield separator + ",\n".join(map(row.__mod__, rows))
-        separator, trailer = ",\n", "\n  ]\n}\n"
-    yield trailer
+        return (",\n" if start else "\n") + ",\n".join([row] * rows)
+
+    yield from _row_slices(columns, table, template, _json_floats, _json_cell)
+    yield "\n  ]\n}\n" if columns and len(table[columns[0]]) else "]\n}\n"
 
 
 def emit(request: SweepRequest, table: dict) -> int:

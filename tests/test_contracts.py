@@ -99,6 +99,44 @@ def test_package_loads_modules_on_first_use(check):
     assert result.returncode == 0, result.stderr
 
 
+# each check runs in a fresh interpreter with no BLAS thread count in its environment
+BLAS_THREAD_CHECKS = {
+    # the CLI loads numpy: one BLAS thread, and the variable is gone after the import
+    "cli-loads-numpy": """
+import os
+import kleinstep.cli
+with open("/proc/self/status") as status:
+    threads = next(line for line in status if line.startswith("Threads:"))
+assert threads.split() == ["Threads:", "1"], threads
+assert "OPENBLAS_NUM_THREADS" not in os.environ
+""",
+    # a user's setting stays in force
+    "user-setting": """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "2"
+import kleinstep.cli
+assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+""",
+    # numpy already loaded: the CLI leaves the environment as it is
+    "numpy-first": """
+import os
+import numpy
+before = dict(os.environ)
+import kleinstep.cli
+assert dict(os.environ) == before
+""",
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("check", list(BLAS_THREAD_CHECKS))
+def test_cli_loads_numpy_with_one_blas_thread(check):
+    unset = "".join(f"os.environ.pop({name!r}, None)\n" for name in
+                    ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    result = run_fresh("import os\n" + unset + BLAS_THREAD_CHECKS[check])
+    assert result.returncode == 0, result.stderr
+
+
 def test_readme_quick_start_runs():
     # every name the quick start uses must still be exported, and run without a warning
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
