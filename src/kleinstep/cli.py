@@ -342,46 +342,55 @@ def _check_theta(theta) -> None:
         raise _UsageError(f"--theta must lie in (-90, 90) degrees, got {angles[outside[0]]}")
 
 
+def _regime_texts() -> np.ndarray:
+    """The step kernels' regime codes' column texts, as an object array indexed by code."""
+    from kleinstep.step import _REGIMES
+    return np.array([regime.value for regime in _REGIMES], dtype=object)
+
+
 def _step_rt(request: SweepRequest) -> tuple:
-    from kleinstep.step import StepProblem, solve_step_numeric
+    from kleinstep.step import StepProblem, _solve
     params = request.params
     convention = Convention(params["convention"])
+    regimes = _regime_texts()
 
     def solve(E):
-        sol = solve_step_numeric(StepProblem(E, params["m"], params["V0"]), convention)
+        _, (kappa, r, t, R, T, codes) = _solve(StepProblem(E, params["m"], params["V0"]),
+                                               convention)
         if not request.allow_singular:
-            _raise_where(np.isnan(sol.r), "kappa_prime")
+            _raise_where(np.isnan(r), "kappa_prime")
         return {
             "E": E, "m": np.full_like(E, params["m"]), "V0": np.full_like(E, params["V0"]),
             "convention": [convention.value] * E.size,
-            "regime": [regime.value for regime in sol.regime.tolist()],
-            "kappa": sol.kappa_value,
-            "r_re": sol.r.real, "r_im": sol.r.imag,
-            "t_re": sol.t.real, "t_im": sol.t.imag,
-            "R": sol.R, "T": sol.T,
+            "regime": regimes.take(codes),
+            "kappa": kappa,
+            "r_re": r.real, "r_im": r.imag,
+            "t_re": t.real, "t_im": t.imag,
+            "R": R, "T": T,
         }
 
     return solve, [params["E"]]
 
 
 def _step_compare(request: SweepRequest) -> tuple:
-    from kleinstep.step import Regime, StepProblem, solve_step_numeric
+    from kleinstep.step import _KLEIN, StepProblem, _solve
     grid = np.meshgrid(*(request.params[name] for name in ("E", "m", "V0")), indexing="ij")
+    regimes = _regime_texts()
 
     def solve(E, m, V0):
         problem = StepProblem(E, m, V0)
-        paper = solve_step_numeric(problem, Convention.PAPER)
-        common = solve_step_numeric(problem, Convention.COMMON)
+        _, (kappa, _, _, R_paper, T_paper, codes) = _solve(problem, Convention.PAPER)
+        _, (kappa_prime, r_common, _, R_common, T_common, _) = _solve(problem, Convention.COMMON)
         if not request.allow_singular:
-            _raise_where(np.isnan(common.r), "kappa_prime")
+            _raise_where(np.isnan(r_common), "kappa_prime")
         # singular cells already hold the --allow-singular values: kappa' = -1, R = inf, T = -inf
         return {
             "E": E, "m": m, "V0": V0,
-            "kappa": paper.kappa_value,
-            "R_paper": paper.R, "T_paper": paper.T,
-            "kappa_prime": np.where(common.regime == Regime.KLEIN, common.kappa_value, math.nan),
-            "R_common": common.R, "T_common": common.T,
-            "regime": [regime.value for regime in paper.regime.tolist()],
+            "kappa": kappa,
+            "R_paper": R_paper, "T_paper": T_paper,
+            "kappa_prime": np.where(codes == _KLEIN, kappa_prime, math.nan),
+            "R_common": R_common, "T_common": T_common,
+            "regime": regimes.take(codes),
         }
 
     return solve, [axis.ravel() for axis in grid]
@@ -518,19 +527,21 @@ class _Command(NamedTuple):
 
 
 # a sweep is solved this many cells at a time into its output table
-_SOLVE_BLOCK = 2048
+_SOLVE_BLOCK = 512
 
 
 def _table(request: SweepRequest) -> dict:
     """The sweep's output table, solved _SOLVE_BLOCK cells at a time.
 
-    A launch then holds its table and one block's kernel temporaries, not
-    the whole sweep's. A sweep of at most one block is one call. A block sees
-    only its own cells, so a sweep that fails in any block is solved again
-    whole, which raises the whole sweep's error: its first invalid point in
-    sweep order even past a block with a singular cell (the kernels check
-    every cell's domain before the fail-fast reads their sentinels), and
-    spinor-check's overflow or zero spinor in the whole sweep's order.
+    A launch then holds its table and one block's kernel temporaries, under
+    0.2 MB at 512 cells, not the whole sweep's; each block pays the kernels'
+    fixed cost per call (about 0.1 ms for a step solve) once. A sweep of at
+    most one block is one call. A block sees only its own cells, so a sweep
+    that fails in any block is solved again whole, which raises the whole
+    sweep's error: its first invalid point in sweep order even past a block
+    with a singular cell (the kernels check every cell's domain before the
+    fail-fast reads their sentinels), and spinor-check's overflow or zero
+    spinor in the whole sweep's order.
     """
     solve, cells = _COMMANDS[request.command].sweep(request)
     count = len(cells[0])

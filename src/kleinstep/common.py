@@ -61,16 +61,21 @@ def _raise_where(bad, kind: str) -> None:
 
 
 def broadcast(*arrays: np.ndarray) -> list[np.ndarray]:
-    """np.broadcast_arrays, without its cost when the shapes already agree."""
-    if all(array.shape == arrays[0].shape for array in arrays):
-        return list(arrays)
-    return np.broadcast_arrays(*arrays)
+    """np.broadcast_arrays, with each array already of the broadcast shape returned as itself."""
+    shape = np.broadcast(*arrays).shape
+    return [array if array.shape == shape else np.broadcast_to(array, shape) for array in arrays]
 
 
 def _flat(*values, dtype=float) -> tuple[tuple, list[np.ndarray]]:
-    """The broadcast shape of the values, and each value broadcast to it and flattened."""
-    arrays = broadcast(*(np.asarray(value, dtype=dtype) for value in values))
-    return arrays[0].shape, [array.ravel() for array in arrays]
+    """The broadcast shape of the values, and each value broadcast to it and flattened.
+
+    A value of another shape is filled into an array of that shape: the copy
+    that ravel makes of a broadcast view, without the view.
+    """
+    arrays = [np.asarray(value, dtype=dtype) for value in values]
+    shape = np.broadcast(*arrays).shape
+    return shape, [(array if array.shape == shape else np.full(shape, array, array.dtype)).ravel()
+                   for array in arrays]
 
 
 def _shaped(shape: tuple, *arrays: np.ndarray) -> list:

@@ -75,6 +75,17 @@ def make_spinor2(eps: float, k: complex, m: float) -> tuple[complex, complex]:
     _require((~(np.abs(eps * eps - (ksq + m * m)) > _ONSHELL_RTOL * scale),
               "off-shell spinor request: eps={eps}, k^2={ksq}, m={m} violate eps^2 = k^2 + m^2"),
              eps=eps, ksq=ksq, m=m)
+    upper, lower = _spinor2(eps, k, m)
+    return unwrap(upper), unwrap(lower)
+
+
+def _spinor2(eps: np.ndarray, k: np.ndarray, m: np.ndarray) -> tuple:
+    """make_spinor2's arrays for float arrays eps, m and k (real or complex) of one shape.
+
+    Without make_spinor2's input checks, for values a caller derived: it raises
+    only for a zero spinor.
+    """
+    k = np.asarray(k, dtype=complex)
     upper, lower = k, (eps - m).astype(complex)
     rest = (upper == 0) & (lower == 0)
     if rest.any():
@@ -82,7 +93,7 @@ def make_spinor2(eps: float, k: complex, m: float) -> tuple[complex, complex]:
         upper, lower = np.where(rest, eps + m, upper), np.where(rest, k, lower)
         if np.any(rest & (upper == 0)):
             raise ValueError("zero spinor")
-    return unwrap(upper), unwrap(lower)
+    return upper, lower
 
 
 def _norm(v: np.ndarray) -> np.ndarray:

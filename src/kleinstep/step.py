@@ -31,7 +31,7 @@ from kleinstep.common import (
     _validated_make,
     unwrap,
 )
-from kleinstep.dirac import current_density, make_spinor2
+from kleinstep.dirac import _spinor2, current_density, make_spinor2
 
 __all__ = [
     "BasisKind",
@@ -61,6 +61,12 @@ class Regime(Enum):
     THRESHOLD_LOWER = "threshold_lower"
 
 
+# The kernels classify cells into int8 codes: a regime's code is its index in
+# _REGIMES, Regime's members in definition order.
+_REGIMES = np.array(list(Regime), dtype=object)
+_ABOVE_BARRIER, _EVANESCENT, _KLEIN, _THRESHOLD_UPPER, _THRESHOLD_LOWER = range(len(Regime))
+
+
 class StepProblem(NamedTuple("StepProblem", [("E", float), ("m", float), ("V0", float)])):
     """Incident energy E > m, rest mass m >= 0, step height V0 > 0.
 
@@ -73,7 +79,7 @@ class StepProblem(NamedTuple("StepProblem", [("E", float), ("m", float), ("V0", 
 
     def __new__(cls, E: float, m: float, V0: float):
         self = super().__new__(cls, E, m, V0)
-        _, (E, m, V0) = _flat(E, m, V0)
+        E, m, V0 = (np.asarray(value, dtype=float) for value in (E, m, V0))
         _require("E", "m", "V0",
                  (m >= 0, "mass must be nonnegative"),
                  (V0 > 0, "step height V0 must be positive"),
@@ -109,20 +115,20 @@ class StepScatteringSolution(NamedTuple):
 
 
 def _classify(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> np.ndarray:
-    """The regime of every cell, as an object array of Regime members."""
+    """The regime code of every cell (see _REGIMES)."""
     tolerance = _THRESHOLD_RTOL * np.maximum(np.maximum(E, m), V0)
     top, bottom = V0 + m, V0 - m
-    regimes = np.full(E.shape, Regime.EVANESCENT, dtype=object)
-    regimes[E > top] = Regime.ABOVE_BARRIER
-    regimes[E < bottom] = Regime.KLEIN
+    codes = np.full(E.shape, _EVANESCENT, dtype=np.int8)
+    codes[E > top] = _ABOVE_BARRIER
+    codes[E < bottom] = _KLEIN
     # thresholds last: they take precedence, the upper one over the lower
-    regimes[np.abs(E - bottom) <= tolerance] = Regime.THRESHOLD_LOWER
-    regimes[np.abs(E - top) <= tolerance] = Regime.THRESHOLD_UPPER
-    return regimes
+    codes[np.abs(E - bottom) <= tolerance] = _THRESHOLD_LOWER
+    codes[np.abs(E - top) <= tolerance] = _THRESHOLD_UPPER
+    return codes
 
 
 def _kinematics(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> tuple:
-    """(regimes, p, q) of validated flat arrays; q is region II's decay rate where evanescent."""
+    """(codes, p, q) of validated flat arrays; q is region II's decay rate where evanescent."""
     return _classify(E, m, V0), np.sqrt(E * E - m * m), np.sqrt(np.abs((E - V0) ** 2 - m * m))
 
 
@@ -139,7 +145,7 @@ def classify_regime(problem: StepProblem) -> Regime:
     max(E, m, V0), so the regime is invariant under an overall energy scale.
     """
     shape, (E, m, V0) = _cells(problem)
-    return _shaped(shape, _classify(E, m, V0))[0]
+    return _shaped(shape, _REGIMES.take(_classify(E, m, V0)))[0]
 
 
 def _kappa_klein(E, m, V0):
@@ -158,10 +164,11 @@ def kappa(problem: StepProblem) -> float:
     the limit 0 is returned.
     """
     shape, (E, m, V0) = _cells(problem)
-    regimes = _classify(E, m, V0)
-    klein = regimes == Regime.KLEIN
-    _require((klein | (regimes == Regime.THRESHOLD_LOWER),
-              "kappa is defined in the Klein regime only, got {regime}"), regime=regimes)
+    codes = _classify(E, m, V0)
+    klein = codes == _KLEIN
+    _require((klein | (codes == _THRESHOLD_LOWER),
+              "kappa is defined in the Klein regime only, got {regime}"),
+             regime=_REGIMES.take(codes))
     with np.errstate(invalid="ignore", divide="ignore"):
         return _shaped(shape, np.where(klein, _kappa_klein(E, m, V0), 0.0))[0]
 
@@ -172,9 +179,9 @@ def kappa_prime(problem: StepProblem) -> float:
     Klein zone only; always negative there, with kappa * kappa' = -1.
     """
     shape, (E, m, V0) = _cells(problem)
-    regimes, p, q = _kinematics(E, m, V0)
-    _require((regimes == Regime.KLEIN, "kappa_prime is defined in the Klein regime only, "
-              "got {regime}"), regime=regimes)
+    codes, p, q = _kinematics(E, m, V0)
+    _require((codes == _KLEIN, "kappa_prime is defined in the Klein regime only, "
+              "got {regime}"), regime=_REGIMES.take(codes))
     return _shaped(shape, _kappa_prime_klein(E, m, V0, p, q))[0]
 
 
@@ -214,9 +221,19 @@ def solve_step_numeric(
     singular cells hold.
     """
     convention = Convention(convention)
+    shape, fields = _solve(problem, convention)
+    fields[-1] = _REGIMES.take(fields[-1])
+    return StepScatteringSolution(convention, *_shaped(shape, *fields))
+
+
+def _solve(problem: StepProblem, convention: Convention) -> tuple[tuple, list]:
+    """The problem's shape and solve_step_numeric's fields under ``convention``, flat.
+
+    The regime field holds codes (see _REGIMES), which the CLI turns into its column texts.
+    """
     shape, (E, m, V0) = _cells(problem)
-    regimes, p, q = _kinematics(E, m, V0)
-    klein = regimes == Regime.KLEIN
+    codes, p, q = _kinematics(E, m, V0)
+    klein = codes == _KLEIN
     eps2 = E - V0
 
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -225,60 +242,65 @@ def solve_step_numeric(
         else:
             klein_kappa = _kappa_prime_klein(E, m, V0, p, q)
         kappa_value = np.where(klein, klein_kappa, np.where(
-            regimes == Regime.ABOVE_BARRIER, q * (E - m) / (p * (eps2 - m)), np.nan))
-    upper = regimes == Regime.THRESHOLD_UPPER
-    lower = regimes == Regime.THRESHOLD_LOWER
+            codes == _ABOVE_BARRIER, q * (E - m) / (p * (eps2 - m)), np.nan))
+    upper = codes == _THRESHOLD_UPPER
+    lower = codes == _THRESHOLD_LOWER
     kappa_value[upper], kappa_value[lower] = np.inf, 0.0
     # singular before matching where 1 + kappa' = 0, after it where the determinant is 0
     singular = klein & (1.0 + kappa_value == 0.0)
 
-    r = np.empty(E.size, dtype=complex)
-    t = np.empty(E.size, dtype=complex)
-    big_r = np.ones(E.size)
-    big_t = np.zeros(E.size)
-    # region-II spinor degenerates to zero at the upper threshold; the limit
-    # from both sides is total reflection
-    r[upper], t[upper] = -1.0, np.inf
-    # q = 0 at the lower threshold: matching gives r = 1 and a zero-current
-    # region-II amplitude
-    r[lower], t[lower] = 1.0, -(E[lower] - m[lower]) / m[lower]
-
     cells = ~(upper | lower | singular)
-    if cells.any():
-        E, m, p, q, eps2 = E[cells], m[cells], p[cells], q[cells], eps2[cells]
-        forward = -q if convention is Convention.PAPER else q
-        k2 = np.where(regimes[cells] == Regime.EVANESCENT, 1j * q,
-                      np.where(klein[cells], forward, q))
-
-        inc, refl, trans = make_spinor2(E, p, m), make_spinor2(E, -p, m), make_spinor2(eps2, k2, m)
-        # Cramer's rule on inc + r refl = t trans
-        det = trans[0] * refl[1] - refl[0] * trans[1]
-        singular[cells] = zero = det == 0
-        det[zero] = 1.0  # their results are replaced by the sentinels below
-        r_cells = r[cells] = (inc[0] * trans[1] - trans[0] * inc[1]) / det
-        t_cells = t[cells] = (inc[0] * refl[1] - refl[0] * inc[1]) / det
-
-        j_inc = current_density(inc)
-        big_r[cells] = np.hypot(r_cells.real, r_cells.imag) ** 2 * np.abs(
-            current_density(refl) / j_inc
-        )
-        big_t[cells] = np.hypot(t_cells.real, t_cells.imag) ** 2 * current_density(trans) / j_inc
+    if cells.all():  # no threshold or singular cell: nothing to fill, pick or scatter
+        r, t, big_r, big_t, singular = _match(E, m, p, q, eps2, codes, convention)
+    else:
+        r = np.empty(E.size, dtype=complex)
+        t = np.empty(E.size, dtype=complex)
+        big_r = np.ones(E.size)
+        big_t = np.zeros(E.size)
+        # region-II spinor degenerates to zero at the upper threshold; the limit
+        # from both sides is total reflection
+        r[upper], t[upper] = -1.0, np.inf
+        # q = 0 at the lower threshold: matching gives r = 1 and a zero-current
+        # region-II amplitude
+        r[lower], t[lower] = 1.0, -(E[lower] - m[lower]) / m[lower]
+        if cells.any():
+            r[cells], t[cells], big_r[cells], big_t[cells], singular[cells] = _match(
+                *(array[cells] for array in (E, m, p, q, eps2, codes)), convention)
 
     if not shape:
         _raise_where(singular, "kappa_prime")
     kappa_value[singular], r[singular], t[singular] = -1.0, np.nan, np.nan
     big_r[singular], big_t[singular] = np.inf, -np.inf
+    return shape, [kappa_value, r, t, big_r, big_t, codes]
 
-    fields = (kappa_value, r, t, big_r, big_t, regimes)
-    return StepScatteringSolution(convention, *_shaped(shape, *fields))
+
+def _match(E, m, p, q, eps2, codes, convention: Convention) -> tuple:
+    """r, t, R and T of non-threshold cells by Cramer's rule, and which of them are singular.
+
+    The spinors are built from (E, k, m) alone, unchecked: their values are the solver's own.
+    """
+    forward = -q if convention is Convention.PAPER else q
+    k2 = np.where(codes == _EVANESCENT, 1j * q, np.where(codes == _KLEIN, forward, q))
+    inc, refl, trans = _spinor2(E, p, m), _spinor2(E, -p, m), _spinor2(eps2, k2, m)
+    # Cramer's rule on inc + r refl = t trans
+    det = trans[0] * refl[1] - refl[0] * trans[1]
+    zero = det == 0
+    det[zero] = 1.0  # their results are replaced by the sentinels
+    r = (inc[0] * trans[1] - trans[0] * inc[1]) / det
+    t = (inc[0] * refl[1] - refl[0] * inc[1]) / det
+
+    j_inc = current_density(inc)
+    big_r = np.hypot(r.real, r.imag) ** 2 * np.abs(current_density(refl) / j_inc)
+    big_t = np.hypot(t.real, t.imag) ** 2 * current_density(trans) / j_inc
+    return r, t, big_r, big_t, zero
 
 
 def group_velocity_region2(problem: StepProblem) -> float:
     """Magnitude-level group velocity q/(V0 - E) of the Klein-zone transmitted wave."""
     shape, (E, m, V0) = _cells(problem)
-    regimes, _, q = _kinematics(E, m, V0)
-    _require((regimes == Regime.KLEIN, "group velocity of the transmitted branch needs the "
-              "Klein regime, got {regime}"), regime=regimes)
+    codes, _, q = _kinematics(E, m, V0)
+    _require((codes == _KLEIN, "group velocity of the transmitted branch needs the "
+              "Klein regime, got {regime}"), regime=_REGIMES.take(codes))
     return _shaped(shape, q / (V0 - E))[0]
 
 
@@ -337,9 +359,9 @@ def scattering_basis_state(kind: BasisKind, problem: StepProblem) -> BasisState:
     kind = BasisKind(kind)
     shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
     e, (E, m, V0) = _unit_scale(np.maximum(E, V0), E, m, V0)
-    regimes, p, q = _kinematics(E, m, V0)
-    _require((regimes == Regime.KLEIN,
-              "scattering basis states need the Klein regime, got {regime}"), regime=regimes)
+    codes, p, q = _kinematics(E, m, V0)
+    _require((codes == _KLEIN, "scattering basis states need the Klein regime, got {regime}"),
+             regime=_REGIMES.take(codes))
     k = _kappa_klein(E, m, V0)
     n1 = 1.0 / np.sqrt(2.0 * math.pi * 2.0 * p * (E - m))
     n2 = -1.0 / np.sqrt(2.0 * math.pi * 2.0 * q * np.abs(E - V0 - m))  # times the sign -1

@@ -748,7 +748,8 @@ def test_emit_drops_the_manifest_text_before_the_rows(tmp_path):
     ["step-rt", "--E", "1.5:9:200001", "--m", "1", "--V0", "5"],
 ], ids=lambda argv: argv[0])
 def test_solve_holds_its_table_and_one_block(argv):
-    # a 2,048-cell block's kernel temporaries take under 1 MB; the whole sweep's take 20-40 MB
+    # a 512-cell block's kernel temporaries take under 0.2 MB (0.4-0.7 MB at 2,048 cells);
+    # the whole sweep's take 20-40 MB
     request = cli.parse_args(argv)
     cli._table(request)  # first-call caches and imports are not the sweep's
     tracemalloc.start()
@@ -858,10 +859,10 @@ def solve_calls(monkeypatch):
 
 @pytest.fixture
 def spinor_calls(monkeypatch):
-    """Counts the step solver's make_spinor2 calls: three per batch, one per wave."""
+    """Counts the step solver's _spinor2 calls: three per batch, one per wave."""
     calls = []
-    make_spinor2 = step.make_spinor2
-    monkeypatch.setattr(step, "make_spinor2", lambda *args: calls.append(1) or make_spinor2(*args))
+    spinor2 = step._spinor2
+    monkeypatch.setattr(step, "_spinor2", lambda *args: calls.append(1) or spinor2(*args))
     return calls
 
 
@@ -873,7 +874,7 @@ def test_step_compare_solves_in_one_batch_per_convention(capsys, solve_calls, sp
                        "--V0", "1:8:10", "--allow-singular", "--no-manifest")
     assert code == 0 and len(out.strip().split("\n")) == 1 + 1000
     assert len(solve_calls) == 0
-    assert len(spinor_calls) <= 2 * 3
+    assert len(spinor_calls) == 2 * 3 * math.ceil(1000 / cli._SOLVE_BLOCK)
 
 
 def test_step_rt_solves_in_one_batch(capsys, solve_calls, spinor_calls):
@@ -889,7 +890,7 @@ def test_step_rt_solves_in_one_batch_per_block(capsys, solve_calls, spinor_calls
                        "--no-manifest")
     assert code == 0 and len(out.strip().split("\n")) == 1 + 5000
     assert len(solve_calls) == 0
-    assert len(spinor_calls) == 3 * math.ceil(5000 / 2048)
+    assert len(spinor_calls) == 3 * math.ceil(5000 / cli._SOLVE_BLOCK)
 
 
 # every sweep with --allow-singular sentinels, non-propagating rows or both; {n} cells per axis
@@ -904,7 +905,7 @@ BLOCKED_SWEEPS = [
 ]
 
 
-@pytest.mark.parametrize("block", [1, 7, 2048])
+@pytest.mark.parametrize("block", [1, 7, 512, 2048])
 @pytest.mark.parametrize("sweep", BLOCKED_SWEEPS, ids=lambda sweep: sweep.split()[0])
 def test_blocked_output_is_whole_output(capsys, monkeypatch, sweep, block):
     # an odd count puts theta = 0 in the graphene sweep; each sweep spans four blocks or more
@@ -959,12 +960,12 @@ def barrier_calls(monkeypatch):
 # the barrier is matched through the interior's transfer matrix in closed form: no linear
 # solver, and one solve per block fills both convention columns
 def test_barrier_solves_in_one_batch_per_convention(capsys, solve_calls, barrier_calls):
-    for count, blocks in ((500, 1), (5000, 3)):
+    for count in (500, 5000):
         barrier_calls.clear()
         code, out, _ = run(capsys, "barrier", "--lambdaF", "50", "--V0", "0.3", "--D",
                            f"1:200:{count}", "--theta", "30", "--no-manifest")
         assert code == 0 and len(out.strip().split("\n")) == 1 + count
-        assert len(barrier_calls) == blocks == math.ceil(count / cli._SOLVE_BLOCK)
+        assert len(barrier_calls) == math.ceil(count / cli._SOLVE_BLOCK)
     assert len(solve_calls) == 0
 
 
@@ -993,7 +994,7 @@ def test_iv_curve_in_one_call(capsys, monkeypatch):
     monkeypatch.setattr(device, "iv_curve", lambda *args: calls.append(args) or iv_curve(*args))
     code, out, _ = run(capsys, "iv-curve", "--Vb", "0.1:0.5:40", "--n", "25", "--no-manifest")
     assert code == 0 and len(out.strip().split("\n")) == 1 + 40 * 25
-    assert len(calls) == 1
+    assert len(calls) == math.ceil(40 * 25 / cli._SOLVE_BLOCK)  # one call per block
 
 
 def test_angular_current_in_one_kinematics_call(capsys, kinematics_calls):
@@ -1046,17 +1047,18 @@ def test_singular_angle_sweep_is_solved_once(capsys, kinematics_calls):
 
 
 def test_singular_cell_past_the_first_block(capsys, spinor_calls, kinematics_calls):
-    # the only singular cell lies in the third block (theta = 0 is cell 5,001; E = 0.1 is cell
-    # 4,200): the blocks up to it are solved once each, then the whole sweep once for its error
+    # the only singular cell lies past the first block (theta = 0 is cell 5,001, index 5,000;
+    # E = 0.1 is cell index 4,200): the blocks up to it are solved once each, then the whole
+    # sweep once for its error
     golden = pathlib.Path(__file__).parent / "golden" / "graphene-angle-singular.stderr"
     code, out, err = run(capsys, "graphene-angle", "--E", "0.3", "--V0", "0.42",
                          "--theta=-80:80:10001")
     assert (code, out, err) == (1, "", golden.read_text(encoding="utf-8"))
-    assert len(kinematics_calls) == 3 + 1
+    assert len(kinematics_calls) == 5000 // cli._SOLVE_BLOCK + 1 + 1
     energies = ",".join(map(repr, [*np.linspace(2.0, 3.0, 4200).tolist(), 0.1]))
     code, out, err = run(capsys, *SINGULAR_STEP[:2], energies, *SINGULAR_STEP[3:])
     assert (code, out, err) == (1, "", SINGULAR_STEP_ERR)
-    assert len(spinor_calls) == 3 * (3 + 1)
+    assert len(spinor_calls) == 3 * (4200 // cli._SOLVE_BLOCK + 1 + 1)
 
 
 def _beyond_critical():

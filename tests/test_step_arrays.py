@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kleinstep import dirac, step
 from kleinstep.common import Convention, SingularityError
 from kleinstep.step import (
     BasisKind,
@@ -104,6 +105,26 @@ def test_zero_d_results_are_python_scalars():
     assert classify_regime(problem) is Regime.KLEIN
     assert tuple(map(type, rt_from_kappa(0.5))) == (float, float)
     assert type(group_velocity_region2(problem)) is float
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("E", [3.0, np.linspace(1.5, 9.0, 512)], ids=["0-d", "512 cells"])
+def test_solve_checks_only_its_problem(monkeypatch, E, convention):
+    # the solver's own spinor values go unchecked: one _require, the StepProblem's, and no
+    # make_spinor2, whose checks are for user input
+    requires, spinors = [], []
+    make_spinor2 = dirac.make_spinor2
+    for module in (step, dirac):
+        require = module._require
+        monkeypatch.setattr(module, "_require", lambda *rules, _require=require, **cells: (
+            requires.append(rules) or _require(*rules, **cells)))
+        monkeypatch.setattr(module, "make_spinor2",
+                            lambda *args: spinors.append(args) or make_spinor2(*args))
+    sol = solve_step_numeric(StepProblem(E, 1.0, 5.0), convention)
+    assert len(requires) == 1 and requires[0][:3] == ("E", "m", "V0")
+    assert spinors == []
+    regimes = np.ravel(np.asarray(sol.regime, dtype=object)).tolist()
+    assert len(regimes) == np.size(E) and all(type(regime) is Regime for regime in regimes)
 
 
 def test_zero_d_massless_common_still_raises():
