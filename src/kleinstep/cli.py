@@ -352,6 +352,7 @@ def _step_rt(request: SweepRequest) -> tuple:
     from kleinstep.step import StepProblem, _solve
     params = request.params
     convention = Convention(params["convention"])
+    StepProblem(params["E"], params["m"], params["V0"])  # the whole sweep's domain: see _table
     regimes = _regime_texts()
 
     def solve(E):
@@ -375,6 +376,7 @@ def _step_rt(request: SweepRequest) -> tuple:
 def _step_compare(request: SweepRequest) -> tuple:
     from kleinstep.step import _KLEIN, StepProblem, _solve
     grid = np.meshgrid(*(request.params[name] for name in ("E", "m", "V0")), indexing="ij")
+    cells = StepProblem(*(axis.ravel() for axis in grid))  # the whole sweep's domain
     regimes = _regime_texts()
 
     def solve(E, m, V0):
@@ -393,7 +395,7 @@ def _step_compare(request: SweepRequest) -> tuple:
             "regime": regimes.take(codes),
         }
 
-    return solve, [axis.ravel() for axis in grid]
+    return solve, list(cells)
 
 
 def _spinor_check(request: SweepRequest) -> tuple:
@@ -448,11 +450,12 @@ def _graphene_angle(request: SweepRequest) -> tuple:
 
 
 def _barrier(request: SweepRequest) -> tuple:
-    from kleinstep.graphene import solve_barrier
+    from kleinstep.graphene import _check_barrier, solve_barrier
     params = request.params
     material, energy = _material_and_fermi_energy(params)
     _check_theta(params["theta"])
     theta = math.radians(params["theta"])
+    _check_barrier(energy, params["V0"], params["D"], theta)  # the whole sweep's domain
 
     def solve(widths):
         # a barrier's r and t do not depend on the convention: one solve fills both columns
@@ -526,38 +529,29 @@ class _Command(NamedTuple):
     sweep: Callable[[SweepRequest], tuple[Callable[..., dict], list[np.ndarray]]]
 
 
-# a sweep is solved this many cells at a time into its output table
+# a sweep is solved at most this many cells at a time into its preallocated output table
 _SOLVE_BLOCK = 512
 
 
 def _table(request: SweepRequest) -> dict:
-    """The sweep's output table, solved _SOLVE_BLOCK cells at a time.
+    """The sweep's output table, solved once per cell in equal blocks of at most _SOLVE_BLOCK.
 
     A launch then holds its table and one block's kernel temporaries, under
     0.2 MB at 512 cells, not the whole sweep's; each block pays the kernels'
-    fixed cost per call (about 0.1 ms for a step solve) once. A sweep of at
-    most one block is one call. A block sees only its own cells, so a sweep
-    that fails in any block is solved again whole, which raises the whole
-    sweep's error: its first invalid point in sweep order even past a block
-    with a singular cell (the kernels check every cell's domain before the
-    fail-fast reads their sentinels), and spinor-check's overflow or zero
-    spinor in the whole sweep's order.
+    fixed cost per call (about 0.1 ms for a step solve) once. The sweep runs
+    its cells' domain rules over all of them before the first block, so a
+    domain error names the first invalid point in sweep order even past a
+    singular cell; any other error (singular, overflow, zero spinor) is the
+    one computed in the first failing block.
     """
     solve, cells = _COMMANDS[request.command].sweep(request)
     count = len(cells[0])
-    if count > _SOLVE_BLOCK:
-        try:
-            return _solve_blocks(solve, cells, count)
-        except (ArithmeticError, ValueError):
-            pass
-    return solve(*cells)
-
-
-def _solve_blocks(solve: Callable[..., dict], cells: list[np.ndarray], count: int) -> dict:
-    """solve's table of ``count`` cells, preallocated from its first block."""
+    if count <= _SOLVE_BLOCK:
+        return solve(*cells)
+    size = math.ceil(count / math.ceil(count / _SOLVE_BLOCK))  # equal blocks: no short tail block
     table = {}
-    for start in range(0, count, _SOLVE_BLOCK):
-        block = [array[start:start + _SOLVE_BLOCK] for array in cells]
+    for start in range(0, count, size):
+        block = [array[start:start + size] for array in cells]
         for name, column in solve(*block).items():
             if name not in table:
                 # a column that is a cell array's block is that array whole

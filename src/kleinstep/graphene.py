@@ -109,6 +109,12 @@ def _incidence(E, V0, theta_I) -> list:
             (np.abs(theta_I) < math.pi / 2, "incidence angle must lie in (-pi/2, pi/2)")]
 
 
+def _check_barrier(E, V0, D, theta_I) -> None:
+    """_require the barrier's rules: incidence at theta_I, then D finite and D > 0."""
+    _require(*_incidence(E, V0, theta_I), "D", (D > 0, "barrier width D must be positive"),
+             E=E, V0=V0, D=D, theta_I=theta_I)
+
+
 def _kinematics(E, V0, theta_I, hv):
     """(e, E, V0, k_F, k_y, k_xII, theta_II, s_II, propagating) of validated flat arrays.
 
@@ -273,8 +279,7 @@ def solve_barrier(
     E, V0, D and theta_I may be arrays that broadcast together.
     """
     shape, (E, V0, D, theta_I) = _flat(E, V0, D, theta_I)
-    _require(*_incidence(E, V0, theta_I), "D",
-             (D > 0, "barrier width D must be positive"), E=E, V0=V0, D=D, theta_I=theta_I)
+    _check_barrier(E, V0, D, theta_I)
     Convention(convention)
     hv = material.hbar_vF
     with np.errstate(over="raise"):  # a wavevector or k_xII D beyond float range raises, not inf

@@ -18,7 +18,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from kleinstep import cli, graphene, step
 from kleinstep.cli import RunManifest, main, render_csv, render_json
-from kleinstep.common import _BAD_CELLS
+from kleinstep.common import _BAD_CELLS, SingularityError
 
 from oracles import rt_pair, step_kappa, step_kappa_prime
 from test_contracts import run_fresh
@@ -743,6 +743,11 @@ def test_emit_drops_the_manifest_text_before_the_rows(tmp_path):
     assert with_manifest < without + 250_000
 
 
+def _table_bytes(table: dict) -> int:
+    return sum(column.nbytes if isinstance(column, np.ndarray) else sys.getsizeof(column)
+               for column in table.values())
+
+
 @pytest.mark.parametrize("argv", [
     ["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta=-80:80:200001", "--allow-singular"],
     ["step-rt", "--E", "1.5:9:200001", "--m", "1", "--V0", "5"],
@@ -759,8 +764,25 @@ def test_solve_holds_its_table_and_one_block(argv):
     finally:
         tracemalloc.stop()
     assert {len(column) for column in table.values()} == {200_001}
-    own = sum(column.nbytes if isinstance(column, np.ndarray) else sys.getsizeof(column)
-              for column in table.values())
+    assert peak < _table_bytes(table) + 2_000_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta=-80:80:200001"],  # theta = 0 midway
+    ["step-rt", "--E", "1.5:9:200001", "--m", "1e-17", "--V0", "5", "--convention", "common"],
+], ids=lambda argv: argv[0])
+def test_failing_sweep_holds_its_table_and_one_block(argv):
+    # a sweep that fails at its singular cells holds no more than it would to succeed:
+    # its table and one block, with no cell solved a second time
+    own = _table_bytes(cli._table(cli.parse_args(argv + ["--allow-singular"])))
+    request = cli.parse_args(argv)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SingularityError):
+            cli._table(request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < own + 2_000_000
 
 
@@ -893,6 +915,11 @@ def test_step_rt_solves_in_one_batch_per_block(capsys, solve_calls, spinor_calls
     assert len(spinor_calls) == 3 * math.ceil(5000 / cli._SOLVE_BLOCK)
 
 
+def _block_of(index: int, count: int) -> int:
+    """The block that holds cell ``index`` of a ``count``-cell sweep, in _table's equal blocks."""
+    return index // math.ceil(count / math.ceil(count / cli._SOLVE_BLOCK))
+
+
 # every sweep with --allow-singular sentinels, non-propagating rows or both; {n} cells per axis
 BLOCKED_SWEEPS = [
     "step-rt --E 0.1:9:{n} --m 0 --V0 5 --convention common --allow-singular",
@@ -905,29 +932,60 @@ BLOCKED_SWEEPS = [
 ]
 
 
+# one sweep per kind of error, each without --allow-singular; {n} cells per axis
+FAILING_SWEEPS = {
+    "kappa-prime": "step-rt --E 0.1:9:{n} --m 0 --V0 5 --convention common",
+    "t-common": "graphene-angle --E 0.3 --V0 0.42 --theta=-85:85:{n}",
+    "E-below-m": "step-compare --E 0.1:9:{n} --m 0,5 --V0 5",  # after a singular cell
+    "D-not-positive": "barrier --E 1000 --V0 300 --theta 10 --D=-1:1.7e308:{n}",
+    "zero-spinor": "spinor-check --m 0 --eps=-8:8:{n}",  # at eps = 0
+    "overflow": "spinor-check --m 1 --eps=1e150:1e300:{n}",
+    "non-propagating": "angular-current --V0 0.1 --n {n}",
+}
+
+
 @pytest.mark.parametrize("block", [1, 7, 512, 2048])
-@pytest.mark.parametrize("sweep", BLOCKED_SWEEPS, ids=lambda sweep: sweep.split()[0])
+@pytest.mark.parametrize("sweep", [
+    *BLOCKED_SWEEPS, *(pytest.param(sweep, id=kind) for kind, sweep in FAILING_SWEEPS.items()),
+], ids=lambda sweep: sweep.split()[0])
 def test_blocked_output_is_whole_output(capsys, monkeypatch, sweep, block):
-    # an odd count puts theta = 0 in the graphene sweep; each sweep spans four blocks or more
-    # blocks first: a preallocated column can then not reuse the whole sweep's freed memory
+    # an odd count puts theta = 0 and eps = 0 in their sweeps; each sweep spans four blocks or
+    # more; blocks first: a preallocated column can then not reuse the whole sweep's freed memory
     argv = sweep.format(n=4 * block + 5).split() + ["--no-manifest"]
     monkeypatch.setattr(cli, "_SOLVE_BLOCK", block)
     blocked = run(capsys, *argv)
     monkeypatch.setattr(cli, "_SOLVE_BLOCK", 10 ** 9)
     assert blocked == run(capsys, *argv)
-    assert blocked[0] == 0 and blocked[2] == ""
+    code, out, err = blocked
+    if sweep in BLOCKED_SWEEPS:
+        assert code == 0 and err == ""
+    else:
+        assert code in (1, 2) and out == "" and err.startswith("kleinstep: ")
 
 
-def test_blocked_sweep_names_its_first_invalid_point(capsys):
-    # block 0 holds a singular cell (the near-massless common-convention step); an E <= m
-    # point lies past the block boundary: the sweep fails on that point, as a whole sweep does
-    energies = [0.1, *np.linspace(2.0, 3.0, 2100).tolist(), 5e-18]
-    code, out, err = run(capsys, "step-rt", "--E", ",".join(map(repr, energies)),
-                         "--m", "1e-17", "--V0", "1.5", "--convention", "common", "--no-manifest")
-    assert len(energies) > cli._SOLVE_BLOCK
-    assert (code, out) == (2, "")
-    assert err == ("kleinstep: error: incident wave must propagate in region I: need E > m, "
-                   "got E = 5e-18, m = 1e-17\n")
+# block 0 holds the near-massless common-convention step's singular cell, or a width whose
+# interior overflows; an invalid point lies past the block boundary
+NEAR_MASSLESS_ENERGIES = [0.1, *np.linspace(2.0, 3.0, 2100).tolist(), 5e-18]
+OVERFLOWING_WIDTHS = [1.7e308, *[1.0] * 600, -1.0]
+E_BELOW_M_ERR = ("kleinstep: error: incident wave must propagate in region I: need E > m, "
+                 "got E = 5e-18, m = 1e-17\n")
+
+
+@pytest.mark.parametrize("argv, cells, err", [
+    pytest.param(["step-rt", "--E", ",".join(map(repr, NEAR_MASSLESS_ENERGIES)), "--m", "1e-17",
+                  "--V0", "1.5", "--convention", "common"], len(NEAR_MASSLESS_ENERGIES),
+                 E_BELOW_M_ERR, id="step-rt"),
+    pytest.param(["step-compare", "--E", ",".join(map(repr, NEAR_MASSLESS_ENERGIES)), "--m",
+                  "1e-17", "--V0", "1.5"], len(NEAR_MASSLESS_ENERGIES), E_BELOW_M_ERR,
+                 id="step-compare"),
+    pytest.param(["barrier", "--E", "1000", "--V0", "300", "--theta", "10", "--D",
+                  ",".join(map(repr, OVERFLOWING_WIDTHS))], len(OVERFLOWING_WIDTHS),
+                 "kleinstep: error: barrier width D must be positive\n", id="barrier"),
+])
+def test_blocked_sweep_names_its_first_invalid_point(capsys, argv, cells, err):
+    # the sweep fails on that point, as a whole sweep does: its domain is checked before block 0
+    assert _block_of(cells - 1, cells) > 0
+    assert run(capsys, *argv, "--no-manifest") == (2, "", err)
 
 
 @pytest.fixture
@@ -1048,17 +1106,16 @@ def test_singular_angle_sweep_is_solved_once(capsys, kinematics_calls):
 
 def test_singular_cell_past_the_first_block(capsys, spinor_calls, kinematics_calls):
     # the only singular cell lies past the first block (theta = 0 is cell 5,001, index 5,000;
-    # E = 0.1 is cell index 4,200): the blocks up to it are solved once each, then the whole
-    # sweep once for its error
+    # E = 0.1 is cell index 4,200): the blocks up to it are solved once each, and no cell again
     golden = pathlib.Path(__file__).parent / "golden" / "graphene-angle-singular.stderr"
     code, out, err = run(capsys, "graphene-angle", "--E", "0.3", "--V0", "0.42",
                          "--theta=-80:80:10001")
     assert (code, out, err) == (1, "", golden.read_text(encoding="utf-8"))
-    assert len(kinematics_calls) == 5000 // cli._SOLVE_BLOCK + 1 + 1
+    assert len(kinematics_calls) == _block_of(5000, 10001) + 1 == 10  # 20 blocks of 501
     energies = ",".join(map(repr, [*np.linspace(2.0, 3.0, 4200).tolist(), 0.1]))
     code, out, err = run(capsys, *SINGULAR_STEP[:2], energies, *SINGULAR_STEP[3:])
     assert (code, out, err) == (1, "", SINGULAR_STEP_ERR)
-    assert len(spinor_calls) == 3 * (4200 // cli._SOLVE_BLOCK + 1 + 1)
+    assert len(spinor_calls) == 3 * (_block_of(4200, 4201) + 1) == 3 * 9  # 9 blocks of 467
 
 
 def _beyond_critical():
