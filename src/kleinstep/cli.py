@@ -6,16 +6,16 @@ list ("0.1,0.2,0.3") or a min:max:count range ("1:5:9"); a config file of
 "key = value" lines ('#' comments) may supply defaults, flags override it.
 
 Output is byte-deterministic: floats printed with 9 significant digits,
-rows in sweep order, the run manifest (version, command, resolved
-parameters, timestamp) in '#' comment lines (CSV) or a "manifest" field
+rows in sweep order, the run manifest (version, command, each parameter's
+text as given, timestamp) in '#' comment lines (CSV) or a "manifest" field
 (JSON), suppressible with --no-manifest.  A sweep is solved a block of
 cells at a time into its output table, which is rendered and written a
 slice of rows at a time, so neither the kernels' temporaries nor the
 output's text grow with its length.
 
 Exit codes: 0 success, 1 numerical failure (a singular denominator without
---allow-singular, an overflowing value) or a failed write to stdout or
---output, 2 usage error (nan/inf included).
+--allow-singular, an overflowing value), a sweep too large for memory or a
+failed write to stdout or --output, 2 usage error (nan/inf included).
 """
 
 import gc
@@ -128,7 +128,7 @@ def _bool(text: str) -> bool:
 class _Param(NamedTuple):
     name: str  # long flag name, dashes allowed
     convert: Callable
-    default: object = None  # text is converted as a flag's is
+    default: str | None = None  # text is converted and recorded as a flag's is
     required: bool = False
     help: str = ""
 
@@ -141,8 +141,8 @@ _COMMON_PARAMS = [
     _Param("format", _choice(("csv", "json")), default="csv", help="output format"),
     _Param("output", str, help="output path (default: stdout)"),
     _Param("config", str, help="config file of key = value lines"),
-    _Param("no-manifest", _bool, default=False, help="suppress the run manifest"),
-    _Param("allow-singular", _bool, default=False,
+    _Param("no-manifest", _bool, default="false", help="suppress the run manifest"),
+    _Param("allow-singular", _bool, default="false",
            help="emit inf instead of failing at singular points"),
 ]
 
@@ -151,26 +151,13 @@ _CONVENTION = _Param("convention", _choice(("paper", "common")), default="paper"
 
 _FERMI_ENERGY = _Param("E", _float_scalar, help="Fermi energy in eV")
 _FERMI_WAVELENGTH = _Param("lambdaF", _float_scalar, help="Fermi wavelength in nm")
-_HBAR_VF = _Param("hbar-vF", _float_scalar, default=HBAR_VF_EV_NM, help="eV nm")
-
-
-class SweepRequest(NamedTuple):
-    """A fully resolved invocation: command, parameters, output handling.
-
-    ``params`` maps each of the command's parameters to its value: a swept one
-    (a value, list or range flag) to a 1-d float64 array, even for one value.
-    """
-
-    command: str
-    params: dict
-    format: str
-    output: str | None
-    no_manifest: bool
-    allow_singular: bool
+_HBAR_VF = _Param("hbar-vF", _float_scalar, default=repr(HBAR_VF_EV_NM), help="eV nm")
 
 
 class RunManifest(NamedTuple("RunManifest", [("version", str), ("command", str),
                                              ("parameters", dict), ("timestamp", str)])):
+    """A launch's provenance: ``parameters`` maps each parameter to its text, None where unset."""
+
     __slots__ = ()
 
     def __new__(cls, version: str, command: str, parameters: dict, timestamp: str | None = None):
@@ -193,20 +180,25 @@ class RunManifest(NamedTuple("RunManifest", [("version", str), ("command", str),
             "tool": PROG,
             "version": self.version,
             "command": self.command,
-            "parameters": {k: _manifest_value(v) for k, v in sorted(self.parameters.items())},
+            "parameters": dict(sorted(self.parameters.items())),
             "timestamp": self.timestamp,
         }
 
 
-def _manifest_value(value):
-    if isinstance(value, float):
-        return format(value, ".9g")
-    if isinstance(value, (list, np.ndarray)):
-        # %.9g (format(v, ".9g")'s bytes) a slice at a time: no str per value outlives its slice
-        values = np.asarray(value, dtype=float)
-        return ",".join(",".join(map("%.9g".__mod__, values[start:start + _RENDER_SLICE].tolist()))
-                        for start in range(0, values.size, _RENDER_SLICE))
-    return value
+class SweepRequest(NamedTuple):
+    """A fully resolved invocation: command, parameters, output handling.
+
+    ``params`` maps each of the command's parameters to its value: a swept one
+    (a value, list or range flag) to a 1-d float64 array, even for one value.
+    ``manifest`` is None under --no-manifest.
+    """
+
+    command: str
+    params: dict
+    format: str
+    output: str | None
+    manifest: RunManifest | None
+    allow_singular: bool
 
 
 # ------------------------------------------------------------- parsing
@@ -292,6 +284,8 @@ def parse_args(argv=None) -> SweepRequest:
 
     _read_flags reads argv that is a command and whole flag names; the argparse
     parser of _build_parser reads any other argv, and alone prints help and usage errors.
+    The manifest records each command parameter's text (flag, config line or
+    default) without its whitespace, which no value token can hold inside it.
     """
     argv = sys.argv[1:] if argv is None else argv
     flags = _read_flags(argv)
@@ -305,6 +299,7 @@ def parse_args(argv=None) -> SweepRequest:
     config = _load_config(flags["config"], command) if flags.get("config") else {}
 
     resolved: dict = {}
+    texts: dict = {}
     for param in _COMMANDS[command].params + _COMMON_PARAMS:
         raw = flags.get(param.dest)
         if raw is None:
@@ -314,9 +309,12 @@ def parse_args(argv=None) -> SweepRequest:
                 raise _UsageError(f"{command}: missing required parameter --{param.name}")
             raw = param.default
         resolved[param.dest] = param.convert(raw) if isinstance(raw, str) else raw
+        texts[param.dest] = "".join(raw.split()) if isinstance(raw, str) else raw
 
     common = {param.dest: resolved.pop(param.dest) for param in _COMMON_PARAMS}
     del common["config"]
+    common["manifest"] = None if common.pop("no_manifest") else RunManifest(
+        __version__, command, {dest: texts[dest] for dest in resolved})
     return SweepRequest(command, resolved, **common)
 
 
@@ -495,6 +493,7 @@ def _iv_curve(request: SweepRequest) -> tuple:
 
 def _angular_current(request: SweepRequest) -> tuple:
     from kleinstep.device import angular_current_profile
+    from kleinstep.graphene import _kinematics, critical_angle
     params = request.params
     material, energy = _material_and_fermi_energy(params)
     half_width = params["theta_max"]
@@ -502,6 +501,12 @@ def _angular_current(request: SweepRequest) -> tuple:
         raise _UsageError(f"--theta-max must be below 90 degrees, got {half_width}")
     thetas_deg = _linspace(-half_width, half_width, params["n"], _N_ERROR,
                            "--theta-max must be positive, got {hi}")
+    # the grid's end angles are its widest: angle_kinematics' own rule, before the first block
+    if not _kinematics(energy, params["V0"], math.radians(half_width), material.hbar_vF)[-1]:
+        critical = critical_angle(energy, params["V0"])
+        critical = 90.0 if critical is None else math.degrees(critical)
+        raise _UsageError(f"--theta-max must be below the critical angle {critical} degrees, "
+                          f"got {half_width}")
 
     def solve(theta_deg):
         profile = angular_current_profile(params["V0"], np.radians(theta_deg), E=energy,
@@ -591,24 +596,24 @@ _COMMANDS = {
         _FERMI_WAVELENGTH,
         _Param("V0", _float_scalar, required=True, help="barrier height in eV"),
         _Param("D", _values, required=True, help="barrier widths in nm"),
-        _Param("theta", _float_scalar, default=0.0, help="incidence angle in degrees"),
+        _Param("theta", _float_scalar, default="0", help="incidence angle in degrees"),
         _HBAR_VF,
     ], _barrier),
     "iv-curve": _Command([
         _Param("Vb", _values, default="0.1,0.2,0.3", help="back-gate voltages"),
         _Param("V", _values, help="explicit bias grid in volts"),
-        _Param("V-min", _float_scalar, default=0.0, help="bias grid start"),
-        _Param("V-max", _float_scalar, default=5e-3, help="bias grid end"),
-        _Param("n", _int_scalar, default=101, help="bias grid size"),
-        _Param("mobility", _float_scalar, default=15000.0, help="cm^2/(V s)"),
-        _Param("alpha", _float_scalar, default=7.3e10, help="carriers per cm^2 per V"),
-        _Param("aspect-ratio", _float_scalar, default=1.0, help="W/L"),
+        _Param("V-min", _float_scalar, default="0", help="bias grid start"),
+        _Param("V-max", _float_scalar, default="0.005", help="bias grid end"),
+        _Param("n", _int_scalar, default="101", help="bias grid size"),
+        _Param("mobility", _float_scalar, default="15000", help="cm^2/(V s)"),
+        _Param("alpha", _float_scalar, default="7.3e+10", help="carriers per cm^2 per V"),
+        _Param("aspect-ratio", _float_scalar, default="1", help="W/L"),
     ], _iv_curve),
     "angular-current": _Command([
-        _Param("lambdaF", _float_scalar, default=50.0, help="Fermi wavelength in nm"),
-        _Param("V0", _float_scalar, default=0.3, help="step height in eV"),
-        _Param("theta-max", _float_scalar, default=85.0, help="half-width of the angle grid, deg"),
-        _Param("n", _int_scalar, default=171, help="number of angles"),
+        _Param("lambdaF", _float_scalar, default="50", help="Fermi wavelength in nm"),
+        _Param("V0", _float_scalar, default="0.3", help="step height in eV"),
+        _Param("theta-max", _float_scalar, default="85", help="half-width of the angle grid, deg"),
+        _Param("n", _int_scalar, default="171", help="number of angles"),
         _HBAR_VF,
     ], _angular_current),
 }
@@ -726,7 +731,6 @@ def render_csv(columns: list[str], table: dict, manifest: RunManifest | None) ->
     lines = manifest.comment_lines() if manifest else []
     lines.append(",".join(columns))
     yield "\n".join(lines) + "\n"
-    del lines  # the manifest text, which no slice needs
     yield from _row_slices(columns, table,
                            lambda formats, rows, start: (",".join(formats) + "\n") * rows)
 
@@ -742,7 +746,6 @@ def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -
         head += '  "manifest": ' + json.dumps(manifest.as_dict(), indent=2).replace("\n", "\n  ")
         head += ",\n"
     yield head + '  "rows": ['
-    del head  # the manifest text, which no slice needs
     prefixes = [f"      {_json_string(name)}: ".replace("%", "%%") for name in columns]
 
     def template(formats, rows, start):
@@ -755,11 +758,8 @@ def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -
 
 def emit(request: SweepRequest, table: dict) -> int:
     """Render and write one sweep table a slice at a time; returns the process exit code."""
-    manifest = None
-    if not request.no_manifest:
-        manifest = RunManifest(__version__, request.command, request.params)
     render = render_csv if request.format == "csv" else render_json
-    pieces = render(list(table), table, manifest)
+    pieces = render(list(table), table, request.manifest)
     try:
         if request.output:
             with open(request.output, "w", encoding="utf-8", newline="") as handle:
@@ -792,15 +792,11 @@ def main(argv=None) -> int:
         gc.freeze()
     try:
         request = parse_args(argv)
-    except _UsageError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit as exc:  # argparse already reported
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         # an overflowing value raises where it arises instead of leaving inf and nan cells
         with np.errstate(over="raise"):
             table = _table(request)
+    except SystemExit as exc:  # argparse already reported
+        return exc.code if isinstance(exc.code, int) else 2
     except SingularityError as exc:
         print(f"{PROG}: numerical failure: {exc}", file=sys.stderr)
         print(f"{PROG}: rerun with --allow-singular to emit unbounded values",
@@ -808,6 +804,9 @@ def main(argv=None) -> int:
         return 1
     except FloatingPointError as exc:
         print(f"{PROG}: numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a sweep's arrays that cannot be allocated
+        print(f"{PROG}: out of memory: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # usage and parameter domain errors
         print(f"{PROG}: error: {exc}", file=sys.stderr)

@@ -262,10 +262,13 @@ class TestUsageErrors:
         # the angle is checked where the sweep is set up, before the kernels check E
         (["graphene-angle", "--E=-0.1", "--V0", "0.3", "--theta", "90"],
          "--theta must lie in (-90, 90) degrees, got 90.0"),
+        (["angular-current", "--V0", "0.02", "--n", "5"],
+         "--theta-max must be below the critical angle 49.292559336615895 degrees, got 85.0"),
     ], ids=["theta-max-negative", "theta-max-zero", "angular-current-n", "iv-curve-n",
             "V-min-above-V-max", "V-min-at-V-max", "theta-max-above-90", "theta-max-overflow",
             "V-span-overflow", "graphene-angle-theta-90", "graphene-angle-first-bad-theta",
-            "barrier-theta-90", "barrier-theta-overflow", "theta-before-energy"])
+            "barrier-theta-90", "barrier-theta-overflow", "theta-before-energy",
+            "theta-max-beyond-critical-angle"])
     def test_grid_errors_name_the_flag(self, capsys, args, message):
         # these grids are built from flags, not from a min:max:count range the user gave
         code, out, err = run(capsys, *args, "--no-manifest")
@@ -281,7 +284,7 @@ class TestUsageErrors:
         path.write_text(f"allow-singular = {text}\nno-manifest = {text}\n")
         request = cli.parse_args(["step-rt", "--E", "2", "--m", "1", "--V0", "5",
                                   "--config", str(path)])
-        assert (request.allow_singular, request.no_manifest) == (value, value)
+        assert (request.allow_singular, request.manifest is None) == (value, value)
 
     def test_both_energy_and_wavelength(self, capsys):
         code, _, err = run(
@@ -350,6 +353,14 @@ class TestSingularities:
                              "--theta", "10", "--no-manifest")
         assert (code, out) == (1, "")
         assert err == "kleinstep: numerical failure: overflow encountered in divide\n"
+
+    def test_sweep_too_large_for_memory(self, capsys):
+        # 10^15 float64 cells are 7 PiB, past any address space: the range cannot be allocated
+        code, out, err = run(capsys, "step-rt", "--E", "1.5:9:1000000000000000", "--m", "1",
+                             "--V0", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith("kleinstep: out of memory: Unable to allocate ")
+        assert err.count("\n") == 1
 
     def test_graphene_rows_do_not_depend_on_the_energy_scale(self, capsys):
         # at 8e-170 eV, (E/hbar v_F)^2 - k_y^2 underflows unless the scale is removed first
@@ -653,20 +664,45 @@ SPECIAL_TABLE = {
     "label": ["klein", "a \"quoted\" name", "tab\there", "unicode \u00e9", "", "x", "y", "z"],
     "y": [1e300, -1e-300, 123456789.5, 0.1, math.nan, 1.0, -2.0, 3.0],
 }
-MANIFEST = RunManifest("0.1.0", "step-rt", {"E": [1.0, 2.5], "m": 1.0, "convention": "paper",
-                                            "lambdaF": None, "n": 5},
+MANIFEST = RunManifest("0.1.0", "step-rt", {"E": "1,2.5", "m": "1.0", "convention": "paper",
+                                            "lambdaF": None, "n": "5"},
                        timestamp="2026-01-01T00:00:00+00:00")
 
 
-@pytest.mark.parametrize("values", [[1.0, 2.5, 1.0 / 3.0, -1e-300, 123456789.5], [],
-                                    [(-1.0) ** i * 10.0 ** (i % 40 - 20) / 3 for i in range(2500)]],
+@pytest.mark.parametrize("text", ["1:2:5", "", ",".join(f"{i}.5" for i in range(1, 2501))],
                          ids=["values", "empty", "several-slices"])
-def test_manifest_formats_an_array_as_its_list(values):
-    as_list, as_array = (RunManifest("0.1.0", "step-rt", {"E": E, "m": 1.0, "n": 5},
-                                     timestamp="2026-01-01T00:00:00+00:00")
-                         for E in (values, np.array(values)))
-    assert as_array.comment_lines() == as_list.comment_lines()
-    assert json.dumps(as_array.as_dict()) == json.dumps(as_list.as_dict())
+def test_manifest_formats_an_array_as_its_list(text):
+    # a swept flag is recorded as its text, not one text per value, and a default as its text
+    manifest = cli.parse_args(["step-rt", "--E", text, "--m", "1", "--V0", "5.0"]).manifest
+    assert manifest.parameters == {"E": text, "m": "1", "V0": "5.0", "convention": "paper"}
+    assert manifest.comment_lines()[2] == f"# parameters: E={text} V0=5.0 convention=paper m=1"
+    defaults = cli.parse_args(["angular-current"]).manifest.parameters
+    assert (defaults["hbar_vF"], defaults["n"]) == ("0.6578", "171")
+
+
+def _reject(token):
+    raise ValueError(f"not RFC 8259 JSON: {token}")
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_manifest_text_holds_no_whitespace(capsys, tmp_path, given):
+    # a value's inner whitespace and newlines would break a comment line or a JSON string
+    argv = ["graphene-angle", "--E", "0.3", "--V0", "0.1"]
+    if given == "flag":
+        argv += ["--theta", " 10,\n20"]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text("theta = 10, 20\n")
+        argv += ["--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    lines = out.split("\n")
+    assert (code, err) == (0, "")
+    assert [line.startswith("#") for line in lines[:5]] == [True] * 4 + [False]
+    assert lines[2] == "# parameters: E=0.3 V0=0.1 hbar_vF=0.6578 lambdaF=None theta=10,20"
+    code, out, err = run(capsys, *argv, "--format", "json")
+    parameters = json.loads(out, parse_constant=_reject)["manifest"]["parameters"]
+    assert (code, err, parameters["theta"]) == (0, "", "10,20")
+    assert all(value is None or type(value) is str for value in parameters.values())
 
 
 @pytest.mark.parametrize("manifest", [None, MANIFEST], ids=["no-manifest", "manifest"])
@@ -724,8 +760,8 @@ def test_emit_holds_one_slice_of_a_long_sweep(tmp_path):
 
 
 def test_emit_drops_the_manifest_text_before_the_rows(tmp_path):
-    # the manifest writes the 20,001 angles as ~180 kB of text; it is made without a str
-    # per angle (1.2 MB) and is gone before the first slice of rows is rendered
+    # the manifest records --theta as its 12-character text, not the 20,001 angles (~180 kB
+    # as one text per angle), so it costs the document a few hundred bytes
     argv = ["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta=-80:80:20001",
             "--allow-singular", "--format", "json", "--output", str(tmp_path / "angles.json")]
     peaks = []
@@ -740,7 +776,7 @@ def test_emit_drops_the_manifest_text_before_the_rows(tmp_path):
         finally:
             tracemalloc.stop()
     with_manifest, without = peaks
-    assert with_manifest < without + 250_000
+    assert with_manifest < without + 8_000
 
 
 def _table_bytes(table: dict) -> int:
