@@ -340,57 +340,48 @@ def _check_theta(theta) -> None:
         raise _UsageError(f"--theta must lie in (-90, 90) degrees, got {angles[outside[0]]}")
 
 
-def _regime_texts() -> np.ndarray:
-    """The step kernels' regime codes' column texts, as an object array indexed by code."""
-    from kleinstep.step import _REGIMES
-    return np.array([regime.value for regime in _REGIMES], dtype=object)
-
-
 def _step_rt(request: SweepRequest) -> tuple:
-    from kleinstep.step import StepProblem, _solve
+    from kleinstep.step import StepProblem, solve_step_numeric
     params = request.params
     convention = Convention(params["convention"])
     StepProblem(params["E"], params["m"], params["V0"])  # the whole sweep's domain: see _table
-    regimes = _regime_texts()
 
     def solve(E):
-        _, (kappa, r, t, R, T, codes) = _solve(StepProblem(E, params["m"], params["V0"]),
-                                               convention)
+        solution = solve_step_numeric(StepProblem(E, params["m"], params["V0"]), convention)
         if not request.allow_singular:
-            _raise_where(np.isnan(r), "kappa_prime")
+            _raise_where(np.isnan(solution.r), "kappa_prime")
         return {
             "E": E, "m": np.full_like(E, params["m"]), "V0": np.full_like(E, params["V0"]),
             "convention": [convention.value] * E.size,
-            "regime": regimes.take(codes),
-            "kappa": kappa,
-            "r_re": r.real, "r_im": r.imag,
-            "t_re": t.real, "t_im": t.imag,
-            "R": R, "T": T,
+            "regime": [regime.value for regime in solution.regime],
+            "kappa": solution.kappa_value,
+            "r_re": solution.r.real, "r_im": solution.r.imag,
+            "t_re": solution.t.real, "t_im": solution.t.imag,
+            "R": solution.R, "T": solution.T,
         }
 
     return solve, [params["E"]]
 
 
 def _step_compare(request: SweepRequest) -> tuple:
-    from kleinstep.step import _KLEIN, StepProblem, _solve
+    from kleinstep.step import Regime, StepProblem, solve_step_numeric
     grid = np.meshgrid(*(request.params[name] for name in ("E", "m", "V0")), indexing="ij")
     cells = StepProblem(*(axis.ravel() for axis in grid))  # the whole sweep's domain
-    regimes = _regime_texts()
 
     def solve(E, m, V0):
         problem = StepProblem(E, m, V0)
-        _, (kappa, _, _, R_paper, T_paper, codes) = _solve(problem, Convention.PAPER)
-        _, (kappa_prime, r_common, _, R_common, T_common, _) = _solve(problem, Convention.COMMON)
+        paper = solve_step_numeric(problem, Convention.PAPER)
+        common = solve_step_numeric(problem, Convention.COMMON)
         if not request.allow_singular:
-            _raise_where(np.isnan(r_common), "kappa_prime")
+            _raise_where(np.isnan(common.r), "kappa_prime")
         # singular cells already hold the --allow-singular values: kappa' = -1, R = inf, T = -inf
         return {
             "E": E, "m": m, "V0": V0,
-            "kappa": kappa,
-            "R_paper": R_paper, "T_paper": T_paper,
-            "kappa_prime": np.where(codes == _KLEIN, kappa_prime, math.nan),
-            "R_common": R_common, "T_common": T_common,
-            "regime": regimes.take(codes),
+            "kappa": paper.kappa_value,
+            "R_paper": paper.R, "T_paper": paper.T,
+            "kappa_prime": np.where(paper.regime == Regime.KLEIN, common.kappa_value, math.nan),
+            "R_common": common.R, "T_common": common.T,
+            "regime": [regime.value for regime in paper.regime],
         }
 
     return solve, list(cells)

@@ -221,16 +221,6 @@ def solve_step_numeric(
     singular cells hold.
     """
     convention = Convention(convention)
-    shape, fields = _solve(problem, convention)
-    fields[-1] = _REGIMES.take(fields[-1])
-    return StepScatteringSolution(convention, *_shaped(shape, *fields))
-
-
-def _solve(problem: StepProblem, convention: Convention) -> tuple[tuple, list]:
-    """The problem's shape and solve_step_numeric's fields under ``convention``, flat.
-
-    The regime field holds codes (see _REGIMES), which the CLI turns into its column texts.
-    """
     shape, (E, m, V0) = _cells(problem)
     codes, p, q = _kinematics(E, m, V0)
     klein = codes == _KLEIN
@@ -249,29 +239,26 @@ def _solve(problem: StepProblem, convention: Convention) -> tuple[tuple, list]:
     # singular before matching where 1 + kappa' = 0, after it where the determinant is 0
     singular = klein & (1.0 + kappa_value == 0.0)
 
+    r = np.empty(E.size, dtype=complex)
+    t = np.empty(E.size, dtype=complex)
+    big_r = np.ones(E.size)
+    big_t = np.zeros(E.size)
+    # region-II spinor degenerates to zero at the upper threshold; the limit
+    # from both sides is total reflection
+    r[upper], t[upper] = -1.0, np.inf
+    # q = 0 at the lower threshold: matching gives r = 1 and a zero-current
+    # region-II amplitude
+    r[lower], t[lower] = 1.0, -(E[lower] - m[lower]) / m[lower]
     cells = ~(upper | lower | singular)
-    if cells.all():  # no threshold or singular cell: nothing to fill, pick or scatter
-        r, t, big_r, big_t, singular = _match(E, m, p, q, eps2, codes, convention)
-    else:
-        r = np.empty(E.size, dtype=complex)
-        t = np.empty(E.size, dtype=complex)
-        big_r = np.ones(E.size)
-        big_t = np.zeros(E.size)
-        # region-II spinor degenerates to zero at the upper threshold; the limit
-        # from both sides is total reflection
-        r[upper], t[upper] = -1.0, np.inf
-        # q = 0 at the lower threshold: matching gives r = 1 and a zero-current
-        # region-II amplitude
-        r[lower], t[lower] = 1.0, -(E[lower] - m[lower]) / m[lower]
-        if cells.any():
-            r[cells], t[cells], big_r[cells], big_t[cells], singular[cells] = _match(
-                *(array[cells] for array in (E, m, p, q, eps2, codes)), convention)
+    r[cells], t[cells], big_r[cells], big_t[cells], singular[cells] = _match(
+        *(array[cells] for array in (E, m, p, q, eps2, codes)), convention)
 
     if not shape:
         _raise_where(singular, "kappa_prime")
     kappa_value[singular], r[singular], t[singular] = -1.0, np.nan, np.nan
     big_r[singular], big_t[singular] = np.inf, -np.inf
-    return shape, [kappa_value, r, t, big_r, big_t, codes]
+    return StepScatteringSolution(convention, *_shaped(
+        shape, kappa_value, r, t, big_r, big_t, _REGIMES.take(codes)))
 
 
 def _match(E, m, p, q, eps2, codes, convention: Convention) -> tuple:

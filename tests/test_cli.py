@@ -18,7 +18,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from kleinstep import cli, graphene, step
 from kleinstep.cli import RunManifest, main, render_csv, render_json
-from kleinstep.common import _BAD_CELLS, SingularityError
+from kleinstep.common import _BAD_CELLS, Convention, SingularityError
 
 from oracles import rt_pair, step_kappa, step_kappa_prime
 from test_contracts import run_fresh
@@ -949,6 +949,42 @@ def test_step_rt_solves_in_one_batch_per_block(capsys, solve_calls, spinor_calls
     assert code == 0 and len(out.strip().split("\n")) == 1 + 5000
     assert len(solve_calls) == 0
     assert len(spinor_calls) == 3 * math.ceil(5000 / cli._SOLVE_BLOCK)
+
+
+@pytest.fixture
+def step_solve_calls(monkeypatch):
+    """Counts step.solve_step_numeric calls, which the CLI looks up at call time."""
+    calls = []
+    solve = step.solve_step_numeric
+    monkeypatch.setattr(step, "solve_step_numeric",
+                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    return calls
+
+
+# the step sweeps call the public solver, once per block and convention, so a wrapper
+# of the public name (the benchmark's tracer is one) sees the step layer's work
+def test_step_sweeps_call_the_public_solver_once_per_block(capsys, step_solve_calls):
+    code, _, _ = run(capsys, "step-rt", "--E", "1.5:9:5000", "--m", "1", "--V0", "5",
+                     "--no-manifest")
+    assert code == 0 and len(step_solve_calls) == math.ceil(5000 / cli._SOLVE_BLOCK)
+    step_solve_calls.clear()
+    code, _, _ = run(capsys, "step-compare", "--E", "1.5:9:10", "--m", "0:1.2:10",
+                     "--V0", "1:8:10", "--allow-singular", "--no-manifest")
+    assert code == 0 and len(step_solve_calls) == 2 * math.ceil(1000 / cli._SOLVE_BLOCK)
+
+
+def test_step_rt_rows_are_the_fields_of_one_library_call(capsys):
+    # README: step-rt prints solve_step_numeric(StepProblem(E, m, V0), convention)'s fields
+    code, out, err = run(capsys, "step-rt", "--E", "2,4,4.5,6,7.5", "--m", "1", "--V0", "5",
+                         "--convention", "common", "--no-manifest")
+    assert (code, err) == (0, "")
+    energies = np.array([2, 4, 4.5, 6, 7.5])
+    sol = step.solve_step_numeric(step.StepProblem(energies, 1.0, 5.0), Convention.COMMON)
+    assert set(sol.regime) == set(step.Regime)  # Klein, both thresholds, evanescent, above
+    rows = [",".join(["%.9g" % value for value in (E, 1.0, 5.0)] + ["common", regime.value]
+                     + ["%.9g" % value for value in (kappa, r.real, r.imag, t.real, t.imag, R, T)])
+            for E, kappa, r, t, R, T, regime in zip(energies, *sol[1:])]
+    assert out.split("\n")[1:] == rows + [""]
 
 
 def _block_of(index: int, count: int) -> int:
