@@ -45,10 +45,6 @@ __all__ = ["RunManifest", "SweepRequest", "main", "parse_args"]
 PROG = "kleinstep"
 
 
-class _UsageError(ValueError):
-    pass
-
-
 # ------------------------------------------------------------- converters
 
 
@@ -56,9 +52,9 @@ def _float_scalar(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise _UsageError(f"expected a number, got {text!r}") from None
+        raise ValueError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
-        raise _UsageError(f"expected a finite number, got {text!r}")
+        raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -66,7 +62,7 @@ def _int_scalar(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise _UsageError(f"expected an integer, got {text!r}") from None
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
 
 def _values(text: str) -> np.ndarray:
@@ -80,7 +76,7 @@ def _values(text: str) -> np.ndarray:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise _UsageError(f"range must be min:max:count, got {text!r}")
+            raise ValueError(f"range must be min:max:count, got {text!r}")
         lo, hi = _float_scalar(parts[0]), _float_scalar(parts[1])
         count = _int_scalar(parts[2])
         return _linspace(lo, hi, count)
@@ -101,13 +97,13 @@ def _linspace(lo: float, hi: float, count: int,
         error = span_error
     else:
         return np.linspace(lo, hi, count)
-    raise _UsageError(error.format(lo=lo, hi=hi, count=count))
+    raise ValueError(error.format(lo=lo, hi=hi, count=count))
 
 
 def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
     def convert(text: str) -> str:
         if text not in options:
-            raise _UsageError(f"expected one of {options}, got {text!r}")
+            raise ValueError(f"expected one of {options}, got {text!r}")
         return text
 
     return convert
@@ -119,7 +115,7 @@ def _bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise _UsageError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 # ------------------------------------------------------------ parameters
@@ -204,20 +200,13 @@ class SweepRequest(NamedTuple):
 # ------------------------------------------------------------- parsing
 
 
-def _build_parser(argv: list[str]) -> "argparse.ArgumentParser":
-    """The parser for argv that _read_flags does not take: help, abbreviations and errors.
-
-    It has every subparser, or only the one argv[0] names: when argv starts with
-    a command, argparse can run or print no other subparser.
-    """
+def _build_parser() -> "argparse.ArgumentParser":
+    """The parser for argv that _read_flags does not take: help, abbreviations and errors."""
     import argparse
     parser = argparse.ArgumentParser(
-        prog=PROG,
-        description="step-barrier scattering, graphene junctions, gated-device sweeps",
-    )
+        prog=PROG, description="step-barrier scattering, graphene junctions, gated-device sweeps")
     subparsers = parser.add_subparsers(dest="command", metavar="command")
-    names = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
-    for name in names:
+    for name in _COMMANDS:
         sub = subparsers.add_parser(name, help=f"{name} sweep")
         for param in _COMMANDS[name].params + _COMMON_PARAMS:
             flags = ({"action": "store_const", "const": True} if param.convert is _bool
@@ -268,14 +257,14 @@ def _load_config(path: str, command: str) -> dict[str, str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
+                    raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
                 dest = key.replace("-", "_")
                 if dest not in known:
-                    raise _UsageError(f"{path}:{lineno}: unknown key {key!r} for {command}")
+                    raise ValueError(f"{path}:{lineno}: unknown key {key!r} for {command}")
                 entries[dest] = value
     except OSError as exc:
-        raise _UsageError(f"cannot read config file {path}: {exc}") from None
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     return entries
 
 
@@ -290,11 +279,11 @@ def parse_args(argv=None) -> SweepRequest:
     argv = sys.argv[1:] if argv is None else argv
     flags = _read_flags(argv)
     if flags is None:
-        parser = _build_parser(argv)
+        parser = _build_parser()
         flags = vars(parser.parse_args(argv))
         if flags["command"] is None:
             parser.print_usage(sys.stderr)
-            raise _UsageError("a command is required")
+            raise ValueError("a command is required")
     command = flags["command"]
     config = _load_config(flags["config"], command) if flags.get("config") else {}
 
@@ -306,7 +295,7 @@ def parse_args(argv=None) -> SweepRequest:
             raw = config.get(param.dest)
         if raw is None:
             if param.required:
-                raise _UsageError(f"{command}: missing required parameter --{param.name}")
+                raise ValueError(f"{command}: missing required parameter --{param.name}")
             raw = param.default
         resolved[param.dest] = param.convert(raw) if isinstance(raw, str) else raw
         texts[param.dest] = "".join(raw.split()) if isinstance(raw, str) else raw
@@ -326,7 +315,7 @@ def _material_and_fermi_energy(params: dict) -> tuple:
     from kleinstep.graphene import GrapheneMaterial, energy_from_wavelength
     material = GrapheneMaterial(params["hbar_vF"])
     if (params.get("E") is None) == (params.get("lambdaF") is None):
-        raise _UsageError("give exactly one of --E or --lambdaF")
+        raise ValueError("give exactly one of --E or --lambdaF")
     if params.get("E") is not None:
         return material, params["E"]
     return material, energy_from_wavelength(params["lambdaF"], material)
@@ -337,7 +326,7 @@ def _check_theta(theta) -> None:
     angles = np.atleast_1d(theta)
     outside = np.flatnonzero((angles <= -90) | (angles >= 90))
     if outside.size:
-        raise _UsageError(f"--theta must lie in (-90, 90) degrees, got {angles[outside[0]]}")
+        raise ValueError(f"--theta must lie in (-90, 90) degrees, got {angles[outside[0]]}")
 
 
 def _step_rt(request: SweepRequest) -> tuple:
@@ -489,14 +478,14 @@ def _angular_current(request: SweepRequest) -> tuple:
     material, energy = _material_and_fermi_energy(params)
     half_width = params["theta_max"]
     if half_width >= 90:  # so that no span overflows
-        raise _UsageError(f"--theta-max must be below 90 degrees, got {half_width}")
+        raise ValueError(f"--theta-max must be below 90 degrees, got {half_width}")
     thetas_deg = _linspace(-half_width, half_width, params["n"], _N_ERROR,
                            "--theta-max must be positive, got {hi}")
     # the grid's end angles are its widest: angle_kinematics' own rule, before the first block
     if not _kinematics(energy, params["V0"], math.radians(half_width), material.hbar_vF)[-1]:
         critical = critical_angle(energy, params["V0"])
         critical = 90.0 if critical is None else math.degrees(critical)
-        raise _UsageError(f"--theta-max must be below the critical angle {critical} degrees, "
+        raise ValueError(f"--theta-max must be below the critical angle {critical} degrees, "
                           f"got {half_width}")
 
     def solve(theta_deg):
@@ -618,26 +607,18 @@ _RENDER_SLICE = 256
 
 
 def _json_cell(value) -> str:
-    """The text json.dumps writes for a cell, floats rounded to 9 significant digits."""
+    """The text json.dumps writes for a cell, floats rounded to 9 significant digits.
+
+    An ASCII identifier (every column name, regime and convention) is quoted without json.
+    """
     if isinstance(value, float):
         if math.isfinite(value):
             return float.__repr__(float(format(value, ".9g")))
         return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
-    if isinstance(value, str):
-        return _json_string(value)
+    if isinstance(value, str) and value.isascii() and value.isidentifier():
+        return '"' + value + '"'
     import json
     return json.dumps(value)
-
-
-def _json_string(text: str) -> str:
-    """json.dumps(text), without json for an ASCII identifier, which has nothing to escape.
-
-    Every column name, regime and convention value is one.
-    """
-    if text.isascii() and text.isidentifier():
-        return '"' + text + '"'
-    import json
-    return json.dumps(text)
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal float64
@@ -737,7 +718,7 @@ def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -
         head += '  "manifest": ' + json.dumps(manifest.as_dict(), indent=2).replace("\n", "\n  ")
         head += ",\n"
     yield head + '  "rows": ['
-    prefixes = [f"      {_json_string(name)}: ".replace("%", "%%") for name in columns]
+    prefixes = [f"      {_json_cell(name)}: ".replace("%", "%%") for name in columns]
 
     def template(formats, rows, start):
         row = "    {\n" + ",\n".join(map(str.__add__, prefixes, formats)) + "\n    }"

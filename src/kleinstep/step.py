@@ -127,9 +127,15 @@ def _classify(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _root(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sqrt(|a^2 - m^2|), squared at the scale of max(|a|, m): no square underflows."""
+    e, (a, m) = _unit_scale(np.maximum(np.abs(a), m), a, m)
+    return np.ldexp(np.sqrt(np.abs(a * a - m * m)), e)
+
+
 def _kinematics(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> tuple:
     """(codes, p, q) of validated flat arrays; q is region II's decay rate where evanescent."""
-    return _classify(E, m, V0), np.sqrt(E * E - m * m), np.sqrt(np.abs((E - V0) ** 2 - m * m))
+    return _classify(E, m, V0), _root(E, m), _root(E - V0, m)
 
 
 def _cells(problem: StepProblem) -> tuple:
@@ -265,10 +271,15 @@ def _match(E, m, p, q, eps2, codes, convention: Convention) -> tuple:
     """r, t, R and T of non-threshold cells by Cramer's rule, and which of them are singular.
 
     The spinors are built from (E, k, m) alone, unchecked: their values are the solver's own.
+    Region I's are built at E's own power-of-two scale 2^a and region II's at that
+    of max(|E - V0|, m), 2^b, so that below a deep step (V0 >> E) no product of
+    them underflows. The matching then gives r, R and T as they are, and t * 2^(b - a).
     """
+    a, (E, p, m1) = _unit_scale(E, E, p, m)
+    b, (eps2, q, m2) = _unit_scale(np.maximum(np.abs(eps2), m), eps2, q, m)
     forward = -q if convention is Convention.PAPER else q
     k2 = np.where(codes == _EVANESCENT, 1j * q, np.where(codes == _KLEIN, forward, q))
-    inc, refl, trans = _spinor2(E, p, m), _spinor2(E, -p, m), _spinor2(eps2, k2, m)
+    inc, refl, trans = _spinor2(E, p, m1), _spinor2(E, -p, m1), _spinor2(eps2, k2, m2)
     # Cramer's rule on inc + r refl = t trans
     det = trans[0] * refl[1] - refl[0] * trans[1]
     zero = det == 0
@@ -279,6 +290,7 @@ def _match(E, m, p, q, eps2, codes, convention: Convention) -> tuple:
     j_inc = current_density(inc)
     big_r = np.hypot(r.real, r.imag) ** 2 * np.abs(current_density(refl) / j_inc)
     big_t = np.hypot(t.real, t.imag) ** 2 * current_density(trans) / j_inc
+    t.real, t.imag = np.ldexp(t.real, a - b), np.ldexp(t.imag, a - b)
     return r, t, big_r, big_t, zero
 
 

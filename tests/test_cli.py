@@ -399,6 +399,19 @@ class TestSingularities:
 
         assert from_column_4(tiny) == from_column_4(unit)
 
+    def test_deep_step_row_is_exact(self, capsys):
+        # V0 / E = 5e199: the row of a 60-digit matching, no nan and no warning
+        code, out, err = run(capsys, "step-rt", "--E", "2", "--m", "1", "--V0", "1e200",
+                             "--no-manifest")
+        assert (code, err) == (0, "")
+        assert out.strip().split("\n")[1] == ("2,1,1e+200,paper,klein,0.577350269,0.267949192,"
+                                              "-0,-1.26794919e-200,-0,0.0717967697,0.92820323")
+
+    def test_deep_massless_common_step_is_singular(self, capsys):
+        code, out, err = run(capsys, "step-rt", "--E", "2", "--m", "0", "--V0", "1e200",
+                             "--convention", "common", "--no-manifest")
+        assert (code, out, err) == (1, "", SINGULAR_STEP_ERR)
+
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
     config = tmp_path / "run.cfg"
@@ -626,7 +639,7 @@ def test_read_flags_gives_argparse_values(argv):
         return
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            namespace = vars(cli._build_parser(argv).parse_args(argv))
+            namespace = vars(cli._build_parser().parse_args(argv))
         except SystemExit:
             pytest.fail(f"argparse rejects {argv}, which the reader takes")
     assert flags.keys() <= namespace.keys()

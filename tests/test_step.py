@@ -259,6 +259,25 @@ class TestSolveStepNumeric:
         with pytest.raises(SingularityError, match="kappa_prime"):
             solve_step_numeric(StepProblem(2.0, 0.0, 5.0), Convention.COMMON)
 
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    @pytest.mark.parametrize("depth", [100, 155, 160, 200, 300])
+    def test_deep_step_stays_exact(self, m, depth):
+        # at V0 / E = 10^depth the incident wave's squares and currents lie below the step's
+        # scale by 10^(2 depth): region I is matched at E's own scale, region II at V0's
+        problem = StepProblem(2.0, m, 2.0 * 10.0**depth)
+        sol = solve_step_numeric(problem, Convention.PAPER)
+        assert math.isfinite(sol.R) and math.isfinite(sol.T)
+        assert abs(sol.R + sol.T - 1.0) <= 1e-12
+        assert sol.R == pytest.approx(rt_from_kappa(kappa(problem))[0], rel=1e-12)
+        if m == 0.0:
+            with pytest.raises(SingularityError, match="kappa_prime"):
+                solve_step_numeric(problem, Convention.COMMON)
+            cells = StepProblem(np.array([2.0, 2.0]), m, problem.V0)
+            common = solve_step_numeric(cells, Convention.COMMON)
+            assert common.kappa_value.tolist() == [-1.0, -1.0]
+            assert common.R.tolist() == [math.inf] * 2 and common.T.tolist() == [-math.inf] * 2
+            assert np.isnan(common.r).all() and np.isnan(common.t).all()
+
     @given(klein_problems())
     @settings(max_examples=200, deadline=None)
     def test_current_conservation(self, prob):
