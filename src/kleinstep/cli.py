@@ -377,18 +377,17 @@ def _step_compare(request: SweepRequest) -> tuple:
 
 
 def _spinor_check(request: SweepRequest) -> tuple:
-    from kleinstep.dirac import (current_density, hamiltonian_residual, hamiltonian_residual4,
-                                 make_spinor2, make_spinor4)
+    from kleinstep.dirac import (_root, current_density, hamiltonian_residual,
+                                 hamiltonian_residual4, make_spinor2, make_spinor4)
     m = request.params["m"]
 
     def solve(eps):
-        gap = eps * eps - m * m
-        root = np.sqrt(np.abs(gap))
-        k = np.where(gap >= 0, root, 1j * root)
+        root, propagating = _root(eps, m), np.abs(eps) >= m
+        k = np.where(propagating, root, 1j * root)
         spinor = make_spinor2(eps, k, m)
         residual4 = np.full(eps.shape, math.nan)
-        for branch, cells in (("positive", (gap >= 0) & (eps > 0)),
-                              ("negative", (gap >= 0) & (eps < 0))):
+        for branch, cells in (("positive", propagating & (eps > 0)),
+                              ("negative", propagating & (eps < 0))):
             p_vec = (0.0, 0.0, root[cells])
             psi4 = make_spinor4(np.abs(eps[cells]), p_vec, m, branch=branch)
             residual4[cells] = hamiltonian_residual4(psi4, eps[cells], p_vec, m)

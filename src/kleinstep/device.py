@@ -89,7 +89,7 @@ def angular_current_profile(
     """I(theta)/I(0) across the step, from the current-labelled transmission.
 
     The profile also carries the transmission T(theta) it was computed from.
-    The whole grid and the theta = 0 reference are one array evaluation.
+    Klein tunnelling at normal incidence gives T(0) = 1, so I(theta)/I(0) is T(theta).
 
     Exactly one of lambda_F (nm) or E (eV) fixes the Fermi level.  ``material``
     is a graphene.GrapheneMaterial, graphene.DEFAULT_MATERIAL when None.  Angles
@@ -104,9 +104,8 @@ def angular_current_profile(
     if E is None:
         E = graphene.energy_from_wavelength(lambda_F, material)
     thetas = np.array(theta_grid, dtype=float).ravel()
-    ak = graphene.angle_kinematics(E, V0, np.concatenate(([0.0], thetas)), material)
+    ak = graphene.angle_kinematics(E, V0, thetas, material)
     _require((ak.propagating, "incidence angle {theta} rad lies beyond the critical angle"),
              theta=ak.theta_I)
     transmission = graphene.transmission_probability(graphene.t_paper(ak), ak)
-    values = transmission[1:]
-    return AngularProfile(thetas, values / transmission[0], values)
+    return AngularProfile(thetas, transmission.copy(), transmission)

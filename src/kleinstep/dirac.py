@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from kleinstep.common import _require, broadcast, unwrap
+from kleinstep.common import _require, _unit_scale, broadcast, unwrap
 
 __all__ = [
     "ALPHA_X",
@@ -54,6 +54,13 @@ BETA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 def _mass(m: np.ndarray) -> tuple:
     """The rule m >= 0 of _require; a nan mass passes it (finiteness is its own rule)."""
     return ~(m < 0), "mass must be nonnegative"
+
+
+def _root(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """|a^2 - m^2|^(1/2) from (|a| - m)(|a| + m): no cancellation near |a| = m, and,
+    taken at the scale of max(|a|, m), no underflow."""
+    e, (a, m) = _unit_scale(np.maximum(np.abs(a), m), np.abs(a), m)
+    return np.ldexp(np.sqrt(np.abs((a - m) * (a + m))), e)
 
 
 def make_spinor2(eps: float, k: complex, m: float) -> tuple[complex, complex]:

@@ -31,7 +31,7 @@ from kleinstep.common import (
     _validated_make,
     unwrap,
 )
-from kleinstep.dirac import _spinor2, current_density, make_spinor2
+from kleinstep.dirac import _root, _spinor2, current_density, make_spinor2
 
 __all__ = [
     "BasisKind",
@@ -100,7 +100,7 @@ class StepScatteringSolution(NamedTuple):
 
     For an array problem every field except ``convention`` is an array of
     the problem's shape, ``regime`` one of Regime members.  A singular cell
-    (1 + kappa' = 0 or a zero matching determinant: the massless or
+    (|1 + kappa'| <= 4 eps or a zero matching determinant: the massless or
     near-massless Klein step under COMMON) then holds kappa_value = -1, R = inf, T = -inf and
     r = t = nan instead of raising.
     """
@@ -125,12 +125,6 @@ def _classify(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> np.ndarray:
     codes[np.abs(E - bottom) <= tolerance] = _THRESHOLD_LOWER
     codes[np.abs(E - top) <= tolerance] = _THRESHOLD_UPPER
     return codes
-
-
-def _root(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sqrt(|a^2 - m^2|), squared at the scale of max(|a|, m): no square underflows."""
-    e, (a, m) = _unit_scale(np.maximum(np.abs(a), m), a, m)
-    return np.ldexp(np.sqrt(np.abs(a * a - m * m)), e)
 
 
 def _kinematics(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> tuple:
@@ -159,7 +153,7 @@ def _kappa_klein(E, m, V0):
 
 
 def _kappa_prime_klein(E, m, V0, p, q):
-    return q * (E + m) / (p * (E + m - V0))
+    return q * (E + m) / (p * (E - V0 + m))  # E - V0 first: exact near E = V0 - m
 
 
 def kappa(problem: StepProblem) -> float:
@@ -219,8 +213,8 @@ def solve_step_numeric(
     when evanescent (then R = 1, T = 0 with a decaying region-II amplitude).
     Threshold regimes return the explicit limiting values.  The (near-)massless
     Klein step under COMMON is singular and raises SingularityError: where
-    1 + kappa' = 0, or where the matching determinant is 0 though kappa'
-    rounds past -1.
+    |1 + kappa'| <= 4 eps (eps = 2^-52: a band of 8.9e-16, about the rounding
+    error of kappa' itself), or where the matching determinant is 0.
 
     An array problem is matched by Cramer's rule over all of its non-threshold,
     non-singular cells at once; see StepScatteringSolution for what its
@@ -242,8 +236,8 @@ def solve_step_numeric(
     upper = codes == _THRESHOLD_UPPER
     lower = codes == _THRESHOLD_LOWER
     kappa_value[upper], kappa_value[lower] = np.inf, 0.0
-    # singular before matching where 1 + kappa' = 0, after it where the determinant is 0
-    singular = klein & (1.0 + kappa_value == 0.0)
+    # singular before matching where |1 + kappa'| <= 4 eps, after it where the determinant is 0
+    singular = klein & (np.abs(1.0 + kappa_value) <= 4 * 2.0 ** -52)
 
     r = np.empty(E.size, dtype=complex)
     t = np.empty(E.size, dtype=complex)
@@ -362,8 +356,8 @@ def scattering_basis_state(kind: BasisKind, problem: StepProblem) -> BasisState:
     _require((codes == _KLEIN, "scattering basis states need the Klein regime, got {regime}"),
              regime=_REGIMES.take(codes))
     k = _kappa_klein(E, m, V0)
-    n1 = 1.0 / np.sqrt(2.0 * math.pi * 2.0 * p * (E - m))
-    n2 = -1.0 / np.sqrt(2.0 * math.pi * 2.0 * q * np.abs(E - V0 - m))  # times the sign -1
+    n1 = 1.0 / (np.sqrt(4.0 * math.pi * p) * np.sqrt(E - m))  # p (E - m) may underflow
+    n2 = -1.0 / (np.sqrt(4.0 * math.pi * q) * np.sqrt(np.abs(E - V0 - m)))  # times the sign -1
     lone = 2.0 * np.sqrt(k) / (k + 1.0)  # single-wave region amplitude
     pair = (k - 1.0) / (k + 1.0)  # partner-wave amplitude in u states, -pair in v states
     s = 1.0 if kind in (BasisKind.U_PLUS, BasisKind.V_PLUS) else -1.0  # direction of travel

@@ -1,6 +1,7 @@
 """Reflectionless scattering-basis modes: continuity, constant currents, cancellation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,15 +110,21 @@ def test_pairwise_cancellation():
 
 def test_currents_over_klein_grid():
     rng = np.random.default_rng(42)
+    problems = []
     for _ in range(25):
         m = rng.uniform(0.2, 3.0)
         E = m * rng.uniform(1.05, 9.0)
-        V0 = E + m * rng.uniform(1.05, 12.0)
-        prob = StepProblem(E, m, V0)
+        problems.append(StepProblem(E, m, E + m * rng.uniform(1.05, 12.0)))
+    # deep steps: region I's normalization p (E - m) underflows at the scale of V0
+    problems += [StepProblem(2.0, 1.0, V0) for V0 in (1e160, 1e200, 1e300)]
+    for prob in problems:
         k = kappa(prob)
         magnitude = (2.0 * k / math.pi) / (k + 1.0) ** 2
-        assert mode_current(BasisKind.U_PLUS, prob) == pytest.approx(magnitude, abs=1e-10)
-        assert mode_current(BasisKind.V_MINUS, prob) == pytest.approx(-magnitude, abs=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            currents = mode_current(BasisKind.U_PLUS, prob), mode_current(BasisKind.V_MINUS, prob)
+        assert currents[0] == pytest.approx(magnitude, abs=1e-10)
+        assert currents[1] == pytest.approx(-magnitude, abs=1e-10)
 
 
 def stacked(problems, scale=1.0):

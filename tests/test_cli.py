@@ -320,8 +320,8 @@ class TestSingularities:
                      ",-1,inf,-inf,klein", id="step-compare"),
         pytest.param(["step-rt", "--E", "2", "--m", "0", "--V0", "5", "--convention", "common"],
                      ",klein,-1,nan,0,nan,0,inf,-inf", id="step-rt"),
-        # kappa' = -1 exactly at m = 3e-17 though the matching determinant is not 0:
-        # that first cell is singular too, so the sweep fails there
+        # kappa' is within 4 eps of -1 at m = 3e-17 though the matching determinant is
+        # not 0: that first cell is singular too, so the sweep fails there
         pytest.param(["step-compare", "--E", "0.5", "--m", "3e-17,0", "--V0", "0.9"],
                      ",-1,inf,-inf,klein\n0.5,0,0.9,1,0,1,-1,inf,-inf,klein", id="near-massless"),
     ])

@@ -1,0 +1,35 @@
+"""Printed digits near the Dirac thresholds against frozen high-precision texts.
+
+tests/digits.json holds, per command, launches of near-threshold cells and the
+%.9g text of each computed column, from a 60-digit evaluation at the exact float
+inputs (its "about" field says how the cells were drawn and what is left out).
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from kleinstep.cli import main
+
+DIGITS = json.loads((pathlib.Path(__file__).parent / "digits.json").read_text())["commands"]
+
+
+@pytest.mark.parametrize("command", sorted(DIGITS))
+def test_near_threshold_texts_are_the_true_digits(command, capsys):
+    spec = DIGITS[command]
+    swept = "eps" if command == "spinor-check" else "E"
+    wrong = []
+    for launch in spec["launches"]:
+        # one launch per swept list: the CLI solves its cells in blocks
+        code = main([command, *(f"--{name}={value}" for name, value in launch["flags"].items()),
+                     f"--{swept}=" + ",".join(launch[swept]), "--no-manifest"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        header = lines[0].split(",")
+        columns = [header.index(name) for name in spec["columns"]]
+        for value, line, want in zip(launch[swept], lines[1:], launch["rows"], strict=True):
+            got = [line.split(",")[i] for i in columns]
+            if got != want:
+                wrong.append((launch["stratum"], launch["flags"], value, got, want))
+    assert not wrong, f"{len(wrong)} rows print wrong digits, the first: {wrong[0]}"

@@ -135,11 +135,15 @@ def test_zero_d_massless_common_still_raises():
 
 
 @pytest.mark.parametrize("E,m,V0", [
-    # kappa' rounds to -1.0000000000000002, not -1, but the matching determinant is exactly 0
+    # kappa' rounds to -1.0000000000000002, within 4 eps of -1, and the matching
+    # determinant is exactly 0
     (0.1, 1e-17, 1.5),
-    # E + m rounds to E, so kappa' = -1 exactly, while E - m and E - V0 - m round down
-    # and leave the matching determinant at about -2^-54
+    # kappa' rounds to -1.0000000000000002 while the matching determinant is about
+    # -2^-54: matched, R would be 2.08e32 against the true 2.19e32
     (0.5, 3e-17, 0.9),
+    # 1 + kappa' is -5.8e-16, below kappa''s own rounding error, and rounds to -6.7e-16:
+    # matched, R would be 2.19e31 against the true 1.20e31
+    (0.2, 1e-16, 1.5),
 ])
 def test_near_massless_common_step_is_a_singular_cell(E, m, V0):
     sol = solve_step_numeric(StepProblem(np.array([E, 2.0]), m, V0), Convention.COMMON)
