@@ -385,12 +385,14 @@ def _spinor_check(request: SweepRequest) -> tuple:
         root, propagating = _root(eps, m), np.abs(eps) >= m
         k = np.where(propagating, root, 1j * root)
         spinor = make_spinor2(eps, k, m)
-        residual4 = np.full(eps.shape, math.nan)
-        for branch, cells in (("positive", propagating & (eps > 0)),
-                              ("negative", propagating & (eps < 0))):
-            p_vec = (0.0, 0.0, root[cells])
-            psi4 = make_spinor4(np.abs(eps[cells]), p_vec, m, branch=branch)
-            residual4[cells] = hamiltonian_residual4(psi4, eps[cells], p_vec, m)
+        # both branches' four-spinors, checked in one call against their signed energies
+        residual4, cells = np.full(eps.shape, math.nan), propagating & (eps != 0)
+        energy, p_z = eps[cells], root[cells]
+        psi4 = np.empty((energy.size, 4), complex)
+        for branch, part in (("positive", energy > 0), ("negative", energy < 0)):
+            psi4[part] = make_spinor4(np.abs(energy[part]), (0.0, 0.0, p_z[part]), m,
+                                      branch=branch)
+        residual4[cells] = hamiltonian_residual4(psi4, energy, (0.0, 0.0, p_z), m)
         return {
             "eps": eps,
             "k_re": k.real, "k_im": k.imag,
@@ -623,63 +625,63 @@ def _json_cell(value) -> str:
 _TINY = np.finfo(float).tiny  # the smallest normal float64
 
 
-def _raw_floats(arrays: list[np.ndarray]) -> list[tuple[str, list]]:
-    """Each float64 slice as its floats under %.9g, which writes format(v, ".9g")'s bytes."""
-    return [("%.9g", values.tolist()) for values in arrays]
+def _float_fields(arrays: list[np.ndarray], cell=None) -> list[tuple[str, list]]:
+    """Each float64 slice's %-format and cells, which write format(v, ".9g")'s bytes.
 
-
-def _json_floats(arrays: list[np.ndarray]) -> list[tuple[str, list]]:
-    """Each float64 slice under %.9g, or as json.dumps's texts under %s where %.9g differs.
-
-    Only non-finite, subnormal and whole-after-rounding cells differ; a masked
-    superset of them takes exact texts. The slices are stacked into one block,
-    so that the mask takes a fixed number of numpy calls per slice of rows.
+    A slice of one bit pattern is that cell's text as a format of no cells.
+    With ``cell`` (JSON) the text is cell's, and in any other slice a masked
+    superset of the cells whose json.dumps text differs from %.9g's (non-finite,
+    subnormal and whole-after-rounding ones) takes cell(float(its %.9g text)):
+    the slice goes through one %.9g call, which is split, and each masked text
+    is made once per distinct %.9g text ("-0" and "0" differ). The slices are
+    stacked into one block, so that the mask takes a fixed number of numpy calls.
     """
-    if not arrays:
-        return []
-    block = np.array(arrays)
-    magnitude = np.abs(block)
-    with np.errstate(invalid="ignore"):
-        distance = np.abs(block - np.rint(block))  # nan at nan and inf
-    exact = ~(distance > 1e-8 * magnitude) | (magnitude < _TINY)  # a nan distance is exact
-    fields = []
-    exact_texts = {"nan": "NaN"}  # per distinct value; hex tells -0.0 from 0.0, which are equal
-    for cells, mask, any_exact in zip(block.tolist(), exact, exact.any(axis=1).tolist()):
-        if not any_exact:
-            fields.append(("%.9g", cells))
-            continue
-        texts = list(map("%.9g".__mod__, cells))
-        for index in np.flatnonzero(mask).tolist():
-            key = cells[index].hex()
-            if key not in exact_texts:
-                exact_texts[key] = _json_cell(cells[index])
-            texts[index] = exact_texts[key]
-        fields.append(("%s", texts))
+    masks = [(None, False)] * len(arrays)
+    if cell and arrays:
+        block = np.array(arrays)
+        magnitude = np.abs(block)
+        with np.errstate(invalid="ignore"):
+            distance = np.abs(block - np.rint(block))  # nan at nan and inf
+        exact = ~(distance > 1e-8 * magnitude) | (magnitude < _TINY)  # a nan distance is exact
+        masks = zip(exact, exact.any(axis=1).tolist())
+    fields, exact_texts = [], {}
+    for values, (mask, any_exact) in zip(arrays, masks):
+        if values.tobytes() == values[:1].tobytes() * len(values):
+            fields.append((cell(values.item(0)) if cell else "%.9g" % values.item(0), []))
+        elif not any_exact:
+            fields.append(("%.9g", values.tolist()))
+        else:
+            texts = ("\n".join(["%.9g"] * len(values)) % tuple(values.tolist())).split("\n")
+            for index in np.flatnonzero(mask).tolist():
+                if texts[index] not in exact_texts:
+                    exact_texts[texts[index]] = cell(float(texts[index]))
+                texts[index] = exact_texts[texts[index]]
+            fields.append(("%s", texts))
     return fields
 
 
 def _row_slices(columns: list[str], table: dict, template: Callable[[tuple, int, int], str],
-                float_fields=_raw_floats, cell=None) -> Iterator[str]:
+                cell=None) -> Iterator[str]:
     """The table's text a slice of rows at a time: see _slice_text."""
     count = len(table[columns[0]]) if columns else 0
     for start in range(0, count, _RENDER_SLICE):
-        yield _slice_text(columns, table, start, template, float_fields, cell)
+        yield _slice_text(columns, table, start, min(_RENDER_SLICE, count - start), template, cell)
 
 
-def _slice_text(columns, table, start, template, float_fields, cell) -> str:
-    """template(formats, rows, start) % the cells of the slice of rows from ``start``.
+def _slice_text(columns, table, start, count, template, cell) -> str:
+    """template(formats, count, start) % the cells of the ``count`` rows from ``start``.
 
     ``formats`` holds each column's %-format in a row, and the cells go in row
-    after row, so that one call formats the slice's ``rows`` rows. The float64
-    arrays' formats and values come from float_fields(their slices); any other
-    column, which holds no floats (see _Command), goes in under %s as
-    cell(value) texts made once per distinct value, or without ``cell`` as its
-    raw values, whose %s text is str's. The slice's values are gone on return.
+    after row, so that one call formats the slice. The float64 arrays' formats
+    and cells come from _float_fields(their slices, cell); any other column,
+    which holds no floats (see _Command), goes in under %s as cell(value)
+    texts made once per distinct value, or without ``cell`` as its raw
+    values, whose %s text is str's. The slice's values are gone on return.
     """
-    rows = slice(start, start + _RENDER_SLICE)
+    rows = slice(start, start + count)
     floats = [name for name in columns
               if isinstance(table[name], np.ndarray) and table[name].dtype == np.float64]
-    fields = dict(zip(floats, float_fields([table[name][rows] for name in floats])))
+    fields = dict(zip(floats, _float_fields([table[name][rows] for name in floats], cell)))
     for name in columns:
         if name not in fields:
             values = table[name][rows]
@@ -689,10 +691,10 @@ def _slice_text(columns, table, start, template, float_fields, cell) -> str:
                                   values))
             fields[name] = "%s", values
     formats, values = zip(*map(fields.pop, columns))
-    count = len(values[0])
-    cells = [None] * (count * len(columns))
-    for offset in range(len(columns)):
-        cells[offset::len(columns)] = values[offset]
+    values = [column for column in values if column]  # a one-value column is in its format
+    cells = [None] * (count * len(values))
+    for offset, column in enumerate(values):
+        cells[offset::len(values)] = column
     del values  # the columns' lists: only the cells hold the slice's values now
     return template(formats, count, start) % tuple(cells)
 
@@ -723,7 +725,7 @@ def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -
         row = "    {\n" + ",\n".join(map(str.__add__, prefixes, formats)) + "\n    }"
         return (",\n" if start else "\n") + ",\n".join([row] * rows)
 
-    yield from _row_slices(columns, table, template, _json_floats, _json_cell)
+    yield from _row_slices(columns, table, template, _json_cell)
     yield "\n  ]\n}\n" if columns and len(table[columns[0]]) else "]\n}\n"
 
 

@@ -185,21 +185,28 @@ def kappa_prime(problem: StepProblem) -> float:
     return _shaped(shape, _kappa_prime_klein(E, m, V0, p, q))[0]
 
 
+# R and T have their pole where |1 + kappa| <= 4 eps (eps = 2^-52: a band of 8.9e-16, about
+# the rounding error of a kappa near -1), in rt_from_kappa and the COMMON step solve alike
+_POLE_BAND = 4 * 2.0 ** -52
+
+
 def rt_from_kappa(x: float) -> tuple[float, float]:
     """R = ((1-x)/(1+x))^2 and T = 4x/(1+x)^2; R + T = 1 identically.
 
     x = -1 is the singular point of the momentum-labelled convention in the
-    massless limit and raises SingularityError.  An array x gives the limits
-    R = inf, T = -inf in its x = -1 cells instead, so one singular cell does
-    not end a sweep.
+    massless limit: an x with |1 + x| <= 4 eps (_POLE_BAND, the solver's own
+    band) raises SingularityError.  An array x gives the limits R = inf,
+    T = -inf in those cells instead, so one singular cell does not end a sweep.
     """
     shape, (x,) = _flat(x)
+    singular = np.abs(1.0 + x) <= _POLE_BAND
     if not shape:
-        _raise_where(1.0 + x == 0.0, "kappa")
+        _raise_where(singular, "kappa")
     with np.errstate(divide="ignore", invalid="ignore"):
         denominator = 1.0 + x
         r_coeff = ((1.0 - x) / denominator) ** 2
         t_coeff = 4.0 * x / denominator ** 2
+    r_coeff[singular], t_coeff[singular] = np.inf, -np.inf
     return tuple(_shaped(shape, r_coeff, t_coeff))
 
 
@@ -237,7 +244,7 @@ def solve_step_numeric(
     lower = codes == _THRESHOLD_LOWER
     kappa_value[upper], kappa_value[lower] = np.inf, 0.0
     # singular before matching where |1 + kappa'| <= 4 eps, after it where the determinant is 0
-    singular = klein & (np.abs(1.0 + kappa_value) <= 4 * 2.0 ** -52)
+    singular = klein & (np.abs(1.0 + kappa_value) <= _POLE_BAND)
 
     r = np.empty(E.size, dtype=complex)
     t = np.empty(E.size, dtype=complex)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from kleinstep import cli, graphene, step
+from kleinstep import cli, dirac, graphene, step
 from kleinstep.cli import RunManifest, main, render_csv, render_json
 from kleinstep.common import _BAD_CELLS, Convention, SingularityError
 
@@ -755,6 +755,31 @@ def test_renderers_across_slices():
     assert lines[1:-1] == [f"{format(v, '.9g')},{i}" for i, v in enumerate(values.tolist())]
 
 
+ONE_VALUE_CELLS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, 1e16, 123456789012.0, 5e-324,
+                   0.1]
+
+
+@pytest.mark.parametrize("count", [cli._RENDER_SLICE + 1, 300], ids=["one-row-tail", "300"])
+@pytest.mark.parametrize("with_label", [True, False], ids=["label", "floats-only"])
+def test_renderers_write_one_value_slices(count, with_label):
+    # each column holds one value down the first slice and, at 300 rows, varies in the
+    # next; the last float column mixes 0.0 and -0.0, which are equal but print differently
+    head, tail = cli._RENDER_SLICE, count - cli._RENDER_SLICE
+    table = {f"c{i} %d": np.array([value] * head + [value, 2.5] * tail)[:count]
+             for i, value in enumerate(ONE_VALUE_CELLS)}
+    table["zeros"] = np.resize([0.0, -0.0, 0.0], count)
+    if with_label:
+        table["label"] = ["klein"] * count
+    columns = list(table)
+    # compared line by line: a failure's diff of two whole documents takes minutes
+    assert "".join(render_json(columns, table, None)).split("\n") == _reference_json(
+        columns, table, None).split("\n")
+    rows = zip(*(np.asarray(table[name], dtype=object).tolist() for name in columns))
+    lines = [",".join(format(cell, ".9g") if isinstance(cell, float) else cell for cell in row)
+             for row in rows]
+    assert "".join(render_csv(columns, table, None)).split("\n") == [",".join(columns), *lines, ""]
+
+
 def test_emit_holds_one_slice_of_a_long_sweep(tmp_path):
     # emit holds about one slice of text at a time, never the whole document
     path = tmp_path / "angles.json"
@@ -962,6 +987,17 @@ def test_step_rt_solves_in_one_batch_per_block(capsys, solve_calls, spinor_calls
     assert code == 0 and len(out.strip().split("\n")) == 1 + 5000
     assert len(solve_calls) == 0
     assert len(spinor_calls) == 3 * math.ceil(5000 / cli._SOLVE_BLOCK)
+
+
+def test_spinor_check_checks_both_branches_in_one_call_per_block(capsys, monkeypatch):
+    calls = []
+    residual4 = dirac.hamiltonian_residual4
+    monkeypatch.setattr(dirac, "hamiltonian_residual4",
+                        lambda psi, *args: calls.append(len(psi)) or residual4(psi, *args))
+    # one block: both branches, the evanescent gap between them and eps = 0
+    code, out, _ = run(capsys, "spinor-check", "--m", "1", "--eps=-3:3:501", "--no-manifest")
+    assert code == 0 and len(out.strip().split("\n")) == 1 + 501
+    assert calls == [sum(abs(-3 + 6 * i / 500) >= 1 for i in range(501))]
 
 
 @pytest.fixture

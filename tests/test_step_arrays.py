@@ -134,7 +134,7 @@ def test_zero_d_massless_common_still_raises():
         rt_from_kappa(np.array(-1.0))
 
 
-@pytest.mark.parametrize("E,m,V0", [
+NEAR_MASSLESS_COMMON_CELLS = pytest.mark.parametrize("E,m,V0", [
     # kappa' rounds to -1.0000000000000002, within 4 eps of -1, and the matching
     # determinant is exactly 0
     (0.1, 1e-17, 1.5),
@@ -145,6 +145,9 @@ def test_zero_d_massless_common_still_raises():
     # matched, R would be 2.19e31 against the true 1.20e31
     (0.2, 1e-16, 1.5),
 ])
+
+
+@NEAR_MASSLESS_COMMON_CELLS
 def test_near_massless_common_step_is_a_singular_cell(E, m, V0):
     sol = solve_step_numeric(StepProblem(np.array([E, 2.0]), m, V0), Convention.COMMON)
     assert (sol.kappa_value[0], sol.R[0], sol.T[0]) == (-1.0, math.inf, -math.inf)
@@ -153,6 +156,19 @@ def test_near_massless_common_step_is_a_singular_cell(E, m, V0):
     assert [bits(field[1]) for field in sol[1:6]] == [bits(field) for field in cell[1:6]]
     with pytest.raises(SingularityError, match="kappa_prime"):
         solve_step_numeric(StepProblem(E, m, V0), Convention.COMMON)
+
+
+@NEAR_MASSLESS_COMMON_CELLS
+def test_closed_route_is_singular_where_the_solver_is(E, m, V0):
+    # the cell beside a Klein cell whose mass keeps kappa' far from -1
+    problem = StepProblem(np.array([E, E]), np.array([m, E / 4]), V0)
+    sol = solve_step_numeric(problem, Convention.COMMON)
+    r_coeff, t_coeff = rt_from_kappa(kappa_prime(problem))
+    assert np.isinf(r_coeff).tolist() == np.isinf(sol.R).tolist() == [True, False]
+    assert (r_coeff[0], t_coeff[0]) == (sol.R[0], sol.T[0]) == (math.inf, -math.inf)
+    assert (r_coeff[1], t_coeff[1]) == pytest.approx((sol.R[1], sol.T[1]), rel=1e-12)
+    with pytest.raises(SingularityError, match="1 \\+ kappa"):
+        rt_from_kappa(kappa_prime(StepProblem(E, m, V0)))
 
 
 def test_array_rt_from_kappa_pole_gives_limits():
