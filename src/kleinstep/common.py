@@ -60,19 +60,15 @@ def _raise_where(bad, kind: str) -> None:
         raise error(*args)
 
 
-def broadcast(*arrays: np.ndarray) -> list[np.ndarray]:
-    """np.broadcast_arrays, with each array already of the broadcast shape returned as itself."""
-    shape = np.broadcast(*arrays).shape
-    return [array if array.shape == shape else np.broadcast_to(array, shape) for array in arrays]
-
-
 def _flat(*values, dtype=float) -> tuple[tuple, list[np.ndarray]]:
     """The broadcast shape of the values, and each value broadcast to it and flattened.
 
-    A value of another shape is filled into an array of that shape: the copy
-    that ravel makes of a broadcast view, without the view.
+    ``dtype`` is every value's dtype, or a tuple of one per value.  A value of
+    another shape is filled into an array of that shape: the copy that ravel
+    makes of a broadcast view, without the view.
     """
-    arrays = [np.asarray(value, dtype=dtype) for value in values]
+    dtypes = dtype if isinstance(dtype, tuple) else (dtype,) * len(values)
+    arrays = [np.asarray(value, dtype=d) for value, d in zip(values, dtypes, strict=True)]
     shape = np.broadcast(*arrays).shape
     return shape, [(array if array.shape == shape else np.full(shape, array, array.dtype)).ravel()
                    for array in arrays]

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from kleinstep.common import _require, _unit_scale, broadcast, unwrap
+from kleinstep.common import _flat, _require, _shaped, _unit_scale, unwrap
 
 __all__ = [
     "ALPHA_X",
@@ -72,9 +72,7 @@ def make_spinor2(eps: float, k: complex, m: float) -> tuple[complex, complex]:
     form (eps + m, k) = (2m, 0) is returned there instead.  At eps = k = m = 0
     both forms vanish and ValueError("zero spinor") is raised.
     """
-    eps, k, m = broadcast(
-        np.asarray(eps, dtype=float), np.asarray(k, dtype=complex), np.asarray(m, dtype=float)
-    )
+    shape, (eps, k, m) = _flat(eps, k, m, dtype=(float, complex, float))
     _require("eps", "k", "m", _mass(m), eps=eps, k=k, m=m)
     # after finiteness: eps^2 - (k^2 + m^2) at an infinite value is nan with a warning
     ksq = k * k
@@ -82,8 +80,7 @@ def make_spinor2(eps: float, k: complex, m: float) -> tuple[complex, complex]:
     _require((~(np.abs(eps * eps - (ksq + m * m)) > _ONSHELL_RTOL * scale),
               "off-shell spinor request: eps={eps}, k^2={ksq}, m={m} violate eps^2 = k^2 + m^2"),
              eps=eps, ksq=ksq, m=m)
-    upper, lower = _spinor2(eps, k, m)
-    return unwrap(upper), unwrap(lower)
+    return tuple(_shaped(shape, *_spinor2(eps, k, m)))
 
 
 def _spinor2(eps: np.ndarray, k: np.ndarray, m: np.ndarray) -> tuple:
@@ -116,24 +113,24 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(dot(v.real) + dot(v.imag))
 
 
-def _eigen_residual(v: np.ndarray, h: np.ndarray, energy) -> float:
+def _eigen_residual(v: np.ndarray, h: np.ndarray, energy: np.ndarray) -> np.ndarray:
     norm = _norm(v)
     if np.any(norm == 0.0):
         raise ValueError("zero spinor")
     hv = np.matmul(h, v[..., None])[..., 0]
-    return unwrap(_norm(hv - np.asarray(energy, dtype=float)[..., None] * v) / norm)
+    return _norm(hv - energy[..., None] * v) / norm
 
 
 def hamiltonian_residual(psi, eps: float, k: complex, m: float) -> float:
     """||H psi - eps psi|| / ||psi|| for the reduced Hamiltonian at wavevector k."""
-    eps, k, m, upper, lower = broadcast(
-        np.asarray(eps, dtype=float), np.asarray(k, dtype=complex), np.asarray(m, dtype=float),
-        *(np.asarray(c, dtype=complex) for c in psi))
+    upper, lower = psi
+    shape, (eps, k, m, upper, lower) = _flat(eps, k, m, upper, lower,
+                                             dtype=(float, complex, float, complex, complex))
     _require("eps", "k", "m", _mass(m), "psi_upper", "psi_lower",
              eps=eps, k=k, m=m, psi_upper=upper, psi_lower=lower)
     h = np.empty(k.shape + (2, 2), dtype=complex)
     h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1] = m, k, k, -m
-    return _eigen_residual(np.stack((upper, lower), axis=-1), h, eps)
+    return _shaped(shape, _eigen_residual(np.stack((upper, lower), axis=-1), h, eps))[0]
 
 
 def current_density(psi) -> float:
@@ -183,7 +180,7 @@ def make_spinor4(
         raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
     if spin not in ("up", "down"):
         raise ValueError(f"spin must be 'up' or 'down', got {spin!r}")
-    E, px, py, pz, m = broadcast(*(np.asarray(c, dtype=float) for c in (E, *p, m)))
+    shape, (E, px, py, pz, m) = _flat(E, *p, m)
     _require("E", "m", "px", "py", "pz", _mass(m), E=E, m=m, px=px, py=py, pz=pz)
     E = np.abs(E)
     E2, shell = E * E, px * px + py * py + pz * pz + m * m
@@ -191,12 +188,12 @@ def make_spinor4(
               "inconsistent (E, p, m): E^2 = {E2} but p^2 + m^2 = {shell}"), E2=E2, shell=shell)
     e = E if branch == "positive" else -E
     column = _SPINOR4_COLUMNS[(branch, spin)](e, px, py, pz, m)
-    psi = np.stack(broadcast(*(np.asarray(c, dtype=complex) for c in column)), axis=-1)
+    psi = np.stack(_flat(*column, dtype=complex)[1], axis=-1)
     if not psi.any(axis=-1).all():
         raise ValueError("zero spinor")
     if normalize:
         psi = (1.0 / (math.sqrt(2.0 * math.pi) * _norm(psi)))[..., None] * psi
-    return psi
+    return psi.reshape(shape + (4,))
 
 
 def hamiltonian_residual4(psi, energy: float, p, m: float) -> float:
@@ -205,5 +202,5 @@ def hamiltonian_residual4(psi, energy: float, p, m: float) -> float:
     energy, px, py, pz, m = (np.asarray(c, dtype=float) for c in (energy, *p, m))
     _require("energy", "m", "px", "py", "pz", _mass(m),
              energy=energy, m=m, px=px, py=py, pz=pz)
-    return _eigen_residual(np.asarray(psi, dtype=complex), dirac_hamiltonian((px, py, pz), m),
-                           energy)
+    return unwrap(_eigen_residual(np.asarray(psi, dtype=complex),
+                                  dirac_hamiltonian((px, py, pz), m), energy))

@@ -31,7 +31,7 @@ from kleinstep.common import (
     _validated_make,
     unwrap,
 )
-from kleinstep.dirac import _root, _spinor2, current_density, make_spinor2
+from kleinstep.dirac import _mass, _root, _spinor2, current_density, make_spinor2
 
 __all__ = [
     "BasisKind",
@@ -80,8 +80,7 @@ class StepProblem(NamedTuple("StepProblem", [("E", float), ("m", float), ("V0", 
     def __new__(cls, E: float, m: float, V0: float):
         self = super().__new__(cls, E, m, V0)
         E, m, V0 = (np.asarray(value, dtype=float) for value in (E, m, V0))
-        _require("E", "m", "V0",
-                 (m >= 0, "mass must be nonnegative"),
+        _require("E", "m", "V0", _mass(m),
                  (V0 > 0, "step height V0 must be positive"),
                  (E > m, "incident wave must propagate in region I: need E > m, "
                          "got E = {E}, m = {m}"),
@@ -128,14 +127,25 @@ def _classify(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> np.ndarray:
 
 
 def _kinematics(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> tuple:
-    """(codes, p, q) of validated flat arrays; q is region II's decay rate where evanescent."""
-    return _classify(E, m, V0), _root(E, m), _root(E - V0, m)
+    """(codes, p, q, eps = E - V0) of validated flat arrays; q is a decay rate where evanescent."""
+    eps = E - V0
+    return _classify(E, m, V0), _root(E, m), _root(eps, m), eps
 
 
 def _cells(problem: StepProblem) -> tuple:
-    """Shape and flat E, m, V0 times 2^-e, e the exponent of max(E, V0): exact, so scale-free."""
+    """Shape, e and flat E, m, V0 times 2^-e, e the exponent of max(E, V0): exact, so scale-free."""
     shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
-    return shape, _unit_scale(np.maximum(E, V0), E, m, V0)[1]
+    return (shape, *_unit_scale(np.maximum(E, V0), E, m, V0))
+
+
+def _klein(problem: StepProblem, rule: str) -> tuple:
+    """shape, e, E, m, p, q and eps of _cells and _kinematics, once every cell is a Klein cell.
+
+    ``rule`` says what needs the Klein regime; it begins the error's message."""
+    shape, e, (E, m, V0) = _cells(problem)
+    codes, p, q, eps = _kinematics(E, m, V0)
+    _require((codes == _KLEIN, rule + ", got {regime}"), regime=_REGIMES.take(codes))
+    return shape, e, E, m, p, q, eps
 
 
 def classify_regime(problem: StepProblem) -> Regime:
@@ -144,16 +154,16 @@ def classify_regime(problem: StepProblem) -> Regime:
     Thresholds are detected within 1e-12 of the problem's own scale
     max(E, m, V0), so the regime is invariant under an overall energy scale.
     """
-    shape, (E, m, V0) = _cells(problem)
+    shape, _, (E, m, V0) = _cells(problem)
     return _shaped(shape, _REGIMES.take(_classify(E, m, V0)))[0]
 
 
-def _kappa_klein(E, m, V0):
-    return np.sqrt((V0 - E - m) * (E - m) / ((V0 - E + m) * (E + m)))
+def _kappa_klein(E, m, eps):
+    return np.sqrt((-eps - m) * (E - m) / ((m - eps) * (E + m)))
 
 
-def _kappa_prime_klein(E, m, V0, p, q):
-    return q * (E + m) / (p * (E - V0 + m))  # E - V0 first: exact near E = V0 - m
+def _kappa_prime_klein(E, m, p, q, eps):
+    return q * (E + m) / (p * (eps + m))  # from eps = E - V0: exact near E = V0 - m
 
 
 def kappa(problem: StepProblem) -> float:
@@ -163,14 +173,14 @@ def kappa(problem: StepProblem) -> float:
     printed ratio form (-q/p)(E-m)/(E-V0-m).  At the lower threshold (q = 0)
     the limit 0 is returned.
     """
-    shape, (E, m, V0) = _cells(problem)
+    shape, _, (E, m, V0) = _cells(problem)
     codes = _classify(E, m, V0)
     klein = codes == _KLEIN
     _require((klein | (codes == _THRESHOLD_LOWER),
               "kappa is defined in the Klein regime only, got {regime}"),
              regime=_REGIMES.take(codes))
     with np.errstate(invalid="ignore", divide="ignore"):
-        return _shaped(shape, np.where(klein, _kappa_klein(E, m, V0), 0.0))[0]
+        return _shaped(shape, np.where(klein, _kappa_klein(E, m, E - V0), 0.0))[0]
 
 
 def kappa_prime(problem: StepProblem) -> float:
@@ -178,11 +188,8 @@ def kappa_prime(problem: StepProblem) -> float:
 
     Klein zone only; always negative there, with kappa * kappa' = -1.
     """
-    shape, (E, m, V0) = _cells(problem)
-    codes, p, q = _kinematics(E, m, V0)
-    _require((codes == _KLEIN, "kappa_prime is defined in the Klein regime only, "
-              "got {regime}"), regime=_REGIMES.take(codes))
-    return _shaped(shape, _kappa_prime_klein(E, m, V0, p, q))[0]
+    shape, _, E, m, p, q, eps = _klein(problem, "kappa_prime is defined in the Klein regime only")
+    return _shaped(shape, _kappa_prime_klein(E, m, p, q, eps))[0]
 
 
 # R and T have their pole where |1 + kappa| <= 4 eps (eps = 2^-52: a band of 8.9e-16, about
@@ -228,18 +235,17 @@ def solve_step_numeric(
     singular cells hold.
     """
     convention = Convention(convention)
-    shape, (E, m, V0) = _cells(problem)
-    codes, p, q = _kinematics(E, m, V0)
+    shape, _, (E, m, V0) = _cells(problem)
+    codes, p, q, eps = _kinematics(E, m, V0)
     klein = codes == _KLEIN
-    eps2 = E - V0
 
     with np.errstate(invalid="ignore", divide="ignore"):
         if convention is Convention.PAPER:
-            klein_kappa = _kappa_klein(E, m, V0)
+            klein_kappa = _kappa_klein(E, m, eps)
         else:
-            klein_kappa = _kappa_prime_klein(E, m, V0, p, q)
+            klein_kappa = _kappa_prime_klein(E, m, p, q, eps)
         kappa_value = np.where(klein, klein_kappa, np.where(
-            codes == _ABOVE_BARRIER, q * (E - m) / (p * (eps2 - m)), np.nan))
+            codes == _ABOVE_BARRIER, q * (E - m) / (p * (eps - m)), np.nan))
     upper = codes == _THRESHOLD_UPPER
     lower = codes == _THRESHOLD_LOWER
     kappa_value[upper], kappa_value[lower] = np.inf, 0.0
@@ -258,7 +264,7 @@ def solve_step_numeric(
     r[lower], t[lower] = 1.0, -(E[lower] - m[lower]) / m[lower]
     cells = ~(upper | lower | singular)
     r[cells], t[cells], big_r[cells], big_t[cells], singular[cells] = _match(
-        *(array[cells] for array in (E, m, p, q, eps2, codes)), convention)
+        *(array[cells] for array in (E, m, p, q, eps, codes)), convention)
 
     if not shape:
         _raise_where(singular, "kappa_prime")
@@ -268,7 +274,7 @@ def solve_step_numeric(
         shape, kappa_value, r, t, big_r, big_t, _REGIMES.take(codes)))
 
 
-def _match(E, m, p, q, eps2, codes, convention: Convention) -> tuple:
+def _match(E, m, p, q, eps, codes, convention: Convention) -> tuple:
     """r, t, R and T of non-threshold cells by Cramer's rule, and which of them are singular.
 
     The spinors are built from (E, k, m) alone, unchecked: their values are the solver's own.
@@ -277,10 +283,10 @@ def _match(E, m, p, q, eps2, codes, convention: Convention) -> tuple:
     them underflows. The matching then gives r, R and T as they are, and t * 2^(b - a).
     """
     a, (E, p, m1) = _unit_scale(E, E, p, m)
-    b, (eps2, q, m2) = _unit_scale(np.maximum(np.abs(eps2), m), eps2, q, m)
+    b, (eps, q, m2) = _unit_scale(np.maximum(np.abs(eps), m), eps, q, m)
     forward = -q if convention is Convention.PAPER else q
     k2 = np.where(codes == _EVANESCENT, 1j * q, np.where(codes == _KLEIN, forward, q))
-    inc, refl, trans = _spinor2(E, p, m1), _spinor2(E, -p, m1), _spinor2(eps2, k2, m2)
+    inc, refl, trans = _spinor2(E, p, m1), _spinor2(E, -p, m1), _spinor2(eps, k2, m2)
     # Cramer's rule on inc + r refl = t trans
     det = trans[0] * refl[1] - refl[0] * trans[1]
     zero = det == 0
@@ -297,11 +303,9 @@ def _match(E, m, p, q, eps2, codes, convention: Convention) -> tuple:
 
 def group_velocity_region2(problem: StepProblem) -> float:
     """Magnitude-level group velocity q/(V0 - E) of the Klein-zone transmitted wave."""
-    shape, (E, m, V0) = _cells(problem)
-    codes, _, q = _kinematics(E, m, V0)
-    _require((codes == _KLEIN, "group velocity of the transmitted branch needs the "
-              "Klein regime, got {regime}"), regime=_REGIMES.take(codes))
-    return _shaped(shape, q / (V0 - E))[0]
+    shape, _, _, _, _, q, eps = _klein(
+        problem, "group velocity of the transmitted branch needs the Klein regime")
+    return _shaped(shape, q / -eps)[0]
 
 
 # --------------------------------------------------------------------------
@@ -357,14 +361,10 @@ def scattering_basis_state(kind: BasisKind, problem: StepProblem) -> BasisState:
     amplitudes go as 1/energy, wavevectors and spinors as energy.
     """
     kind = BasisKind(kind)
-    shape, (E, m, V0) = _flat(problem.E, problem.m, problem.V0)
-    e, (E, m, V0) = _unit_scale(np.maximum(E, V0), E, m, V0)
-    codes, p, q = _kinematics(E, m, V0)
-    _require((codes == _KLEIN, "scattering basis states need the Klein regime, got {regime}"),
-             regime=_REGIMES.take(codes))
-    k = _kappa_klein(E, m, V0)
+    shape, e, E, m, p, q, eps = _klein(problem, "scattering basis states need the Klein regime")
+    k = _kappa_klein(E, m, eps)
     n1 = 1.0 / (np.sqrt(4.0 * math.pi * p) * np.sqrt(E - m))  # p (E - m) may underflow
-    n2 = -1.0 / (np.sqrt(4.0 * math.pi * q) * np.sqrt(np.abs(E - V0 - m)))  # times the sign -1
+    n2 = -1.0 / (np.sqrt(4.0 * math.pi * q) * np.sqrt(np.abs(eps - m)))  # times the sign -1
     lone = 2.0 * np.sqrt(k) / (k + 1.0)  # single-wave region amplitude
     pair = (k - 1.0) / (k + 1.0)  # partner-wave amplitude in u states, -pair in v states
     s = 1.0 if kind in (BasisKind.U_PLUS, BasisKind.V_PLUS) else -1.0  # direction of travel
@@ -375,7 +375,7 @@ def scattering_basis_state(kind: BasisKind, problem: StepProblem) -> BasisState:
     else:
         amplitude = ((n1, -n1 * pair), (zero, n2 * lone))
     kz = np.stack([np.stack([s * p, -s * p], -1), np.stack([s * q, -s * q], -1)], -2)
-    upper, lower = make_spinor2(np.stack([E, E - V0], -1)[..., None], kz, m[:, None, None])
+    upper, lower = make_spinor2(np.stack([E, eps], -1)[..., None], kz, m[:, None, None])
     # the spinor of kz goes as exp(i kz z) in region I and as exp(-i kz z) in region II
     wavevector = kz * np.array([[1.0], [-1.0]])
     amplitude = np.stack([np.stack(region, -1) for region in amplitude], -2)
