@@ -56,11 +56,12 @@ def _mass(m: np.ndarray) -> tuple:
     return ~(m < 0), "mass must be nonnegative"
 
 
-def _root(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """|a^2 - m^2|^(1/2) from (|a| - m)(|a| + m): no cancellation near |a| = m, and,
-    taken at the scale of max(|a|, m), no underflow."""
-    e, (a, m) = _unit_scale(np.maximum(np.abs(a), m), np.abs(a), m)
-    return np.ldexp(np.sqrt(np.abs((a - m) * (a + m))), e)
+def _root(a: np.ndarray, m: np.ndarray, lo=None) -> np.ndarray:
+    """|(a + lo)^2 - m^2|^(1/2) from (|a| - m +- lo)(|a| + m): no cancellation near |a| = m,
+    and, taken at the scale of max(|a|, m), no underflow. lo is a's rounding error, if any."""
+    e, (x, m) = _unit_scale(np.maximum(np.abs(a), m), np.abs(a), m)
+    gap = x - m if lo is None else x - m + np.ldexp(np.where(a < 0, -lo, lo), -e)
+    return np.ldexp(np.sqrt(np.abs(gap * (x + m))), e)
 
 
 def make_spinor2(eps: float, k: complex, m: float) -> tuple[complex, complex]:
@@ -83,14 +84,14 @@ def make_spinor2(eps: float, k: complex, m: float) -> tuple[complex, complex]:
     return tuple(_shaped(shape, *_spinor2(eps, k, m)))
 
 
-def _spinor2(eps: np.ndarray, k: np.ndarray, m: np.ndarray) -> tuple:
+def _spinor2(eps: np.ndarray, k: np.ndarray, m: np.ndarray, lo=None) -> tuple:
     """make_spinor2's arrays for float arrays eps, m and k (real or complex) of one shape.
 
     Without make_spinor2's input checks, for values a caller derived: it raises
-    only for a zero spinor.
+    only for a zero spinor. lo is eps's rounding error, if any, added to eps - m.
     """
     k = np.asarray(k, dtype=complex)
-    upper, lower = k, (eps - m).astype(complex)
+    upper, lower = k, (eps - m if lo is None else eps - m + lo).astype(complex)
     rest = (upper == 0) & (lower == 0)
     if rest.any():
         # rest frame: fall back to the (eps + m, k) form

@@ -127,9 +127,14 @@ def _classify(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> np.ndarray:
 
 
 def _kinematics(E: np.ndarray, m: np.ndarray, V0: np.ndarray) -> tuple:
-    """(codes, p, q, eps = E - V0) of validated flat arrays; q is a decay rate where evanescent."""
+    """(codes, p, q, eps, lo) of validated flat arrays; q is a decay rate where evanescent.
+
+    eps + lo = E - V0 exactly (TwoSum). Near E = V0 + m with V0 < m, eps is not exact, and lo,
+    added where eps - m is formed, keeps the digits there."""
     eps = E - V0
-    return _classify(E, m, V0), _root(E, m), _root(eps, m), eps
+    bb = eps - E
+    lo = (E - (eps - bb)) - (V0 + bb)
+    return _classify(E, m, V0), _root(E, m), _root(eps, m, lo), eps, lo
 
 
 def _cells(problem: StepProblem) -> tuple:
@@ -143,7 +148,7 @@ def _klein(problem: StepProblem, rule: str) -> tuple:
 
     ``rule`` says what needs the Klein regime; it begins the error's message."""
     shape, e, (E, m, V0) = _cells(problem)
-    codes, p, q, eps = _kinematics(E, m, V0)
+    codes, p, q, eps, _ = _kinematics(E, m, V0)
     _require((codes == _KLEIN, rule + ", got {regime}"), regime=_REGIMES.take(codes))
     return shape, e, E, m, p, q, eps
 
@@ -236,7 +241,7 @@ def solve_step_numeric(
     """
     convention = Convention(convention)
     shape, _, (E, m, V0) = _cells(problem)
-    codes, p, q, eps = _kinematics(E, m, V0)
+    codes, p, q, eps, lo = _kinematics(E, m, V0)
     klein = codes == _KLEIN
 
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -245,7 +250,7 @@ def solve_step_numeric(
         else:
             klein_kappa = _kappa_prime_klein(E, m, p, q, eps)
         kappa_value = np.where(klein, klein_kappa, np.where(
-            codes == _ABOVE_BARRIER, q * (E - m) / (p * (eps - m)), np.nan))
+            codes == _ABOVE_BARRIER, q * (E - m) / (p * (eps - m + lo)), np.nan))
     upper = codes == _THRESHOLD_UPPER
     lower = codes == _THRESHOLD_LOWER
     kappa_value[upper], kappa_value[lower] = np.inf, 0.0
@@ -264,7 +269,7 @@ def solve_step_numeric(
     r[lower], t[lower] = 1.0, -(E[lower] - m[lower]) / m[lower]
     cells = ~(upper | lower | singular)
     r[cells], t[cells], big_r[cells], big_t[cells], singular[cells] = _match(
-        *(array[cells] for array in (E, m, p, q, eps, codes)), convention)
+        *(array[cells] for array in (E, m, p, q, eps, lo, codes)), convention)
 
     if not shape:
         _raise_where(singular, "kappa_prime")
@@ -274,7 +279,7 @@ def solve_step_numeric(
         shape, kappa_value, r, t, big_r, big_t, _REGIMES.take(codes)))
 
 
-def _match(E, m, p, q, eps, codes, convention: Convention) -> tuple:
+def _match(E, m, p, q, eps, lo, codes, convention: Convention) -> tuple:
     """r, t, R and T of non-threshold cells by Cramer's rule, and which of them are singular.
 
     The spinors are built from (E, k, m) alone, unchecked: their values are the solver's own.
@@ -283,10 +288,10 @@ def _match(E, m, p, q, eps, codes, convention: Convention) -> tuple:
     them underflows. The matching then gives r, R and T as they are, and t * 2^(b - a).
     """
     a, (E, p, m1) = _unit_scale(E, E, p, m)
-    b, (eps, q, m2) = _unit_scale(np.maximum(np.abs(eps), m), eps, q, m)
+    b, (eps, q, m2, lo) = _unit_scale(np.maximum(np.abs(eps), m), eps, q, m, lo)
     forward = -q if convention is Convention.PAPER else q
     k2 = np.where(codes == _EVANESCENT, 1j * q, np.where(codes == _KLEIN, forward, q))
-    inc, refl, trans = _spinor2(E, p, m1), _spinor2(E, -p, m1), _spinor2(eps, k2, m2)
+    inc, refl, trans = _spinor2(E, p, m1), _spinor2(E, -p, m1), _spinor2(eps, k2, m2, lo)
     # Cramer's rule on inc + r refl = t trans
     det = trans[0] * refl[1] - refl[0] * trans[1]
     zero = det == 0
