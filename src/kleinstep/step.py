@@ -283,6 +283,7 @@ def _match(E, m, p, q, eps, lo, codes, convention: Convention) -> tuple:
     """r, t, R and T of non-threshold cells by Cramer's rule, and which of them are singular.
 
     The spinors are built from (E, k, m) alone, unchecked: their values are the solver's own.
+    Region II's takes eps's rounding error lo into its eps - m.
     Region I's are built at E's own power-of-two scale 2^a and region II's at that
     of max(|E - V0|, m), 2^b, so that below a deep step (V0 >> E) no product of
     them underflows. The matching then gives r, R and T as they are, and t * 2^(b - a).

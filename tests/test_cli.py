@@ -30,6 +30,12 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def _lines(document):
+    """A document's lines with their ends: equal exactly where the documents are, and a failing
+    comparison's diff takes seconds, where that of two whole documents may take minutes."""
+    return document.splitlines(keepends=True)
+
+
 def test_step_compare_single_point(capsys):
     code, out, err = run(
         capsys, "step-compare", "--E", "2", "--m", "1", "--V0", "5", "--no-manifest"
@@ -55,7 +61,7 @@ def test_determinism_byte_identical(tmp_path, capsys):
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + [str(path_a)]) == 0
     assert main(args + [str(path_b)]) == 0
-    assert path_a.read_bytes() == path_b.read_bytes()
+    assert _lines(path_a.read_bytes()) == _lines(path_b.read_bytes())
 
 
 def test_manifest_comment_lines(capsys):
@@ -471,7 +477,7 @@ def assert_stdout_is_output(path, argv, options=()):
     piped = run_fresh(CONSOLE, *argv, text=False, options=options)
     written = run_fresh(CONSOLE, *argv, f"--output={path}", text=False, options=options)
     assert (piped.returncode, piped.stderr, written.returncode, written.stdout) == (0, b"", 0, b"")
-    assert piped.stdout == path.read_bytes()
+    assert _lines(piped.stdout) == _lines(path.read_bytes())
     assert piped.stdout.count(b"\n") > 2 * cli._RENDER_SLICE
 
 
@@ -592,7 +598,7 @@ def test_stdout_matches_file_output(tmp_path, capsys):
     assert code == 0
     path = tmp_path / "out.csv"
     assert main(args + ["--output", str(path)]) == 0
-    assert path.read_text() == out
+    assert _lines(path.read_text()) == _lines(out)
 
 
 # ------------------------------------------------------------- argument reader
@@ -721,22 +727,22 @@ def test_manifest_text_holds_no_whitespace(capsys, tmp_path, given):
 @pytest.mark.parametrize("manifest", [None, MANIFEST], ids=["no-manifest", "manifest"])
 def test_render_json_is_json_dumps(manifest):
     columns = ["x", "label", "y"]
-    assert "".join(render_json(columns, SPECIAL_TABLE, manifest)) == _reference_json(
-        columns, SPECIAL_TABLE, manifest)
+    assert _lines("".join(render_json(columns, SPECIAL_TABLE, manifest))) == _lines(
+        _reference_json(columns, SPECIAL_TABLE, manifest))
 
 
 @pytest.mark.parametrize("manifest", [None, MANIFEST], ids=["no-manifest", "manifest"])
 def test_render_json_empty_sweep(manifest):
     columns = ["E", "regime"]
     table = {"E": np.array([]), "regime": []}
-    assert "".join(render_json(columns, table, manifest)) == _reference_json(
-        columns, table, manifest)
+    assert _lines("".join(render_json(columns, table, manifest))) == _lines(
+        _reference_json(columns, table, manifest))
 
 
 def test_render_json_without_float_columns():
     table = {"label": ["klein", "a \"quoted\" name", "x"], "i": [1, 2, 3]}
-    assert "".join(render_json(["label", "i"], table, None)) == _reference_json(
-        ["label", "i"], table, None)
+    assert _lines("".join(render_json(["label", "i"], table, None))) == _lines(
+        _reference_json(["label", "i"], table, None))
 
 
 def test_renderers_across_slices():
@@ -749,7 +755,7 @@ def test_renderers_across_slices():
     for pieces, row_mark in ((json_pieces, "\n    {\n"), (csv_pieces, "\n")):
         assert len(pieces) <= 3 + 2
         assert max(piece.count(row_mark) for piece in pieces) == cli._RENDER_SLICE
-    assert "".join(json_pieces) == _reference_json(["v", "i"], table, None)
+    assert _lines("".join(json_pieces)) == _lines(_reference_json(["v", "i"], table, None))
     lines = "".join(csv_pieces).split("\n")
     assert lines[0] == "v,i" and lines[-1] == "" and len(lines) == count + 2
     assert lines[1:-1] == [f"{format(v, '.9g')},{i}" for i, v in enumerate(values.tolist())]
@@ -878,19 +884,21 @@ FLOAT_CELLS = st.one_of(
        st.lists(FLOAT_CELLS, min_size=1, max_size=7),
        st.lists(st.text(max_size=4), min_size=1, max_size=5),
        st.integers(1, 2 * cli._RENDER_SLICE + 9))
-# no explain phase: it reruns these 2k-row examples for minutes after a failure
-@settings(max_examples=60, deadline=None,
+# no explain phase: it reruns these 2k-row examples for minutes after a failure; and one
+# failure shrunk, not the JSON and the CSV one apart, which took up to a minute more
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False,
           phases=[phase for phase in Phase if phase is not Phase.explain])
 def test_renderers_write_json_dumps_and_9g_bytes(xs, ys, labels, count):
     # drawn cells repeat down the column, so every kind lands on both sides of a slice edge
     table = {"x": np.resize(np.array(xs), count), "y %d": np.resize(np.array(ys), count),
              "label": [labels[i % len(labels)] for i in range(count)], "i": list(range(count))}
     columns = list(table)
-    assert "".join(render_json(columns, table, None)) == _reference_json(columns, table, None)
+    assert _lines("".join(render_json(columns, table, None))) == _lines(
+        _reference_json(columns, table, None))
     rows = [f"{format(x, '.9g')},{format(y, '.9g')},{label},{i}" for x, y, label, i
             in zip(table["x"].tolist(), table["y %d"].tolist(), table["label"], table["i"])]
-    assert "".join(render_csv(columns, table, None)) == "\n".join(
-        [",".join(columns)] + rows) + "\n"
+    assert _lines("".join(render_csv(columns, table, None))) == _lines(
+        "\n".join([",".join(columns)] + rows) + "\n")
 
 
 def test_json_floats_take_per_cell_calls_only_where_9g_differs(capsys, monkeypatch):
@@ -906,7 +914,7 @@ def test_json_floats_take_per_cell_calls_only_where_9g_differs(capsys, monkeypat
             "--allow-singular", "--format", "json", "--no-manifest"]
     code, out, _ = run(capsys, *args)
     table = cli._table(cli.parse_args(args))
-    assert code == 0 and out == _reference_json(list(table), table, None)
+    assert code == 0 and _lines(out) == _lines(_reference_json(list(table), table, None))
     cells = [value for column in table.values() for value in np.asarray(column).tolist()]
     strings = sum(isinstance(value, str) for value in cells)
     differing = sum(not math.isfinite(value) or 0 < abs(value) < TINY
@@ -928,7 +936,7 @@ def test_string_cells_take_one_call_per_distinct_value_and_slice(capsys, monkeyp
             "--no-manifest"]
     code, out, _ = run(capsys, *args)
     table = cli._table(cli.parse_args(args))
-    assert code == 0 and out == _reference_json(list(table), table, None)
+    assert code == 0 and _lines(out) == _lines(_reference_json(list(table), table, None))
     slices = -(-3001 // cli._RENDER_SLICE)
     regimes = set(table["regime"])
     assert len(regimes) == 5  # the sweep crosses both thresholds
