@@ -9,7 +9,7 @@ Output is byte-deterministic: floats printed with 9 significant digits,
 rows in sweep order, the run manifest (version, command, each parameter's
 text as given, timestamp) in '#' comment lines (CSV) or a "manifest" field
 (JSON), suppressible with --no-manifest.  A sweep is solved a block of
-cells at a time into its output table, which is rendered and written a
+cells at a time into a list of block tables, each rendered and written a
 slice of rows at a time, so neither the kernels' temporaries nor the
 output's text grow with its length.
 
@@ -507,46 +507,36 @@ class _Command(NamedTuple):
     same slice of every cell array) as a table, keys in output column order:
     column name -> one sequence of cells per column, all of the block's
     length, in sweep order; float columns are float64 arrays, which the
-    renderers format without a call per cell. A column that repeats a cell
-    array's block is that very slice, so a blocked table reuses the whole array.
+    renderers format without a call per cell. The renderers read each table
+    as solve made it, so a column may be a cell array's slice, and a column
+    that is another's very array is formatted once.
     """
 
     params: list[_Param]
     sweep: Callable[[SweepRequest], tuple[Callable[..., dict], list[np.ndarray]]]
 
 
-# a sweep is solved at most this many cells at a time into its preallocated output table
+# a sweep is solved at most this many cells at a time
 _SOLVE_BLOCK = 512
 
 
-def _table(request: SweepRequest) -> dict:
-    """The sweep's output table, solved once per cell in equal blocks of at most _SOLVE_BLOCK.
+def _table(request: SweepRequest) -> list[dict]:
+    """The sweep's block tables in sweep order, as solve made them from equal blocks of cells.
 
-    A launch then holds its table and one block's kernel temporaries, under
-    0.2 MB at 512 cells, not the whole sweep's; each block pays the kernels'
-    fixed cost per call (about 0.1 ms for a step solve) once. The sweep runs
-    its cells' domain rules over all of them before the first block, so a
-    domain error names the first invalid point in sweep order even past a
-    singular cell; any other error (singular, overflow, zero spinor) is the
-    one computed in the first failing block.
+    Each block holds at most _SOLVE_BLOCK cells (an empty sweep is one empty
+    block), so a launch holds its blocks' tables and one block's kernel
+    temporaries, under 0.2 MB at 512 cells, not the whole sweep's; each block
+    pays the kernels' fixed cost per call (about 0.1 ms for a step solve)
+    once. The sweep runs its cells' domain rules over all of them before the
+    first block, so a domain error names the first invalid point in sweep
+    order even past a singular cell; any other error (singular, overflow,
+    zero spinor) is the one computed in the first failing block.
     """
     solve, cells = _COMMANDS[request.command].sweep(request)
-    count = len(cells[0])
-    if count <= _SOLVE_BLOCK:
-        return solve(*cells)
-    size = math.ceil(count / math.ceil(count / _SOLVE_BLOCK))  # equal blocks: no short tail block
-    table = {}
-    for start in range(0, count, size):
-        block = [array[start:start + size] for array in cells]
-        for name, column in solve(*block).items():
-            if name not in table:
-                # a column that is a cell array's block is that array whole
-                whole = [array for array, part in zip(cells, block) if column is part]
-                table[name] = whole[0] if whole else (
-                    np.empty(count, column.dtype) if isinstance(column, np.ndarray)
-                    else [None] * count)
-            table[name][start:start + len(column)] = column
-    return table
+    blocks = max(1, math.ceil(len(cells[0]) / _SOLVE_BLOCK))
+    size = math.ceil(len(cells[0]) / blocks)  # equal blocks: no short tail block
+    return [solve(*(array[index * size:(index + 1) * size] for array in cells))
+            for index in range(blocks)]
 
 
 _COMMANDS = {
@@ -660,55 +650,61 @@ def _float_fields(arrays: list[np.ndarray], cell=None) -> list[tuple[str, list]]
     return fields
 
 
-def _row_slices(columns: list[str], table: dict, template: Callable[[tuple, int, int], str],
-                cell=None) -> Iterator[str]:
-    """The table's text a slice of rows at a time: see _slice_text."""
-    count = len(table[columns[0]]) if columns else 0
-    for start in range(0, count, _RENDER_SLICE):
-        yield _slice_text(columns, table, start, min(_RENDER_SLICE, count - start), template, cell)
+def _row_slices(columns: list[str], blocks: list[dict],
+                template: Callable[[tuple, int, int], str], cell=None) -> Iterator[str]:
+    """The blocks' text a slice of at most _RENDER_SLICE rows of one block at a time."""
+    start = 0
+    for block in blocks:
+        count = len(block[columns[0]]) if columns else 0
+        for offset in range(0, count, _RENDER_SLICE):
+            rows = range(offset, min(offset + _RENDER_SLICE, count))
+            yield _slice_text(columns, block, rows, start, template, cell)
+            start += len(rows)
 
 
-def _slice_text(columns, table, start, count, template, cell) -> str:
-    """template(formats, count, start) % the cells of the ``count`` rows from ``start``.
+def _slice_text(columns, block, rows, start, template, cell) -> str:
+    """template(formats, len(rows), start) % the cells of the block's ``rows``.
 
-    ``formats`` holds each column's %-format in a row, and the cells go in row
-    after row, so that one call formats the slice. The float64 arrays' formats
-    and cells come from _float_fields(their slices, cell); any other column,
+    ``start`` is the sweep's index of the slice's first row. ``formats`` holds
+    each column's %-format in a row, and the cells go in row after row, so
+    that one call formats the slice. The float64 arrays' formats and cells
+    come from _float_fields(their slices, cell), once per distinct array: a
+    column that is another's very array shares its fields. Any other column,
     which holds no floats (see _Command), goes in under %s as cell(value)
     texts made once per distinct value, or without ``cell`` as its raw
     values, whose %s text is str's. The slice's values are gone on return.
     """
-    rows = slice(start, start + count)
-    floats = [name for name in columns
-              if isinstance(table[name], np.ndarray) and table[name].dtype == np.float64]
-    fields = dict(zip(floats, _float_fields([table[name][rows] for name in floats], cell)))
+    part = slice(rows.start, rows.stop)
+    floats = {id(block[name]): block[name] for name in columns
+              if isinstance(block[name], np.ndarray) and block[name].dtype == np.float64}
+    fields = dict(zip(floats, _float_fields([array[part] for array in floats.values()], cell)))
     for name in columns:
-        if name not in fields:
-            values = table[name][rows]
+        if id(block[name]) not in fields:
+            values = block[name][part]
             values = values.tolist() if isinstance(values, np.ndarray) else values
             if cell is not None:
                 values = list(map({value: cell(value) for value in set(values)}.__getitem__,
                                   values))
-            fields[name] = "%s", values
-    formats, values = zip(*map(fields.pop, columns))
+            fields[id(block[name])] = "%s", values
+    formats, values = zip(*(fields[id(block[name])] for name in columns))
     values = [column for column in values if column]  # a one-value column is in its format
-    cells = [None] * (count * len(values))
+    cells = [None] * (len(rows) * len(values))
     for offset, column in enumerate(values):
         cells[offset::len(values)] = column
-    del values  # the columns' lists: only the cells hold the slice's values now
-    return template(formats, count, start) % tuple(cells)
+    del fields, values  # the columns' lists: only the cells hold the slice's values now
+    return template(formats, len(rows), start) % tuple(cells)
 
 
-def render_csv(columns: list[str], table: dict, manifest: RunManifest | None) -> Iterator[str]:
+def render_csv(columns: list[str], blocks: list, manifest: RunManifest | None) -> Iterator[str]:
     """The CSV text in pieces: manifest comment lines and header, then one piece per slice."""
     lines = manifest.comment_lines() if manifest else []
     lines.append(",".join(columns))
     yield "\n".join(lines) + "\n"
-    yield from _row_slices(columns, table,
+    yield from _row_slices(columns, blocks,
                            lambda formats, rows, start: (",".join(formats) + "\n") * rows)
 
 
-def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -> Iterator[str]:
+def render_json(columns: list[str], blocks: list, manifest: RunManifest | None) -> Iterator[str]:
     """The bytes of json.dumps({"manifest": ..., "rows": [...]}, indent=2) in pieces, by hand.
 
     The head runs to '"rows": [', then comes one piece per slice of rows, then the trailer.
@@ -725,14 +721,14 @@ def render_json(columns: list[str], table: dict, manifest: RunManifest | None) -
         row = "    {\n" + ",\n".join(map(str.__add__, prefixes, formats)) + "\n    }"
         return (",\n" if start else "\n") + ",\n".join([row] * rows)
 
-    yield from _row_slices(columns, table, template, _json_cell)
-    yield "\n  ]\n}\n" if columns and len(table[columns[0]]) else "]\n}\n"
+    yield from _row_slices(columns, blocks, template, _json_cell)
+    yield "\n  ]\n}\n" if columns and any(len(block[columns[0]]) for block in blocks) else "]\n}\n"
 
 
-def emit(request: SweepRequest, table: dict) -> int:
-    """Render and write one sweep table a slice at a time; returns the process exit code."""
+def emit(request: SweepRequest, blocks: list[dict]) -> int:
+    """Render and write a sweep's block tables a slice at a time; returns the process exit code."""
     render = render_csv if request.format == "csv" else render_json
-    pieces = render(list(table), table, request.manifest)
+    pieces = render(list(blocks[0]), blocks, request.manifest)
     try:
         if request.output:
             with open(request.output, "w", encoding="utf-8", newline="") as handle:
@@ -767,7 +763,7 @@ def main(argv=None) -> int:
         request = parse_args(argv)
         # an overflowing value raises where it arises instead of leaving inf and nan cells
         with np.errstate(over="raise"):
-            table = _table(request)
+            blocks = _table(request)
     except SystemExit as exc:  # argparse already reported
         return exc.code if isinstance(exc.code, int) else 2
     except SingularityError as exc:
@@ -784,7 +780,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # usage and parameter domain errors
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    return emit(request, table)
+    return emit(request, blocks)
 
 
 if __name__ == "__main__":

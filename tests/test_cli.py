@@ -130,8 +130,8 @@ def test_every_empty_sweep_prints_no_rows(capsys, args, fmt):
     if fmt == "json":
         assert json.loads(out) == {"rows": []}
     else:
-        table = cli._table(cli.parse_args(args))
-        assert out == ",".join(table) + "\n"
+        blocks = cli._table(cli.parse_args(args))
+        assert out == ",".join(blocks[0]) + "\n"
 
 
 SWEEP_E = ["step-compare", "--m", "1", "--V0", "5", "--E"]
@@ -678,6 +678,12 @@ def _reference_json(columns, table, manifest):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _joined(blocks):
+    """A sweep's block tables as one table: each column's cells in sweep order."""
+    return {name: np.concatenate([np.asarray(block[name], dtype=object) for block in blocks])
+            for name in blocks[0]}
+
+
 SPECIAL_TABLE = {
     "x": np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0 / 3.0, 2.5e-320, -7.0]),
     "label": ["klein", "a \"quoted\" name", "tab\there", "unicode \u00e9", "", "x", "y", "z"],
@@ -727,7 +733,7 @@ def test_manifest_text_holds_no_whitespace(capsys, tmp_path, given):
 @pytest.mark.parametrize("manifest", [None, MANIFEST], ids=["no-manifest", "manifest"])
 def test_render_json_is_json_dumps(manifest):
     columns = ["x", "label", "y"]
-    assert _lines("".join(render_json(columns, SPECIAL_TABLE, manifest))) == _lines(
+    assert _lines("".join(render_json(columns, [SPECIAL_TABLE], manifest))) == _lines(
         _reference_json(columns, SPECIAL_TABLE, manifest))
 
 
@@ -735,13 +741,13 @@ def test_render_json_is_json_dumps(manifest):
 def test_render_json_empty_sweep(manifest):
     columns = ["E", "regime"]
     table = {"E": np.array([]), "regime": []}
-    assert _lines("".join(render_json(columns, table, manifest))) == _lines(
+    assert _lines("".join(render_json(columns, [table], manifest))) == _lines(
         _reference_json(columns, table, manifest))
 
 
 def test_render_json_without_float_columns():
     table = {"label": ["klein", "a \"quoted\" name", "x"], "i": [1, 2, 3]}
-    assert _lines("".join(render_json(["label", "i"], table, None))) == _lines(
+    assert _lines("".join(render_json(["label", "i"], [table], None))) == _lines(
         _reference_json(["label", "i"], table, None))
 
 
@@ -750,8 +756,8 @@ def test_renderers_across_slices():
     count = 2 * cli._RENDER_SLICE + 7
     values = np.random.default_rng(5).standard_normal(count) * 10.0 ** (np.arange(count) % 40 - 20)
     table = {"v": values, "i": list(range(count))}
-    json_pieces = list(render_json(["v", "i"], table, None))
-    csv_pieces = list(render_csv(["v", "i"], table, None))
+    json_pieces = list(render_json(["v", "i"], [table], None))
+    csv_pieces = list(render_csv(["v", "i"], [table], None))
     for pieces, row_mark in ((json_pieces, "\n    {\n"), (csv_pieces, "\n")):
         assert len(pieces) <= 3 + 2
         assert max(piece.count(row_mark) for piece in pieces) == cli._RENDER_SLICE
@@ -778,12 +784,28 @@ def test_renderers_write_one_value_slices(count, with_label):
         table["label"] = ["klein"] * count
     columns = list(table)
     # compared line by line: a failure's diff of two whole documents takes minutes
-    assert "".join(render_json(columns, table, None)).split("\n") == _reference_json(
+    assert "".join(render_json(columns, [table], None)).split("\n") == _reference_json(
         columns, table, None).split("\n")
     rows = zip(*(np.asarray(table[name], dtype=object).tolist() for name in columns))
     lines = [",".join(format(cell, ".9g") if isinstance(cell, float) else cell for cell in row)
              for row in rows]
-    assert "".join(render_csv(columns, table, None)).split("\n") == [",".join(columns), *lines, ""]
+    assert "".join(render_csv(columns, [table], None)).split("\n") == [
+        ",".join(columns), *lines, ""]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_failing_past_its_first_block_writes_nothing(capsys, tmp_path, fmt):
+    # theta = 0, a singular cell, is cell index 2,000 of 4,001: in block 4 of 8, after three
+    # blocks are solved; every block is solved before any output is opened
+    argv = ["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta=-85:85:4001", "--format", fmt]
+    assert _block_of(2000, 4001) == 3 and _block_of(4000, 4001) == 7
+    new, existing = tmp_path / "new.out", tmp_path / "existing.out"
+    existing.write_bytes(b"an earlier launch's output\n")
+    for output in ([], [f"--output={new}"], ["--output", str(existing)]):
+        code, out, err = run(capsys, *argv, *output)
+        assert (code, out) == (1, "") and err.startswith("kleinstep: numerical failure: ")
+    assert not new.exists()
+    assert existing.read_bytes() == b"an earlier launch's output\n"
 
 
 def test_emit_holds_one_slice_of_a_long_sweep(tmp_path):
@@ -792,10 +814,10 @@ def test_emit_holds_one_slice_of_a_long_sweep(tmp_path):
     request = cli.parse_args(["graphene-angle", "--E", "0.3", "--V0", "0.42",
                               "--theta=-80:80:12801", "--allow-singular", "--format", "json",
                               "--no-manifest", "--output", str(path)])
-    table = cli._table(request)
+    blocks = cli._table(request)
     tracemalloc.start()
     try:
-        assert cli.emit(request, table) == 0
+        assert cli.emit(request, blocks) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -811,11 +833,11 @@ def test_emit_drops_the_manifest_text_before_the_rows(tmp_path):
     peaks = []
     for options in ([], ["--no-manifest"]):
         request = cli.parse_args(argv + options)
-        table = cli._table(request)
-        assert cli.emit(request, table) == 0  # first-call caches are not the document's
+        blocks = cli._table(request)
+        assert cli.emit(request, blocks) == 0  # first-call caches are not the document's
         tracemalloc.start()
         try:
-            assert cli.emit(request, table) == 0
+            assert cli.emit(request, blocks) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -823,9 +845,9 @@ def test_emit_drops_the_manifest_text_before_the_rows(tmp_path):
     assert with_manifest < without + 8_000
 
 
-def _table_bytes(table: dict) -> int:
+def _table_bytes(blocks: list) -> int:
     return sum(column.nbytes if isinstance(column, np.ndarray) else sys.getsizeof(column)
-               for column in table.values())
+               for block in blocks for column in block.values())
 
 
 @pytest.mark.parametrize("argv", [
@@ -839,12 +861,12 @@ def test_solve_holds_its_table_and_one_block(argv):
     cli._table(request)  # first-call caches and imports are not the sweep's
     tracemalloc.start()
     try:
-        table = cli._table(request)
+        blocks = cli._table(request)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert {len(column) for column in table.values()} == {200_001}
-    assert peak < _table_bytes(table) + 2_000_000
+    assert {sum(len(block[name]) for block in blocks) for name in blocks[0]} == {200_001}
+    assert peak < _table_bytes(blocks) + 2_000_000
 
 
 @pytest.mark.parametrize("argv", [
@@ -893,11 +915,11 @@ def test_renderers_write_json_dumps_and_9g_bytes(xs, ys, labels, count):
     table = {"x": np.resize(np.array(xs), count), "y %d": np.resize(np.array(ys), count),
              "label": [labels[i % len(labels)] for i in range(count)], "i": list(range(count))}
     columns = list(table)
-    assert _lines("".join(render_json(columns, table, None))) == _lines(
+    assert _lines("".join(render_json(columns, [table], None))) == _lines(
         _reference_json(columns, table, None))
     rows = [f"{format(x, '.9g')},{format(y, '.9g')},{label},{i}" for x, y, label, i
             in zip(table["x"].tolist(), table["y %d"].tolist(), table["label"], table["i"])]
-    assert _lines("".join(render_csv(columns, table, None))) == _lines(
+    assert _lines("".join(render_csv(columns, [table], None))) == _lines(
         "\n".join([",".join(columns)] + rows) + "\n")
 
 
@@ -913,7 +935,7 @@ def test_json_floats_take_per_cell_calls_only_where_9g_differs(capsys, monkeypat
     args = ["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta=-85:85:2001",
             "--allow-singular", "--format", "json", "--no-manifest"]
     code, out, _ = run(capsys, *args)
-    table = cli._table(cli.parse_args(args))
+    table = _joined(cli._table(cli.parse_args(args)))
     assert code == 0 and _lines(out) == _lines(_reference_json(list(table), table, None))
     cells = [value for column in table.values() for value in np.asarray(column).tolist()]
     strings = sum(isinstance(value, str) for value in cells)
@@ -935,7 +957,7 @@ def test_string_cells_take_one_call_per_distinct_value_and_slice(capsys, monkeyp
     args = ["step-rt", "--E", "1.5:9:3001", "--m", "1", "--V0", "5", "--format", "json",
             "--no-manifest"]
     code, out, _ = run(capsys, *args)
-    table = cli._table(cli.parse_args(args))
+    table = _joined(cli._table(cli.parse_args(args)))
     assert code == 0 and _lines(out) == _lines(_reference_json(list(table), table, None))
     slices = -(-3001 // cli._RENDER_SLICE)
     regimes = set(table["regime"])
@@ -1078,8 +1100,7 @@ FAILING_SWEEPS = {
     *BLOCKED_SWEEPS, *(pytest.param(sweep, id=kind) for kind, sweep in FAILING_SWEEPS.items()),
 ], ids=lambda sweep: sweep.split()[0])
 def test_blocked_output_is_whole_output(capsys, monkeypatch, sweep, block):
-    # an odd count puts theta = 0 and eps = 0 in their sweeps; each sweep spans four blocks or
-    # more; blocks first: a preallocated column can then not reuse the whole sweep's freed memory
+    # an odd count puts theta = 0 and eps = 0 in their sweeps; each sweep spans four blocks or more
     argv = sweep.format(n=4 * block + 5).split() + ["--no-manifest"]
     monkeypatch.setattr(cli, "_SOLVE_BLOCK", block)
     blocked = run(capsys, *argv)
@@ -1154,6 +1175,18 @@ def test_barrier_solves_in_one_batch_per_convention(capsys, solve_calls, barrier
         assert code == 0 and len(out.strip().split("\n")) == 1 + count
         assert len(barrier_calls) == math.ceil(count / cli._SOLVE_BLOCK)
     assert len(solve_calls) == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_barrier_formats_its_transmission_once_per_slice(capsys, monkeypatch, fmt):
+    # T_paper and T_common are one array: six float columns, five arrays to format per slice
+    received = []
+    float_fields = cli._float_fields
+    monkeypatch.setattr(cli, "_float_fields", lambda arrays, cell=None: received.append(
+        len(arrays)) or float_fields(arrays, cell))
+    code, _, _ = run(capsys, "barrier", "--lambdaF", "50", "--V0", "0.3", "--D", "1:200:600",
+                       "--theta", "30", "--format", fmt, "--no-manifest")
+    assert code == 0 and received == [5] * 4  # two blocks of 300 rows, each cut into 256 and 44
 
 
 def test_barrier_at_critical_interior_is_regular(capsys):

@@ -1,8 +1,9 @@
-"""Printed digits near the Dirac thresholds against frozen high-precision texts.
+"""Printed digits near the Dirac thresholds, below deep steps and through barriers against
+frozen high-precision texts.
 
-tests/digits.json holds, per command, launches of near-threshold cells and the
-%.9g text of each computed column, from a 60-digit evaluation at the exact float
-inputs (its "about" field says how the cells were drawn and what is left out). A
+tests/digits.json holds, per command, launches of such cells and the %.9g text
+of each computed column, from a 60-digit evaluation at the exact float inputs
+(its "about" field says how the cells were drawn and what is left out). A
 launch may list its own columns in place of its command's.
 """
 
@@ -19,7 +20,7 @@ DIGITS = json.loads((pathlib.Path(__file__).parent / "digits.json").read_text())
 @pytest.mark.parametrize("command", sorted(DIGITS))
 def test_near_threshold_texts_are_the_true_digits(command, capsys):
     spec = DIGITS[command]
-    swept = "eps" if command == "spinor-check" else "E"
+    swept = {"spinor-check": "eps", "barrier": "D"}.get(command, "E")
     wrong = []
     for launch in spec["launches"]:
         # one launch per swept list: the CLI solves its cells in blocks
