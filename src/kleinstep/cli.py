@@ -38,7 +38,7 @@ if _ONE_BLAS_THREAD:
     del os.environ["OPENBLAS_NUM_THREADS"]
 
 from kleinstep import __version__
-from kleinstep.common import HBAR_VF_EV_NM, Convention, SingularityError, _raise_where
+from kleinstep.common import HBAR_VF_EV_NM, Convention, SingularityError, _raise_where, _require
 
 __all__ = ["RunManifest", "SweepRequest", "main", "parse_args"]
 
@@ -323,10 +323,8 @@ def _material_and_fermi_energy(params: dict) -> tuple:
 
 def _check_theta(theta) -> None:
     """Fail on the first --theta angle (one, or an array of them) outside (-90, 90) degrees."""
-    angles = np.atleast_1d(theta)
-    outside = np.flatnonzero((angles <= -90) | (angles >= 90))
-    if outside.size:
-        raise ValueError(f"--theta must lie in (-90, 90) degrees, got {angles[outside[0]]}")
+    _require((np.abs(theta) < 90, "--theta must lie in (-90, 90) degrees, got {theta}"),
+             theta=theta)
 
 
 def _step_rt(request: SweepRequest) -> tuple:

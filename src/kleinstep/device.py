@@ -51,7 +51,8 @@ class DeviceParams(NamedTuple("DeviceParams", [
 
 
 class AngularProfile(NamedTuple):
-    """One float array per field, one cell per angle of the grid."""
+    """One cell per angle of the grid. relative_current is the transmission array itself,
+    since T(0) = 1: writing into either field changes the other."""
 
     theta: np.ndarray  # radians
     relative_current: np.ndarray  # I(theta) / I(0)
@@ -88,8 +89,8 @@ def angular_current_profile(
 ) -> AngularProfile:
     """I(theta)/I(0) across the step, from the current-labelled transmission.
 
-    The profile also carries the transmission T(theta) it was computed from.
-    Klein tunnelling at normal incidence gives T(0) = 1, so I(theta)/I(0) is T(theta).
+    Klein tunnelling at normal incidence gives T(0) = 1, so I(theta)/I(0) is
+    T(theta): the profile holds that one array under both of its names.
 
     Exactly one of lambda_F (nm) or E (eV) fixes the Fermi level.  ``material``
     is a graphene.GrapheneMaterial, graphene.DEFAULT_MATERIAL when None.  Angles
@@ -108,4 +109,4 @@ def angular_current_profile(
     _require((ak.propagating, "incidence angle {theta} rad lies beyond the critical angle"),
              theta=ak.theta_I)
     transmission = graphene.transmission_probability(graphene.t_paper(ak), ak)
-    return AngularProfile(thetas, transmission.copy(), transmission)
+    return AngularProfile(thetas, transmission, transmission)

@@ -96,8 +96,7 @@ def _spinor2(eps: np.ndarray, k: np.ndarray, m: np.ndarray, lo=None) -> tuple:
     if rest.any():
         # rest frame: fall back to the (eps + m, k) form
         upper, lower = np.where(rest, eps + m, upper), np.where(rest, k, lower)
-        if np.any(rest & (upper == 0)):
-            raise ValueError("zero spinor")
+        _require((~(rest & (upper == 0)), "zero spinor"))
     return upper, lower
 
 
@@ -116,8 +115,7 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 def _eigen_residual(v: np.ndarray, h: np.ndarray, energy: np.ndarray) -> np.ndarray:
     norm = _norm(v)
-    if np.any(norm == 0.0):
-        raise ValueError("zero spinor")
+    _require((norm != 0.0, "zero spinor"))
     hv = np.matmul(h, v[..., None])[..., 0]
     return _norm(hv - energy[..., None] * v) / norm
 
@@ -190,8 +188,7 @@ def make_spinor4(
     e = E if branch == "positive" else -E
     column = _SPINOR4_COLUMNS[(branch, spin)](e, px, py, pz, m)
     psi = np.stack(_flat(*column, dtype=complex)[1], axis=-1)
-    if not psi.any(axis=-1).all():
-        raise ValueError("zero spinor")
+    _require((psi.any(axis=-1), "zero spinor"))
     if normalize:
         psi = (1.0 / (math.sqrt(2.0 * math.pi) * _norm(psi)))[..., None] * psi
     return psi.reshape(shape + (4,))

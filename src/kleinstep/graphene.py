@@ -214,8 +214,7 @@ def transmission_probability(t: complex, ak: AngleKinematics) -> float:
     shape, (theta_I, theta_II, propagating) = _flat(
         ak.theta_I, ak.theta_II, ak.propagating, dtype=None)
     cos_in = np.cos(theta_I)
-    if (cos_in == 0.0).any():
-        raise ValueError("grazing incidence: cos(theta_I) = 0")
+    _require((cos_in != 0.0, "grazing incidence: cos(theta_I) = 0"))
     if not shape:
         _raise_where(~propagating, "non_propagating")
     t = np.broadcast_to(np.asarray(t, dtype=complex), shape).ravel()

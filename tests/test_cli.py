@@ -1189,6 +1189,25 @@ def test_barrier_formats_its_transmission_once_per_slice(capsys, monkeypatch, fm
     assert code == 0 and received == [5] * 4  # two blocks of 300 rows, each cut into 256 and 44
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_angular_current_formats_its_transmission_once_per_slice(capsys, monkeypatch, fmt):
+    # relative_current is the T array itself: three float columns, two arrays to format per slice
+    received = []
+    float_fields = cli._float_fields
+    monkeypatch.setattr(cli, "_float_fields", lambda arrays, cell=None: received.append(
+        len(arrays)) or float_fields(arrays, cell))
+    code, out, _ = run(capsys, "angular-current", "--lambdaF=40", "--V0=0.4", "--theta-max=85",
+                       "--n=2001", "--format", fmt, "--no-manifest")
+    assert code == 0 and received == [2] * 8  # four blocks of 500 or 501 rows, two slices each
+    if fmt == "csv":
+        rows = [dict(zip(("theta_deg", "T", "relative_current"), line.split(",")))
+                for line in out.splitlines()[1:]]
+    else:
+        rows = json.loads(out, parse_float=str)["rows"]  # each number as its text
+    assert len(rows) == 2001
+    assert all(row["relative_current"] == row["T"] for row in rows)
+
+
 def test_barrier_at_critical_interior_is_regular(capsys):
     # an interior exactly at its critical angle (k_xII == 0) is a regular cell: its row holds
     # the regular closed form's T at 50 digits in both columns

@@ -107,6 +107,8 @@ def test_angular_profile_is_float_arrays():
     for values in (profile.theta, profile.relative_current, profile.transmission):
         assert isinstance(values, np.ndarray) and values.dtype == np.float64
         assert values.shape == (4,)
+    # T(0) = 1, so I(theta)/I(0) is T(theta): one array under both names
+    assert profile.relative_current is profile.transmission
 
 
 def test_angular_profile_even_and_bounded():
