@@ -22,6 +22,7 @@ import gc
 import math
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 from typing import Callable, Iterator, NamedTuple
 
@@ -68,7 +69,8 @@ def _int_scalar(text: str) -> int:
 def _values(text: str) -> np.ndarray:
     """Parse '2', '1,2,3' or 'min:max:count' into a float64 array; empty string = empty sweep.
 
-    A list fills the array straight from the parsed tokens: no Python float outlives its cell.
+    numpy's parser reads a list with no Python object per value. A list it does not take
+    whole is read token by token, and the first bad token is named.
     """
     text = text.strip()
     if not text:
@@ -80,6 +82,18 @@ def _values(text: str) -> np.ndarray:
         lo, hi = _float_scalar(parts[0]), _float_scalar(parts[1])
         count = _int_scalar(parts[2])
         return _linspace(lo, hi, count)
+    with warnings.catch_warnings():
+        # where numpy's parser stops early, numpy 2.4 raises and older numpy warns and returns
+        # the values read so far: either way the list is read token by token below
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(text, sep=",")
+        except (ValueError, DeprecationWarning):
+            values = np.empty(0)
+    # numpy's parser also takes a trailing comma, inf and nan, and reads a blank token as -1.0
+    if (values.size == text.count(",") + 1 and np.isfinite(values).all()
+            and not (values == -1.0).any()):
+        return values
     parts = text.split(",")
     return np.fromiter(map(_float_scalar, parts), float, len(parts))
 

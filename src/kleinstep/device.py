@@ -97,8 +97,9 @@ def angular_current_profile(
     beyond the critical angle carry no transmitted wave and raise ValueError
     (the default device parameters have none).
     """
-    # only this function needs graphene; an iv-curve launch loads none of it
-    from kleinstep import graphene
+    # only this function needs graphene; an iv-curve launch loads none of it. Not
+    # ``from kleinstep import graphene``: the package's __getattr__ would load every module
+    import kleinstep.graphene as graphene
     material = graphene.DEFAULT_MATERIAL if material is None else material
     if (lambda_F is None) == (E is None):
         raise ValueError("give exactly one of lambda_F or E")

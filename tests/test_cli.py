@@ -11,6 +11,7 @@ import pathlib
 import struct
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -150,17 +151,87 @@ def test_swept_values_parse_to_float64_arrays(argv, name, values):
 @pytest.mark.parametrize("text", ["1:3:20001", ",".join(f"{i}.5" for i in range(1, 20002))],
                          ids=["range", "list"])
 def test_parsed_sweep_holds_no_float_per_point(text):
-    # a 20,001-cell float64 array is 160 kB; a Python float per point would hold 480 kB more
+    # a 20,001-cell float64 array is 160 kB; a Python float per point would hold 480 kB more,
+    # and a list split into one Python string per token would peak above 1.4 MB while parsed
     argv = ["step-rt", "--E", text, "--m", "0.5", "--V0", "5"]
     cli.parse_args(argv)  # first-call caches are not the sweep's
     tracemalloc.start()
     try:
         request = cli.parse_args(argv)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert request.params["E"].size == 20001
     assert held < 250_000
+    assert peak < 400_000
+
+
+def _by_token(text):
+    return [cli._float_scalar(token) for token in text.split(",")]
+
+
+def _outcome(parse, text):
+    """The bits of each value parse(text) gives, or its error text."""
+    try:
+        return [struct.pack("<d", value) for value in parse(text)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+@example(xs=[-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1.0])
+def test_listed_floats_parse_to_their_bits(xs):
+    assert _outcome(cli._values, ",".join(map(repr, xs))) == _outcome(list, xs)
+
+
+@pytest.mark.parametrize("text", [
+    "1,,2", "2,", "1,nan", "1e400", "1_0", "0x10", "\u0661", "1, 2",
+    # numpy's parser reads a blank token between commas as -1.0
+    "1, ,2", "1,\t,2,-1",
+])
+def test_list_parses_as_token_by_token(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(cli._values, text)
+    assert got == _outcome(_by_token, text)
+
+
+@pytest.mark.parametrize("text", ["1_0", "0x10", "1,,2"])
+def test_older_numpy_partial_read_goes_token_by_token(text, monkeypatch):
+    # numpy before 2.4 warns where its parser stops early and returns the values read so far
+    def fromstring(string, sep):
+        warnings.warn("string or file could not be read to its end due to unmatched data; "
+                      "this will raise a ValueError in the future.", DeprecationWarning)
+        return np.array([1.0])
+
+    want = _outcome(_by_token, text)
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _outcome(cli._values, text) == want
+    assert not caught
+
+
+def _list_token():
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map("%.9g".__mod__),
+        st.sampled_from(["", "-1", "-1.0", "-0", ".5", "5.", "+3", "1e", "1_0", "0x10", "inf",
+                         "nan", "1e400", "1e-400", "1.5.5", "--1", "\u0661", "\uff11"]),
+        st.text("0123456789.eE+-_", max_size=5))
+    space = st.sampled_from(["", "", "", " ", "\t", "\n", "\x0b", "\x0c", "\r", "\xa0"])
+    return st.tuples(space, number, space).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tokens=st.lists(_list_token(), min_size=1, max_size=6))
+def test_any_list_parses_as_token_by_token(tokens):
+    # the values or the error, bit for bit, of reading the stripped list token by token
+    text = ",".join(tokens).strip()
+    if not text:
+        return
+    assert _outcome(cli._values, text) == _outcome(_by_token, text)
 
 
 class TestUsageErrors:

@@ -81,6 +81,15 @@ loaded = [name for name in physics if "kleinstep." + name in sys.modules]
 assert not loaded, loaded
 assert cli is sys.modules["kleinstep.cli"]
 """,
+    # the angular profile loads graphene alone, not the package's other modules
+    "angular-profile": """
+import sys
+from kleinstep.device import angular_current_profile
+profile = angular_current_profile(0.3, [0.0, 0.5], lambda_F=50.0)
+loaded = sorted(name for name in sys.modules if name.startswith("kleinstep."))
+assert loaded == ["kleinstep.common", "kleinstep.device", "kleinstep.graphene"], loaded
+assert profile.transmission[0] == 1.0
+""",
     "unknown-name": """
 import kleinstep
 try:
