@@ -9,6 +9,13 @@ import time
 import numpy as np
 import pytest
 
+from kleinstep.basis import (
+    _SAMPLE_POINTS,
+    BasisKind,
+    mode_current,
+    mode_current_closed_form,
+    scattering_basis_state,
+)
 from kleinstep.cli import main as cli_main
 from kleinstep.common import Convention
 from kleinstep.device import DeviceParams, angular_current_profile, iv_curve
@@ -27,15 +34,10 @@ from kleinstep.graphene import (
     transmission_probability,
 )
 from kleinstep.step import (
-    _SAMPLE_POINTS,
-    BasisKind,
     StepProblem,
     kappa,
     kappa_prime,
-    mode_current,
-    mode_current_closed_form,
     rt_from_kappa,
-    scattering_basis_state,
     solve_step_numeric,
 )
 

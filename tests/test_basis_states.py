@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kleinstep import step
-from kleinstep.dirac import current_density
-from kleinstep.step import (
+from kleinstep import basis
+from kleinstep.basis import (
     BasisKind,
-    StepProblem,
-    kappa,
     mode_current,
     mode_current_closed_form,
     scattering_basis_state,
 )
+from kleinstep.dirac import current_density
+from kleinstep.step import StepProblem, kappa
 
 from test_step import klein_problems
 
@@ -171,8 +170,8 @@ def test_cells_equal_zero_d_calls(problem):
 
 def test_array_problem_builds_spinors_in_few_calls(monkeypatch):
     calls = []
-    make_spinor2 = step.make_spinor2
-    monkeypatch.setattr(step, "make_spinor2", lambda *args: calls.append(1) or make_spinor2(*args))
+    make_spinor2 = basis.make_spinor2
+    monkeypatch.setattr(basis, "make_spinor2", lambda *args: calls.append(1) or make_spinor2(*args))
     m = np.linspace(0.3, 2.0, 1000)
     currents = mode_current(BasisKind.V_PLUS, StepProblem(2.0 * m, m, 6.0 * m))
     assert currents.shape == (1000,)

@@ -1419,7 +1419,7 @@ import contextlib, io, sys
 import kleinstep.cli
 
 def loaded():
-    return [name for name in ("step", "dirac", "graphene", "device")
+    return [name for name in ("step", "basis", "dirac", "graphene", "device")
             if "kleinstep." + name in sys.modules]
 
 assert loaded() == [], loaded()

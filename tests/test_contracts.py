@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kleinstep
-from kleinstep import common, device, dirac, graphene, step
+from kleinstep import basis, common, device, dirac, graphene, step
 from kleinstep.cli import RunManifest
 from kleinstep.device import DeviceParams
 from kleinstep.dirac import (hamiltonian_residual, hamiltonian_residual4, make_spinor2,
@@ -25,7 +25,7 @@ from kleinstep.graphene import (
 )
 from kleinstep.step import StepProblem
 
-MODULES = (common, dirac, step, graphene, device)
+MODULES = (common, dirac, step, basis, graphene, device)
 
 
 def test_package_exports_every_module_export():
@@ -53,7 +53,7 @@ def run_fresh(code: str, *argv: str, stdout=subprocess.PIPE, text: bool = True,
 LAZY_PACKAGE_CHECKS = {
     "submodules": """
 import sys, kleinstep
-names = ("common", "dirac", "step", "graphene", "device")
+names = ("common", "dirac", "step", "basis", "graphene", "device")
 assert not [name for name in names if "kleinstep." + name in sys.modules]
 for name in names:
     assert getattr(kleinstep, name) is sys.modules["kleinstep." + name], name
@@ -67,7 +67,7 @@ assert names >= set(kleinstep.__all__), set(kleinstep.__all__) - names
 import importlib
 from kleinstep import *
 modules = [importlib.import_module("kleinstep." + name)
-           for name in ("common", "dirac", "step", "graphene", "device")]
+           for name in ("common", "dirac", "step", "basis", "graphene", "device")]
 exports = [(name, module) for module in modules for name in module.__all__]
 assert len(exports) == 46, len(exports)
 for name, module in exports:
@@ -76,10 +76,19 @@ for name, module in exports:
     "from-import-cli": """
 import sys
 from kleinstep import cli
-physics = ("dirac", "step", "graphene", "device")
+physics = ("dirac", "step", "basis", "graphene", "device")
 loaded = [name for name in physics if "kleinstep." + name in sys.modules]
 assert not loaded, loaded
 assert cli is sys.modules["kleinstep.cli"]
+""",
+    # a step solve loads the solver and what it runs on, not the basis states
+    "step-solver": """
+import sys
+from kleinstep.step import StepProblem, solve_step_numeric
+solution = solve_step_numeric(StepProblem(2.0, 1.0, 5.0))
+loaded = sorted(name for name in sys.modules if name.startswith("kleinstep."))
+assert loaded == ["kleinstep.common", "kleinstep.dirac", "kleinstep.step"], loaded
+assert 0.0 <= solution.T <= 1.0
 """,
     # the angular profile loads graphene alone, not the package's other modules
     "angular-profile": """
@@ -146,14 +155,35 @@ def test_cli_loads_numpy_with_one_blas_thread(check):
     assert result.returncode == 0, result.stderr
 
 
+# runs the code in argv[1], each print's first line tagged with the code's line number
+TAGGED_PRINTS = """
+import sys
+
+def tagged(*args, **kwargs):
+    print(f"<{sys._getframe(1).f_lineno}>", *args, **kwargs)
+
+exec(compile(sys.argv[1], "README.md", "exec"), {"print": tagged})
+"""
+
+
 def test_readme_quick_start_runs():
-    # every name the quick start uses must still be exported, and run without a warning
+    # every name the quick start uses must still be exported, and run without a warning in
+    # dev mode; a print whose comment is digits with "..." prints a line that begins so
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
     with open(readme, encoding="utf-8") as handle:
         block = re.search(r"## Library quick start\n\n```python\n(.*?)```", handle.read(), re.S)
     assert block, "README.md has no Library quick start block"
-    result = run_fresh("import warnings\nwarnings.simplefilter('error')\n" + block.group(1))
+    result = run_fresh(TAGGED_PRINTS, block.group(1), options=("-X", "dev", "-W", "error"))
     assert result.returncode == 0, result.stderr
+    printed = dict(re.findall(r"^<(\d+)> (.*)$", result.stdout, re.M))
+    checked = 0
+    for number, line in enumerate(block.group(1).splitlines(), 1):
+        comment = re.search(r"\bprint\(.*#\s*([-+\d.,() e]*\d\.\.\.[-+\d.,() e]*?)\s*$", line)
+        if comment:
+            digits = r"\d*".join(map(re.escape, comment.group(1).split("...")))
+            assert re.fullmatch(digits, printed[str(number)]), (line, printed[str(number)])
+            checked += 1
+    assert checked == 4, checked
 
 
 NON_FINITE_CASES = [

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from kleinstep import dirac, step
 from kleinstep.common import Convention, SingularityError
+from kleinstep.basis import BasisKind, scattering_basis_state
 from kleinstep.step import (
-    BasisKind,
     Regime,
     StepProblem,
     classify_regime,
@@ -17,7 +17,6 @@ from kleinstep.step import (
     kappa,
     kappa_prime,
     rt_from_kappa,
-    scattering_basis_state,
     solve_step_numeric,
 )
 
@@ -118,8 +117,9 @@ def test_solve_checks_only_its_problem(monkeypatch, E, convention):
         require = module._require
         monkeypatch.setattr(module, "_require", lambda *rules, _require=require, **cells: (
             requires.append(rules) or _require(*rules, **cells)))
-        monkeypatch.setattr(module, "make_spinor2",
-                            lambda *args: spinors.append(args) or make_spinor2(*args))
+    # step holds no make_spinor2 of its own: the solver could reach it through dirac alone
+    monkeypatch.setattr(dirac, "make_spinor2",
+                        lambda *args: spinors.append(args) or make_spinor2(*args))
     sol = solve_step_numeric(StepProblem(E, 1.0, 5.0), convention)
     assert len(requires) == 1 and requires[0][:3] == ("E", "m", "V0")
     assert spinors == []
