@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     # "cli" is a submodule, not an export: ``from kleinstep import cli`` probes for it first
     if name == "__all__" or not name.startswith("_") and name != "cli":
-        modules = [importlib.import_module(f"{__name__}.{module}")
-                   for module in ("common", "dirac", "step", "basis", "graphene", "device")]
+        modules = [importlib.import_module(f"{__name__}.{module}") for module in (
+            "common", "dirac", "step", "basis", "graphene", "junction", "device")]
         exports = [(export, getattr(m, export)) for m in modules for export in m.__all__]
         globals().update(exports, __all__=[export for export, _ in exports])
         if name in globals():

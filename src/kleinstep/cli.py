@@ -417,7 +417,7 @@ def _spinor_check(request: SweepRequest) -> tuple:
 
 
 def _graphene_angle(request: SweepRequest) -> tuple:
-    from kleinstep.graphene import angle_kinematics, t_common, t_paper, transmission_probability
+    from kleinstep.junction import angle_kinematics, t_common, t_paper, transmission_probability
     params = request.params
     material, energy = _material_and_fermi_energy(params)
     _check_theta(params["theta"])
@@ -486,7 +486,8 @@ def _iv_curve(request: SweepRequest) -> tuple:
 
 def _angular_current(request: SweepRequest) -> tuple:
     from kleinstep.device import angular_current_profile
-    from kleinstep.graphene import _kinematics, critical_angle
+    from kleinstep.graphene import _kinematics
+    from kleinstep.junction import critical_angle
     params = request.params
     material, energy = _material_and_fermi_energy(params)
     half_width = params["theta_max"]

@@ -97,17 +97,18 @@ def angular_current_profile(
     beyond the critical angle carry no transmitted wave and raise ValueError
     (the default device parameters have none).
     """
-    # only this function needs graphene; an iv-curve launch loads none of it. Not
+    # only this function needs graphene and junction; an iv-curve launch loads neither. Not
     # ``from kleinstep import graphene``: the package's __getattr__ would load every module
     import kleinstep.graphene as graphene
+    from kleinstep.junction import angle_kinematics, t_paper, transmission_probability
     material = graphene.DEFAULT_MATERIAL if material is None else material
     if (lambda_F is None) == (E is None):
         raise ValueError("give exactly one of lambda_F or E")
     if E is None:
         E = graphene.energy_from_wavelength(lambda_F, material)
     thetas = np.array(theta_grid, dtype=float).ravel()
-    ak = graphene.angle_kinematics(E, V0, thetas, material)
+    ak = angle_kinematics(E, V0, thetas, material)
     _require((ak.propagating, "incidence angle {theta} rad lies beyond the critical angle"),
              theta=ak.theta_I)
-    transmission = graphene.transmission_probability(graphene.t_paper(ak), ak)
+    transmission = transmission_probability(t_paper(ak), ak)
     return AngularProfile(thetas, transmission, transmission)

@@ -26,13 +26,8 @@ from kleinstep.dirac import (
     make_spinor2,
     make_spinor4,
 )
-from kleinstep.graphene import (
-    angle_kinematics,
-    energy_from_wavelength,
-    solve_barrier,
-    t_paper,
-    transmission_probability,
-)
+from kleinstep.graphene import energy_from_wavelength, solve_barrier
+from kleinstep.junction import angle_kinematics, t_paper, transmission_probability
 from kleinstep.step import (
     StepProblem,
     kappa,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from kleinstep import cli, dirac, graphene, step
+from kleinstep import cli, dirac, graphene, junction, step
 from kleinstep.cli import RunManifest, main, render_csv, render_json
 from kleinstep.common import _BAD_CELLS, Convention, SingularityError
 
@@ -1211,18 +1211,18 @@ def test_blocked_sweep_names_its_first_invalid_point(capsys, argv, cells, err):
 
 @pytest.fixture
 def kinematics_calls(monkeypatch):
-    """Counts graphene.angle_kinematics calls.
+    """Counts junction.angle_kinematics calls.
 
-    The CLI and device look it up in graphene at call time, so it counts their calls too.
+    The CLI and device look it up in junction at call time, so it counts their calls too.
     """
     calls = []
-    angle_kinematics = graphene.angle_kinematics
+    angle_kinematics = junction.angle_kinematics
 
     def counting_kinematics(*args, **kwargs):
         calls.append(args)
         return angle_kinematics(*args, **kwargs)
 
-    monkeypatch.setattr(graphene, "angle_kinematics", counting_kinematics)
+    monkeypatch.setattr(junction, "angle_kinematics", counting_kinematics)
     return calls
 
 
@@ -1371,11 +1371,11 @@ def test_singular_cell_past_the_first_block(capsys, spinor_calls, kinematics_cal
 
 
 def _beyond_critical():
-    return graphene.angle_kinematics(0.3, 0.42, math.radians(80))
+    return junction.angle_kinematics(0.3, 0.42, math.radians(80))
 
 
 # t_paper's |den| = 2 cos((theta_I - theta_II)/2) vanishes only for kinematics no step gives
-_T_PAPER_POLE = graphene.AngleKinematics(math.pi / 2 - 1e-13, 1.0, 1.0, 1e-13,
+_T_PAPER_POLE = junction.AngleKinematics(math.pi / 2 - 1e-13, 1.0, 1.0, 1e-13,
                                          -(math.pi / 2 - 1e-13), 1, 1, True)
 
 
@@ -1385,12 +1385,12 @@ BAD_CELL_CALLS = [
      SINGULAR_STEP),
     ("kappa_prime", lambda: step.solve_step_numeric(step.StepProblem(2.0, 0.0, 5.0), "common"),
      ["step-compare", "--E", "2", "--m", "0", "--V0", "5"]),
-    ("t_common", lambda: graphene.t_common(graphene.angle_kinematics(0.08, 0.3, 0.0)),
+    ("t_common", lambda: junction.t_common(junction.angle_kinematics(0.08, 0.3, 0.0)),
      ["graphene-angle", "--E", "0.08", "--V0", "0.3", "--theta", "0"]),
-    ("t_paper", lambda: graphene.t_paper(_T_PAPER_POLE), None),
-    ("non_propagating", lambda: graphene.t_paper(_beyond_critical()), None),
-    ("non_propagating", lambda: graphene.t_common(_beyond_critical()), None),
-    ("non_propagating", lambda: graphene.transmission_probability(0j, _beyond_critical()), None),
+    ("t_paper", lambda: junction.t_paper(_T_PAPER_POLE), None),
+    ("non_propagating", lambda: junction.t_paper(_beyond_critical()), None),
+    ("non_propagating", lambda: junction.t_common(_beyond_critical()), None),
+    ("non_propagating", lambda: junction.transmission_probability(0j, _beyond_critical()), None),
 ]
 
 
@@ -1419,7 +1419,7 @@ import contextlib, io, sys
 import kleinstep.cli
 
 def loaded():
-    return [name for name in ("step", "basis", "dirac", "graphene", "device")
+    return [name for name in ("step", "basis", "dirac", "graphene", "junction", "device")
             if "kleinstep." + name in sys.modules]
 
 assert loaded() == [], loaded()
@@ -1433,10 +1433,11 @@ COMMAND_MODULES = [
     (["step-rt", "--E", "2,7", "--m", "1", "--V0", "5"], {"step", "dirac"}),
     (["step-compare", "--E", "2", "--m", "1", "--V0", "5"], {"step", "dirac"}),
     (["spinor-check", "--m", "1", "--eps", "2,-3"], {"dirac"}),
-    (["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta", "10,20"], {"graphene"}),
+    (["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta", "10,20"],
+     {"graphene", "junction"}),
     (["barrier", "--lambdaF", "50", "--V0", "0.3", "--D", "10,20"], {"graphene"}),
     (["iv-curve", "--n", "3"], {"device"}),
-    (["angular-current", "--n", "3"], {"device", "graphene"}),
+    (["angular-current", "--n", "3"], {"device", "graphene", "junction"}),
 ]
 
 

@@ -11,21 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kleinstep
-from kleinstep import basis, common, device, dirac, graphene, step
+from kleinstep import basis, common, device, dirac, graphene, junction, step
 from kleinstep.cli import RunManifest
 from kleinstep.device import DeviceParams
 from kleinstep.dirac import (hamiltonian_residual, hamiltonian_residual4, make_spinor2,
                              make_spinor4)
-from kleinstep.graphene import (
-    GrapheneMaterial,
-    angle_kinematics,
-    critical_angle,
-    energy_from_wavelength,
-    solve_barrier,
-)
+from kleinstep.graphene import GrapheneMaterial, energy_from_wavelength, solve_barrier
+from kleinstep.junction import angle_kinematics, critical_angle
 from kleinstep.step import StepProblem
 
-MODULES = (common, dirac, step, basis, graphene, device)
+MODULES = (common, dirac, step, basis, graphene, junction, device)
 
 
 def test_package_exports_every_module_export():
@@ -53,7 +48,7 @@ def run_fresh(code: str, *argv: str, stdout=subprocess.PIPE, text: bool = True,
 LAZY_PACKAGE_CHECKS = {
     "submodules": """
 import sys, kleinstep
-names = ("common", "dirac", "step", "basis", "graphene", "device")
+names = ("common", "dirac", "step", "basis", "graphene", "junction", "device")
 assert not [name for name in names if "kleinstep." + name in sys.modules]
 for name in names:
     assert getattr(kleinstep, name) is sys.modules["kleinstep." + name], name
@@ -67,7 +62,7 @@ assert names >= set(kleinstep.__all__), set(kleinstep.__all__) - names
 import importlib
 from kleinstep import *
 modules = [importlib.import_module("kleinstep." + name)
-           for name in ("common", "dirac", "step", "basis", "graphene", "device")]
+           for name in ("common", "dirac", "step", "basis", "graphene", "junction", "device")]
 exports = [(name, module) for module in modules for name in module.__all__]
 assert len(exports) == 46, len(exports)
 for name, module in exports:
@@ -76,7 +71,7 @@ for name, module in exports:
     "from-import-cli": """
 import sys
 from kleinstep import cli
-physics = ("dirac", "step", "basis", "graphene", "device")
+physics = ("dirac", "step", "basis", "graphene", "junction", "device")
 loaded = [name for name in physics if "kleinstep." + name in sys.modules]
 assert not loaded, loaded
 assert cli is sys.modules["kleinstep.cli"]
@@ -90,13 +85,23 @@ loaded = sorted(name for name in sys.modules if name.startswith("kleinstep."))
 assert loaded == ["kleinstep.common", "kleinstep.dirac", "kleinstep.step"], loaded
 assert 0.0 <= solution.T <= 1.0
 """,
-    # the angular profile loads graphene alone, not the package's other modules
+    # a barrier solve loads the material, the kinematics and the barrier, not the junction
+    "barrier-solver": """
+import sys
+from kleinstep.graphene import solve_barrier
+solution = solve_barrier(0.1, 0.05, 20.0, 0.2)
+loaded = sorted(name for name in sys.modules if name.startswith("kleinstep."))
+assert loaded == ["kleinstep.common", "kleinstep.graphene"], loaded
+assert 0.0 <= solution.T <= 1.0
+""",
+    # the angular profile loads graphene and junction, not the package's other modules
     "angular-profile": """
 import sys
 from kleinstep.device import angular_current_profile
 profile = angular_current_profile(0.3, [0.0, 0.5], lambda_F=50.0)
 loaded = sorted(name for name in sys.modules if name.startswith("kleinstep."))
-assert loaded == ["kleinstep.common", "kleinstep.device", "kleinstep.graphene"], loaded
+assert loaded == ["kleinstep.common", "kleinstep.device", "kleinstep.graphene",
+                  "kleinstep.junction"], loaded
 assert profile.transmission[0] == 1.0
 """,
     "unknown-name": """

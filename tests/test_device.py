@@ -12,12 +12,8 @@ from kleinstep.device import (
     iv_curve,
     sheet_conductivity,
 )
-from kleinstep.graphene import (
-    angle_kinematics,
-    energy_from_wavelength,
-    t_paper,
-    transmission_probability,
-)
+from kleinstep.graphene import energy_from_wavelength
+from kleinstep.junction import angle_kinematics, t_paper, transmission_probability
 
 # frozen from tests/oracles.py: alpha |V_b| e mu at V_b = 0.2 V
 SIGMA_02_REF = 3.50876682846e-05

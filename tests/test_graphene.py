@@ -11,11 +11,13 @@ from kleinstep.graphene import (
     DEFAULT_MATERIAL,
     HBAR_VF_EV_NM,
     GrapheneMaterial,
-    angle_kinematics,
     barrier_transmission,
-    critical_angle,
     energy_from_wavelength,
     solve_barrier,
+)
+from kleinstep.junction import (
+    angle_kinematics,
+    critical_angle,
     t_common,
     t_paper,
     transmission_probability,

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kleinstep.common import Convention, SingularityError
-from kleinstep.graphene import (
+from kleinstep.graphene import solve_barrier
+from kleinstep.junction import (
     angle_kinematics,
     critical_angle,
-    solve_barrier,
     t_common,
     t_paper,
     transmission_probability,
