@@ -536,6 +536,8 @@ MULTI_SLICE = {
     "json": ["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta=-80:80:3001",
              "--allow-singular", "--format", "json", "--no-manifest"],
     "csv": ["step-rt", "--E", "1.5:9:3001", "--m", "1", "--V0", "5", "--no-manifest"],
+    # T and relative_current are one array
+    "angular-current": ["angular-current", "--n", "10001", "--format", "json", "--no-manifest"],
 }
 
 
@@ -552,16 +554,16 @@ def assert_stdout_is_output(path, argv, options=()):
     assert piped.stdout.count(b"\n") > 2 * cli._RENDER_SLICE
 
 
-@pytest.mark.parametrize("fmt", list(MULTI_SLICE))
-def test_stdout_and_output_write_the_same_bytes(tmp_path, fmt):
-    assert_stdout_is_output(tmp_path / f"out.{fmt}", MULTI_SLICE[fmt])
+@pytest.mark.parametrize("sweep", list(MULTI_SLICE))
+def test_stdout_and_output_write_the_same_bytes(tmp_path, sweep):
+    assert_stdout_is_output(tmp_path / "out", MULTI_SLICE[sweep])
 
 
-@pytest.mark.parametrize("fmt", list(MULTI_SLICE))
-def test_frozen_launch_loses_no_exit_time_work(tmp_path, fmt):
+@pytest.mark.parametrize("sweep", list(MULTI_SLICE))
+def test_frozen_launch_loses_no_exit_time_work(tmp_path, sweep):
     # the console entry freezes its start-up heap, which finalization then skips:
     # stdout is still flushed whole and --output closed, with nothing said on stderr
-    assert_stdout_is_output(tmp_path / f"out.{fmt}", MULTI_SLICE[fmt], DEV_MODE)
+    assert_stdout_is_output(tmp_path / "out", MULTI_SLICE[sweep], DEV_MODE)
 
 
 FREEZE_COUNT_AFTER_MAIN = """import contextlib, gc, io
@@ -900,10 +902,11 @@ def test_emit_drops_the_manifest_text_before_the_rows(tmp_path):
     # the manifest records --theta as its 12-character text, not the 20,001 angles (~180 kB
     # as one text per angle), so it costs the document a few hundred bytes
     argv = ["graphene-angle", "--E", "0.3", "--V0", "0.42", "--theta=-80:80:20001",
-            "--allow-singular", "--format", "json", "--output", str(tmp_path / "angles.json")]
+            "--allow-singular", "--format", "json"]
+    paths = [tmp_path / "manifest.json", tmp_path / "no-manifest.json"]
     peaks = []
-    for options in ([], ["--no-manifest"]):
-        request = cli.parse_args(argv + options)
+    for options, path in zip(([], ["--no-manifest"]), paths):
+        request = cli.parse_args(argv + options + ["--output", str(path)])
         blocks = cli._table(request)
         assert cli.emit(request, blocks) == 0  # first-call caches are not the document's
         tracemalloc.start()
@@ -914,6 +917,11 @@ def test_emit_drops_the_manifest_text_before_the_rows(tmp_path):
             tracemalloc.stop()
     with_manifest, without = peaks
     assert with_manifest < without + 8_000
+    # the manifest is strict JSON; the rows hold bare NaN and Infinity cells
+    text = paths[0].read_text(encoding="utf-8")
+    head = json.loads(text[:text.index(',\n  "rows": [')] + "\n}", parse_constant=_reject)
+    assert head["manifest"]["parameters"]["theta"] == "-80:80:20001"
+    assert 0 < paths[0].stat().st_size - paths[1].stat().st_size < 1024
 
 
 def _table_bytes(blocks: list) -> int:
