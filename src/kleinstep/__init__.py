@@ -11,12 +11,15 @@ import importlib
 
 __version__ = "0.1.0"
 
+_MODULES = ("common", "dirac", "step", "basis", "graphene", "junction", "device")
+
 
 def __getattr__(name: str):
-    # "cli" is a submodule, not an export: ``from kleinstep import cli`` probes for it first
-    if name == "__all__" or not name.startswith("_") and name != "cli":
-        modules = [importlib.import_module(f"{__name__}.{module}") for module in (
-            "common", "dirac", "step", "basis", "graphene", "junction", "device")]
+    # ``from kleinstep import graphene`` probes for the name first: a submodule loads alone
+    if name in _MODULES or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__" or not name.startswith("_"):
+        modules = [importlib.import_module(f"{__name__}.{module}") for module in _MODULES]
         exports = [(export, getattr(m, export)) for m in modules for export in m.__all__]
         globals().update(exports, __all__=[export for export, _ in exports])
         if name in globals():

@@ -100,12 +100,12 @@ def scattering_basis_state(kind: BasisKind, problem: StepProblem) -> BasisState:
 _SAMPLE_POINTS = (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5)
 
 
-def mode_current(kind: BasisKind, problem: StepProblem, samples=_SAMPLE_POINTS) -> float:
-    """The z-independent current of a basis state per cell: its mean over the 1-D ``samples``.
+def mode_current(kind: BasisKind, problem: StepProblem) -> float:
+    """The z-independent current of a basis state per cell: its mean over _SAMPLE_POINTS.
 
-    One evaluation over cells x samples; a scalar problem gives a float."""
+    One evaluation over cells x sample points; a scalar problem gives a float."""
     state = scattering_basis_state(kind, problem)
-    return unwrap(current_density(state.value(samples)).mean(axis=-1))
+    return unwrap(current_density(state.value(_SAMPLE_POINTS)).mean(axis=-1))
 
 
 def mode_current_closed_form(kind: BasisKind, problem: StepProblem) -> float:

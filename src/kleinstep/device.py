@@ -29,17 +29,15 @@ ELEMENTARY_CHARGE = 1.602176634e-19  # C
 
 class DeviceParams(NamedTuple("DeviceParams", [
         ("mobility", float), ("gate_coefficient", float), ("back_gate", float),
-        ("aspect_ratio", float), ("elementary_charge", float)])):
+        ("aspect_ratio", float)])):
     """Sheet parameters: mobility in cm^2/(V s), gate coefficient in cm^-2 V^-1; arrays broadcast."""
 
     __slots__ = ()
 
     def __new__(cls, mobility: float = 15000.0, gate_coefficient: float = 7.3e10,
                 back_gate: float = 0.0,  # V_b, volts
-                aspect_ratio: float = 1.0,  # W / L
-                elementary_charge: float = ELEMENTARY_CHARGE):
-        self = super().__new__(cls, mobility, gate_coefficient, back_gate, aspect_ratio,
-                               elementary_charge)
+                aspect_ratio: float = 1.0):  # W / L
+        self = super().__new__(cls, mobility, gate_coefficient, back_gate, aspect_ratio)
         _require(*self._fields,
                  (mobility > 0, "mobility must be positive"),
                  (gate_coefficient > 0, "gate coefficient must be positive"),
@@ -72,7 +70,7 @@ def sheet_conductivity(params: DeviceParams) -> float:
     see carrier_type() for the 'neutral' flag.
     """
     density = params.gate_coefficient * abs(params.back_gate)
-    return density * params.elementary_charge * params.mobility
+    return density * ELEMENTARY_CHARGE * params.mobility
 
 
 def iv_curve(params: DeviceParams, V_grid) -> np.ndarray:
@@ -97,9 +95,8 @@ def angular_current_profile(
     beyond the critical angle carry no transmitted wave and raise ValueError
     (the default device parameters have none).
     """
-    # only this function needs graphene and junction; an iv-curve launch loads neither. Not
-    # ``from kleinstep import graphene``: the package's __getattr__ would load every module
-    import kleinstep.graphene as graphene
+    # only this function needs graphene and junction; an iv-curve launch loads neither
+    from kleinstep import graphene
     from kleinstep.junction import angle_kinematics, t_paper, transmission_probability
     material = graphene.DEFAULT_MATERIAL if material is None else material
     if (lambda_F is None) == (E is None):

@@ -26,12 +26,7 @@ import numpy as np
 from kleinstep.common import _flat, _require, _shaped, _unit_scale, unwrap
 
 __all__ = [
-    "ALPHA_X",
-    "ALPHA_Y",
-    "ALPHA_Z",
-    "BETA",
     "current_density",
-    "dirac_hamiltonian",
     "hamiltonian_residual",
     "hamiltonian_residual4",
     "make_spinor2",
@@ -45,10 +40,10 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _ZERO = np.zeros((2, 2), dtype=complex)
 
-ALPHA_X = np.block([[_ZERO, _SIGMA_X], [_SIGMA_X, _ZERO]])
-ALPHA_Y = np.block([[_ZERO, _SIGMA_Y], [_SIGMA_Y, _ZERO]])
-ALPHA_Z = np.block([[_ZERO, _SIGMA_Z], [_SIGMA_Z, _ZERO]])
-BETA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+_ALPHA_X = np.block([[_ZERO, _SIGMA_X], [_SIGMA_X, _ZERO]])
+_ALPHA_Y = np.block([[_ZERO, _SIGMA_Y], [_SIGMA_Y, _ZERO]])
+_ALPHA_Z = np.block([[_ZERO, _SIGMA_Z], [_SIGMA_Z, _ZERO]])
+_BETA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
 
 def _mass(m: np.ndarray) -> tuple:
@@ -140,13 +135,13 @@ def current_density(psi) -> float:
     return 2.0 * (upper.real * lower.real + upper.imag * lower.imag)
 
 
-def dirac_hamiltonian(p, m: float) -> np.ndarray:
+def _hamiltonian4(p, m: float) -> np.ndarray:
     """Full 4x4 Hamiltonian alpha . p + beta m in the Dirac representation.
 
     Array momentum components and masses give a stack of shape (..., 4, 4).
     """
     px, py, pz, m = (np.asarray(c, dtype=float)[..., None, None] for c in (*p, m))
-    return px * ALPHA_X + py * ALPHA_Y + pz * ALPHA_Z + m * BETA
+    return px * _ALPHA_X + py * _ALPHA_Y + pz * _ALPHA_Z + m * _BETA
 
 
 _SPINOR4_COLUMNS = {
@@ -196,9 +191,9 @@ def make_spinor4(
 
 def hamiltonian_residual4(psi, energy: float, p, m: float) -> float:
     """||H4 psi - energy psi|| / ||psi|| with the signed eigenvalue ``energy``."""
-    # left unbroadcast: dirac_hamiltonian builds a (..., 4, 4) term per broadcast component
+    # left unbroadcast: _hamiltonian4 builds a (..., 4, 4) term per broadcast component
     energy, px, py, pz, m = (np.asarray(c, dtype=float) for c in (energy, *p, m))
     _require("energy", "m", "px", "py", "pz", _mass(m),
              energy=energy, m=m, px=px, py=py, pz=pz)
     return unwrap(_eigen_residual(np.asarray(psi, dtype=complex),
-                                  dirac_hamiltonian((px, py, pz), m), energy))
+                                  _hamiltonian4((px, py, pz), m), energy))

@@ -28,7 +28,6 @@ import numpy as np
 
 from kleinstep.common import (
     HBAR_VF_EV_NM,
-    Convention,
     _flat,
     _require,
     _shaped,
@@ -42,7 +41,6 @@ __all__ = [
     "DEFAULT_MATERIAL",
     "GrapheneMaterial",
     "HBAR_VF_EV_NM",
-    "barrier_transmission",
     "energy_from_wavelength",
     "solve_barrier",
 ]
@@ -126,7 +124,7 @@ def solve_barrier(
     V0: float,
     D: float,
     theta_I: float,
-    convention: Convention = Convention.PAPER,
+    *,
     material: GrapheneMaterial = DEFAULT_MATERIAL,
 ) -> BarrierSolution:
     """Match the leads at x = 0 and x = D through the interior's transfer matrix.
@@ -137,14 +135,13 @@ def solve_barrier(
     is formed and E = V0 and k_xII = 0 are regular cells.  An evanescent interior
     (decay rate k_xII) scales c and s by sigma = exp(-k_xII D), so every factor
     is bounded and a barrier of any width is stable.  Both conventions label the
-    same interior states, so r and t do not depend on ``convention``; it is
-    still checked.  The interior wavevector is _kinematics' k_xII.
+    same interior states, so r and t take no convention.  The interior
+    wavevector is _kinematics' k_xII.
 
     E, V0, D and theta_I may be arrays that broadcast together.
     """
     shape, (E, V0, D, theta_I) = _flat(E, V0, D, theta_I)
     _check_barrier(E, V0, D, theta_I)
-    Convention(convention)
     hv = material.hbar_vF
     with np.errstate(over="raise"):  # a wavevector or k_xII D beyond float range raises, not inf
         e, E, V0, _, k_y, k, _, _, inside = _kinematics(E, V0, theta_I, hv)
@@ -160,15 +157,3 @@ def solve_barrier(
     t = sigma * cos / den
     r = s * (a * sin - k_y) * np.exp(1j * theta_I) / den
     return BarrierSolution(*_shaped(shape, r, t, np.abs(r) ** 2, np.abs(t) ** 2, inside))
-
-
-def barrier_transmission(
-    E: float,
-    V0: float,
-    D: float,
-    theta_I: float,
-    convention: Convention = Convention.PAPER,
-    material: GrapheneMaterial = DEFAULT_MATERIAL,
-) -> float:
-    """Transmission probability through a width-D barrier, in [0, 1] in every cell."""
-    return solve_barrier(E, V0, D, theta_I, convention, material).T

@@ -97,14 +97,34 @@ def graphene_T_common(E, V0, theta_I, hbar_vF=HBAR_VF):
     return abs(t) ** 2 * math.cos(th2) / math.cos(theta_I)
 
 
-def barrier_T_matrix(E, V0, D, theta_I, hbar_vF=HBAR_VF, current_labelled=False):
-    """Finite-width barrier transmission via an inverse-matrix transfer product.
+def _interior_series(eps, k_y, D, hbar_vF):
+    """exp(-A D) for psi' = A psi, A = [[k_y, i a], [i a, -k_y]], a = eps / hbar v_F.
 
-    Momentum-labelled interior basis; columns of W are the +k_x and -k_x
-    eigenstates evaluated at position x.  T = |1/M[0,0]|^2 with
-    M = W1(0)^-1 W2(0) W2(D)^-1 W3(D).  With ``current_labelled`` the
-    interior's first column is the state that carries current towards +x
-    instead: k_x -> -k_x for a propagating hole-like interior (E < V0).
+    A Taylor series at -A D / 2^s, squared s times: no interior eigenbasis, so
+    it holds at E = V0 and at the interior's critical angle, where the
+    eigenbasis degenerates.
+    """
+    a = eps / hbar_vF
+    X = -D * np.array([[k_y, 1j * a], [1j * a, -k_y]], dtype=complex)
+    s = max(0, math.ceil(math.log2(max(np.abs(X).sum(axis=1).max(), 1e-300))) + 1)
+    term = total = np.eye(2, dtype=complex)
+    for n in range(1, 30):
+        term = term @ X / (2.0 ** s * n)
+        total = total + term
+    for _ in range(s):
+        total = total @ total
+    return total
+
+
+def _barrier_transfer(E, V0, D, theta_I, hbar_vF, current_labelled, series):
+    """(M, k_1): M = W1(0)^-1 P W3(D) maps the outgoing lead's amplitudes to the incident one's.
+
+    Columns of W are the +k_x and -k_x eigenstates (1, hbar v_F (+-k_x + i k_y)/eps)
+    e^{+-i k_x x} at position x.  The interior propagator P from x = D to x = 0 is
+    W2(0) W2(D)^-1 in a momentum-labelled interior eigenbasis, or with
+    ``current_labelled`` one whose first column carries current towards +x
+    instead (k_x -> -k_x for a propagating hole-like interior, E < V0); with
+    ``series`` it is _interior_series, which forms no eigenbasis.
     """
     k_F = E / hbar_vF
     k_y = k_F * math.sin(theta_I)
@@ -118,16 +138,37 @@ def barrier_T_matrix(E, V0, D, theta_I, hbar_vF=HBAR_VF, current_labelled=False)
         return np.array([[e_p, e_m], [lo_p * e_p, lo_m * e_m]], dtype=complex)
 
     eps2 = E - V0
-    k_2 = cmath.sqrt(complex((eps2 / hbar_vF) ** 2 - k_y * k_y))
-    if current_labelled and eps2 < 0 and k_2.imag == 0:
-        k_2 = -k_2
-    m_tot = (
-        np.linalg.inv(basis(E, k_1, 0.0))
-        @ basis(eps2, k_2, 0.0)
-        @ np.linalg.inv(basis(eps2, k_2, D))
-        @ basis(E, k_1, D)
-    )
+    if series:
+        interior = _interior_series(eps2, k_y, D, hbar_vF)
+    else:
+        k_2 = cmath.sqrt(complex((eps2 / hbar_vF) ** 2 - k_y * k_y))
+        if current_labelled and eps2 < 0 and k_2.imag == 0:
+            k_2 = -k_2
+        interior = basis(eps2, k_2, 0.0) @ np.linalg.inv(basis(eps2, k_2, D))
+    return np.linalg.inv(basis(E, k_1, 0.0)) @ interior @ basis(E, k_1, D), k_1
+
+
+def barrier_T_matrix(E, V0, D, theta_I, hbar_vF=HBAR_VF, current_labelled=False):
+    """Finite-width barrier transmission via an inverse-matrix transfer product.
+
+    T = |1/M[0,0]|^2 with M = W1(0)^-1 W2(0) W2(D)^-1 W3(D) (_barrier_transfer),
+    in the momentum-labelled interior basis or, with ``current_labelled``, the
+    current-labelled one.
+    """
+    m_tot, _ = _barrier_transfer(E, V0, D, theta_I, hbar_vF, current_labelled, False)
     return float(abs(1.0 / m_tot[0, 0]) ** 2)
+
+
+def barrier_amplitudes(E, V0, D, theta_I, hbar_vF=HBAR_VF, current_labelled=False,
+                       series=False):
+    """(r, t) of the transfer product: r = M[1,0]/M[0,0] at x = 0, t = e^{i k_x D}/M[0,0] at x = D.
+
+    The incident wave is (1, e^{i theta_I}) e^{i k_x x}; r multiplies the reflected
+    (1, -e^{-i theta_I}) at x = 0 and t the transmitted (1, e^{i theta_I}) at x = D.
+    ``current_labelled`` and ``series`` pick the interior propagator (_barrier_transfer).
+    """
+    m_tot, k_1 = _barrier_transfer(E, V0, D, theta_I, hbar_vF, current_labelled, series)
+    return complex(m_tot[1, 0] / m_tot[0, 0]), complex(cmath.exp(1j * k_1 * D) / m_tot[0, 0])
 
 
 def barrier_T_matrix_current(E, V0, D, theta_I, hbar_vF=HBAR_VF):

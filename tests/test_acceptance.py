@@ -246,9 +246,8 @@ def test_criterion_08_graphene_normal_incidence():
         ak = angle_kinematics(E, 0.3, 0.0)
         assert transmission_probability(t_paper(ak), ak) == 1.0
         for width in np.linspace(1.0, 200.0, 20):
-            for conv in Convention:
-                sol = solve_barrier(E, 0.3, float(width), 0.0, conv)
-                assert abs(sol.T - 1.0) < 1e-10
+            sol = solve_barrier(E, 0.3, float(width), 0.0)
+            assert abs(sol.T - 1.0) < 1e-10
 
 
 def test_criterion_09_barrier_convention_equivalence():
@@ -265,14 +264,12 @@ def test_criterion_09_barrier_convention_equivalence():
                 for D in widths:
                     for theta in thetas:
                         point = float(E), float(V0), float(D), float(theta)
-                        paper = solve_barrier(*point, Convention.PAPER)
-                        common = solve_barrier(*point, Convention.COMMON)
+                        solution = solve_barrier(*point)
                         # the one solve against an eigenbasis product in each labelling
-                        worst = max(worst, abs(paper.T - common.T),
-                                    abs(paper.T - barrier_T_matrix_current(*point)),
-                                    abs(common.T - barrier_T_matrix(*point)))
+                        worst = max(worst, abs(solution.T - barrier_T_matrix_current(*point)),
+                                    abs(solution.T - barrier_T_matrix(*point)))
                         points += 1
-                        evanescent += not paper.interior_propagating
+                        evanescent += not solution.interior_propagating
         elapsed = time.perf_counter() - start
         assert points == 10_000
         assert evanescent > 100, "grid must include evanescent-interior cells"
@@ -290,15 +287,17 @@ def test_criterion_09_barrier_convention_equivalence_one_array_call():
             np.radians(np.linspace(-75.0, 75.0, 10)),
         )
         grid = np.meshgrid(*axes, indexing="ij")
-        paper = solve_barrier(*grid, Convention.PAPER)
-        common = solve_barrier(*grid, Convention.COMMON)
-        assert paper.T.size == 10_000
-        assert np.count_nonzero(~paper.interior_propagating) > 100
-        worst = float(np.max(np.abs(paper.T - common.T)))
+        solution = solve_barrier(*grid)
+        assert solution.T.size == 10_000
+        assert np.count_nonzero(~solution.interior_propagating) > 100
+        # the array's T against an eigenbasis product in each labelling
+        points = list(zip(*(axis.ravel().tolist() for axis in grid)))
+        worst = max(abs(T - oracle(*point)) for T, point in zip(solution.T.ravel().tolist(), points)
+                    for oracle in (barrier_T_matrix, barrier_T_matrix_current))
         assert worst < 1e-10, f"worst convention disagreement {worst:.3e}"
         # the same cells as the per-point loop above, bit for bit
         E, V0, D, theta = (float(axis[i]) for axis, i in zip(axes, (3, 7, 2, 8)))
-        assert paper.T[3, 7, 2, 8] == solve_barrier(E, V0, D, theta, Convention.PAPER).T
+        assert solution.T[3, 7, 2, 8] == solve_barrier(E, V0, D, theta).T
 
 def test_criterion_10_angular_profile_reproduction():
     with criterion(10, "angular current profile: unit center, even, oracle points"):

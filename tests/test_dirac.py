@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kleinstep.dirac import (
+    _hamiltonian4,
     current_density,
-    dirac_hamiltonian,
     hamiltonian_residual,
     hamiltonian_residual4,
     make_spinor2,
@@ -172,7 +172,7 @@ class TestSpinor4:
             )
 
     def test_hamiltonian_matrix_is_hermitian(self):
-        h = dirac_hamiltonian((0.4, 0.2, -1.3), 0.7)
+        h = _hamiltonian4((0.4, 0.2, -1.3), 0.7)
         np.testing.assert_allclose(h, h.conj().T)
 
 

@@ -71,6 +71,10 @@ CASES = [
     ("step-compare-below-mass.stderr", 2, ["step-compare", "--E", "1.2", "--m", "1.5", "--V0", "5"]),
     ("graphene-angle-singular.stderr", 1,
      ["graphene-angle", "--E", "0.08", "--V0", "0.3", "--theta", "0"]),
+    # a junction at the Dirac point (E = V0): k_xII^2 = -k_y^2, so no angle propagates,
+    # normal incidence (k_xII = 0) included
+    ("graphene-angle-dirac-point.csv", 0,
+     ["graphene-angle", "--E", "0.1", "--V0", "0.1", "--theta=-30,0,30"]),
     # an interior at the Dirac point (E = V0): T = 1/cosh^2(k_y D) = 1 at normal incidence
     ("barrier-dirac-point.csv", 0, ["barrier", "--E", "0.3", "--V0", "0.3", "--D", "10"]),
     ("help.txt", 0, ["--help"]),

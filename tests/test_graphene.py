@@ -11,7 +11,6 @@ from kleinstep.graphene import (
     DEFAULT_MATERIAL,
     HBAR_VF_EV_NM,
     GrapheneMaterial,
-    barrier_transmission,
     energy_from_wavelength,
     solve_barrier,
 )
@@ -24,7 +23,13 @@ from kleinstep.junction import (
 )
 from kleinstep.step import StepProblem, solve_step_numeric
 
-from oracles import barrier_T_matrix, barrier_T_matrix_current, graphene_T_common, graphene_T_paper
+from oracles import (
+    barrier_amplitudes,
+    barrier_T_matrix,
+    barrier_T_matrix_current,
+    graphene_T_common,
+    graphene_T_paper,
+)
 
 # frozen from tests/oracles.py with hbar v_F = 0.6578 eV nm, lambda_F = 50 nm
 E_FERMI = 0.08266158590125464
@@ -37,6 +42,14 @@ T_BARRIER_50_45 = 0.9226092859246967
 D_RESONANCE_30 = 9.685134123061177
 # E = V0 = 0.3 eV, D = 10 nm, theta = 0.2 rad: cos^2 th / (cosh^2(k_y D) - sin^2 th) at 50 digits
 T_DIRAC_POINT = 0.47265106926544626
+# (E, V0, D, theta_I) of each kind of barrier interior; "critical" is exactly at its
+# critical angle, 30 degrees, where k_xII = 0
+BARRIER_AMPLITUDE_CELLS = {
+    "propagating": (E_FERMI, V0, 50.0, 0.7),
+    "evanescent": (0.3, 0.42, 10.0, 0.7),
+    "dirac-point": (0.3, 0.3, 10.0, 0.2),
+    "critical": (0.05, 0.075, 10.0, math.radians(30.0)),
+}
 
 
 def test_default_material_constant():
@@ -196,24 +209,18 @@ class TestCriticalAngle:
 
 class TestBarrier:
     def test_vanishing_width_limit(self):
-        for conv in Convention:
-            assert barrier_transmission(E_FERMI, V0, 1e-9, 0.3, conv) == pytest.approx(
-                1.0, abs=1e-9
-            )
+        assert solve_barrier(E_FERMI, V0, 1e-9, 0.3).T == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("width", [1.0, 5.0, 20.0, 75.0, 200.0])
     def test_chiral_tunneling_normal_incidence(self, width):
-        for conv in Convention:
-            assert barrier_transmission(E_FERMI, V0, width, 0.0, conv) == pytest.approx(
-                1.0, abs=1e-10
-            )
+        assert solve_barrier(E_FERMI, V0, width, 0.0).T == pytest.approx(1.0, abs=1e-10)
 
     def test_fabry_perot_resonance(self):
         # k_xII * D = pi at 30 degrees gives unit transmission
         ak = angle_kinematics(E_FERMI, V0, math.radians(30.0))
         d_res = math.pi / ak.k_xII
         assert d_res == pytest.approx(D_RESONANCE_30, rel=1e-13)
-        assert barrier_transmission(E_FERMI, V0, d_res, math.radians(30.0)) == pytest.approx(
+        assert solve_barrier(E_FERMI, V0, d_res, math.radians(30.0)).T == pytest.approx(
             1.0, abs=1e-10
         )
         assert barrier_T_matrix(E_FERMI, V0, d_res, math.radians(30.0)) == pytest.approx(
@@ -221,10 +228,12 @@ class TestBarrier:
         )
 
     def test_reference_point_both_conventions(self):
-        for conv in Convention:
-            assert barrier_transmission(
-                E_FERMI, V0, 50.0, math.radians(45.0), conv
-            ) == pytest.approx(T_BARRIER_50_45, rel=1e-12)
+        # one solve; each labelling's eigenbasis product gives the same frozen T
+        theta = math.radians(45.0)
+        assert solve_barrier(E_FERMI, V0, 50.0, theta).T == pytest.approx(
+            T_BARRIER_50_45, rel=1e-12)
+        for oracle in (barrier_T_matrix, barrier_T_matrix_current):
+            assert oracle(E_FERMI, V0, 50.0, theta) == pytest.approx(T_BARRIER_50_45, rel=1e-12)
 
     def test_matches_independent_matrix_oracle(self):
         rng = np.random.default_rng(3)
@@ -235,7 +244,7 @@ class TestBarrier:
                 continue
             width = rng.uniform(2.0, 80.0)
             theta = rng.uniform(-1.2, 1.2)
-            mine = barrier_transmission(energy, height, width, theta)
+            mine = solve_barrier(energy, height, width, theta).T
             reference = barrier_T_matrix(energy, height, width, theta)
             assert mine == pytest.approx(reference, abs=1e-10)
 
@@ -249,23 +258,23 @@ class TestBarrier:
                 continue
             width = rng.uniform(2.0, 100.0)
             theta = rng.uniform(-1.3, 1.3)
-            paper = solve_barrier(energy, height, width, theta, Convention.PAPER)
-            common = solve_barrier(energy, height, width, theta, Convention.COMMON)
-            assert abs(paper.T - common.T) < 1e-10
-            saw_evanescent += not paper.interior_propagating
+            # each labelling's eigenbasis product gives the one solve's T
+            solution = solve_barrier(energy, height, width, theta)
+            for oracle in (barrier_T_matrix, barrier_T_matrix_current):
+                assert abs(solution.T - oracle(energy, height, width, theta)) < 1e-10
+            saw_evanescent += not solution.interior_propagating
         assert saw_evanescent > 10
 
     @given(st.floats(0.03, 0.25), st.floats(0.05, 0.45), st.floats(2.0, 80.0),
-           st.floats(-1.2, 1.2), st.sampled_from(list(Convention)))
+           st.floats(-1.2, 1.2))
     @settings(max_examples=150, deadline=None)
-    def test_both_labelled_oracles_match_either_convention(self, energy, height, width, theta,
-                                                          convention):
+    def test_both_labelled_oracles_match_either_convention(self, energy, height, width, theta):
         # the momentum- and current-labelled interior bases span the same states, so both
         # eigenbasis products give the one solve's T; away from theta_c, where they degenerate
         k_2 = abs(energy - height) / HBAR_VF_EV_NM
         assume(abs(energy - height) > 0.01)
         assume(angle_kinematics(energy, height, theta).k_xII > 0.05 * k_2)
-        mine = barrier_transmission(energy, height, width, theta, convention)
+        mine = solve_barrier(energy, height, width, theta).T
         for oracle in (barrier_T_matrix, barrier_T_matrix_current):
             assert mine == pytest.approx(oracle(energy, height, width, theta), abs=1e-10)
 
@@ -282,14 +291,34 @@ class TestBarrier:
 
     def test_degenerate_interior_rejected(self):
         # E = V0 is a regular cell of the transfer matrix, not an error
-        for conv in Convention:
-            assert barrier_transmission(0.3, 0.3, 10.0, 0.2, conv) == pytest.approx(
-                T_DIRAC_POINT, rel=1e-12
-            )
+        assert solve_barrier(0.3, 0.3, 10.0, 0.2).T == pytest.approx(T_DIRAC_POINT, rel=1e-12)
 
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
-            barrier_transmission(E_FERMI, V0, -1.0, 0.0)
+            solve_barrier(E_FERMI, V0, -1.0, 0.0)
+
+    def test_convention_is_not_an_argument(self):
+        # the material is keyword-only: a fifth positional argument is an error, not a material
+        with pytest.raises(TypeError):
+            solve_barrier(E_FERMI, V0, 10.0, 0.2, Convention.PAPER)
+        with pytest.raises(TypeError):
+            solve_barrier(E_FERMI, V0, 10.0, 0.2, DEFAULT_MATERIAL)
+
+    @pytest.mark.parametrize("kind", list(BARRIER_AMPLITUDE_CELLS))
+    def test_amplitudes_match_the_transfer_product(self, kind):
+        # the phases of r and t, which R and T do not see; at E = V0 and k_xII = 0 the
+        # interior eigenbasis degenerates, so there only the series propagator is formed
+        point = BARRIER_AMPLITUDE_CELLS[kind]
+        interior = angle_kinematics(point[0], point[1], point[3])
+        assert (kind == "critical") == (interior.k_xII == 0)
+        assert interior.propagating == (kind == "propagating")
+        references = [barrier_amplitudes(*point, series=True)]
+        if kind in ("propagating", "evanescent"):
+            references += [barrier_amplitudes(*point, current_labelled=labelled)
+                           for labelled in (False, True)]
+        solution = solve_barrier(*point)
+        for r, t in references:
+            assert abs(solution.r - r) < 1e-12 and abs(solution.t - t) < 1e-12
 
 
 def test_custom_material_scales_out_of_probability():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kleinstep.common import Convention, SingularityError
+from kleinstep.common import SingularityError
 from kleinstep.graphene import solve_barrier
 from kleinstep.junction import (
     angle_kinematics,
@@ -99,17 +99,17 @@ def test_step_kernel_cells_equal_zero_d_calls(axes):
             assert bits(transmissions[name][cell]) == bits(transmission_probability(t, point))
 
 
-@given(barrier_grids(), st.sampled_from(list(Convention)))
+@given(barrier_grids())
 @settings(max_examples=60, deadline=None)
-@example(DIRAC_POINT_BESIDE_UNDERFLOW, Convention.PAPER)
+@example(DIRAC_POINT_BESIDE_UNDERFLOW)
 @example((np.array([CRITICAL_30[1][0], 0.1]), np.array([CRITICAL_30[1][1]]), np.array([10.0]),
-          np.array([math.radians(30.0), 0.3])), Convention.COMMON)
-def test_barrier_cells_equal_zero_d_calls(axes, convention):
-    batch = solve_barrier(*_grid(axes), convention)
+          np.array([math.radians(30.0), 0.3])))
+def test_barrier_cells_equal_zero_d_calls(axes):
+    batch = solve_barrier(*_grid(axes))
     shape = tuple(axis.size for axis in axes)
     assert all(np.shape(getattr(batch, name)) == shape for name in BARRIER_FIELDS)
     for cell in np.ndindex(shape):
-        single = solve_barrier(*(float(axis[i]) for axis, i in zip(axes, cell)), convention)
+        single = solve_barrier(*(float(axis[i]) for axis, i in zip(axes, cell)))
         for name in BARRIER_FIELDS:
             assert bits(getattr(batch, name)[cell]) == bits(getattr(single, name)), name
 
@@ -127,11 +127,10 @@ def test_power_of_two_energy_scale_changes_no_bit(axes, k):
         assert t_unit.tobytes() == t_scaled.tobytes(), amplitude
         assert (transmission_probability(t_unit, unit).tobytes()
                 == transmission_probability(t_scaled, scaled).tobytes()), amplitude
-    for convention in Convention:
-        # the barrier's phase k_xII D is unchanged when D scales inversely
-        T_unit, T_scaled = (solve_barrier(np.ldexp(E, n), np.ldexp(V0, n), np.ldexp(D, -n), theta,
-                                          convention).T for n in (0, k))
-        assert T_unit.tobytes() == T_scaled.tobytes(), convention
+    # the barrier's phase k_xII D is unchanged when D scales inversely
+    T_unit, T_scaled = (solve_barrier(np.ldexp(E, n), np.ldexp(V0, n), np.ldexp(D, -n), theta).T
+                        for n in (0, k))
+    assert T_unit.tobytes() == T_scaled.tobytes()
 
 
 @given(barrier_grids())
@@ -143,24 +142,22 @@ def test_transmission_even_in_angle(axes):
     ak = angle_kinematics(E[:, None, None, None], V0[None, :, None, None], mirrored)
     step = transmission_probability(t_paper(ak), ak)
     np.testing.assert_allclose(step[..., 0, :], step[..., 1, :], rtol=0.0, atol=1e-12)
-    for convention in Convention:
-        T = solve_barrier(E[:, None, None, None, None], V0[None, :, None, None, None],
-                          D[None, None, :, None, None], mirrored, convention).T
-        np.testing.assert_allclose(T[..., 0, :], T[..., 1, :], rtol=0.0, atol=1e-12)
+    T = solve_barrier(E[:, None, None, None, None], V0[None, :, None, None, None],
+                      D[None, None, :, None, None], mirrored).T
+    np.testing.assert_allclose(T[..., 0, :], T[..., 1, :], rtol=0.0, atol=1e-12)
 
 
 def test_degenerate_cell_after_underflow_gives_nan():
     # the E = V0 cell is finite, T = 1 as the closed form's cos^2 th / (cosh^2(k_y D) - sin^2 th)
     # at this angle, and every cell equals its 0-d call although the cell after it underflows
     E, V0, D, theta = (axis.tolist() for axis in DIRAC_POINT_BESIDE_UNDERFLOW)
-    for convention in Convention:
-        solution = solve_barrier(E[0], np.array(V0), D[0], theta[0], convention)
-        assert solution.T[0] == 1.0 and np.isfinite(solution.r[0])
-        assert solution.r[1] != 0.0 and solution.R[1] == 0.0  # |r|^2 underflows
-        for index, height in enumerate(V0):
-            single = solve_barrier(E[0], height, D[0], theta[0], convention)
-            for name in BARRIER_FIELDS:
-                assert bits(getattr(solution, name)[index]) == bits(getattr(single, name)), name
+    solution = solve_barrier(E[0], np.array(V0), D[0], theta[0])
+    assert solution.T[0] == 1.0 and np.isfinite(solution.r[0])
+    assert solution.r[1] != 0.0 and solution.R[1] == 0.0  # |r|^2 underflows
+    for index, height in enumerate(V0):
+        single = solve_barrier(E[0], height, D[0], theta[0])
+        for name in BARRIER_FIELDS:
+            assert bits(getattr(solution, name)[index]) == bits(getattr(single, name)), name
 
 
 @pytest.mark.parametrize("E, V0", CRITICAL_30)
@@ -168,13 +165,12 @@ def test_critical_interior_is_degenerate(E, V0):
     # an interior exactly at its critical angle is a regular cell of the transfer matrix
     theta = math.radians(30.0)
     assert angle_kinematics(E, V0, theta).k_xII == 0
-    for convention in Convention:
-        single = solve_barrier(E, V0, 10.0, theta, convention)
-        assert abs(single.T - T_CRITICAL_30[E, V0]) <= 1e-10
-        assert abs(single.R + single.T - 1.0) <= 1e-10
-        solution = solve_barrier(E, np.array([V0, 0.3]), 10.0, theta, convention)
-        assert bits(solution.T[0]) == bits(single.T) and bits(solution.r[0]) == bits(single.r)
-        assert abs(solution.T[1] - barrier_T_kng(E, 0.3, 10.0, theta)) <= 1e-10
+    single = solve_barrier(E, V0, 10.0, theta)
+    assert abs(single.T - T_CRITICAL_30[E, V0]) <= 1e-10
+    assert abs(single.R + single.T - 1.0) <= 1e-10
+    solution = solve_barrier(E, np.array([V0, 0.3]), 10.0, theta)
+    assert bits(solution.T[0]) == bits(single.T) and bits(solution.r[0]) == bits(single.r)
+    assert abs(solution.T[1] - barrier_T_kng(E, 0.3, 10.0, theta)) <= 1e-10
 
 
 def test_full_precision_through_the_critical_angle():
@@ -183,10 +179,9 @@ def test_full_precision_through_the_critical_angle():
     E, V0, D, theta, T = CRITICAL_CELLS.T
     critical = np.arcsin(np.abs(E - V0) / E)
     assert np.all(np.abs(np.abs(theta) / critical - 1.0) <= 1.1e-6)
-    for convention in Convention:
-        solution = solve_barrier(E, V0, D, theta, convention)
-        assert np.max(np.abs(solution.T - T) / T) <= 1e-12
-        assert np.max(np.abs(solution.R + solution.T - 1.0)) <= 1e-14
+    solution = solve_barrier(E, V0, D, theta)
+    assert np.max(np.abs(solution.T - T) / T) <= 1e-12
+    assert np.max(np.abs(solution.R + solution.T - 1.0)) <= 1e-14
 
 
 def test_barrier_matches_closed_form_in_one_array_call():
@@ -198,9 +193,8 @@ def test_barrier_matches_closed_form_in_one_array_call():
     D = rng.uniform(2.0, 80.0, count)
     theta = rng.uniform(-1.3, 1.3, count)
     expected = np.array([barrier_T_kng(*point) for point in zip(E, V0, D, theta)])
-    for convention in Convention:
-        solution = solve_barrier(E, V0, D, theta, convention)
-        np.testing.assert_allclose(solution.T, expected, rtol=0.0, atol=1e-10)
+    solution = solve_barrier(E, V0, D, theta)
+    np.testing.assert_allclose(solution.T, expected, rtol=0.0, atol=1e-10)
     evanescent = np.count_nonzero(~solution.interior_propagating)
     assert 100 < evanescent < count - 100
 
@@ -249,7 +243,7 @@ def test_empty_sweeps():
     assert ak.k_y.shape == ak.propagating.shape == (0,)
     assert t_paper(ak).shape == t_common(ak).shape == (0,)
     assert transmission_probability(t_common(ak), ak).shape == (0,)
-    solution = solve_barrier(0.08, 0.3, np.array([]), 0.2, Convention.COMMON)
+    solution = solve_barrier(0.08, 0.3, np.array([]), 0.2)
     assert solution.T.shape == solution.interior_propagating.shape == (0,)
 
 
