@@ -397,14 +397,10 @@ def _spinor_check(request: SweepRequest) -> tuple:
         root, propagating = _root(eps, m), np.abs(eps) >= m
         k = np.where(propagating, root, 1j * root)
         spinor = make_spinor2(eps, k, m)
-        # both branches' four-spinors, checked in one call against their signed energies
+        # both branches' four-spinors, each picked by its energy's sign
         residual4, cells = np.full(eps.shape, math.nan), propagating & (eps != 0)
-        energy, p_z = eps[cells], root[cells]
-        psi4 = np.empty((energy.size, 4), complex)
-        for branch, part in (("positive", energy > 0), ("negative", energy < 0)):
-            psi4[part] = make_spinor4(np.abs(energy[part]), (0.0, 0.0, p_z[part]), m,
-                                      branch=branch)
-        residual4[cells] = hamiltonian_residual4(psi4, energy, (0.0, 0.0, p_z), m)
+        energy, p = eps[cells], (0.0, 0.0, root[cells])
+        residual4[cells] = hamiltonian_residual4(make_spinor4(energy, p, m), energy, p, m)
         return {
             "eps": eps,
             "k_re": k.real, "k_im": k.imag,
@@ -498,13 +494,12 @@ def _angular_current(request: SweepRequest) -> tuple:
     # the grid's end angles are its widest: angle_kinematics' own rule, before the first block
     if not _kinematics(energy, params["V0"], math.radians(half_width), material.hbar_vF)[-1]:
         critical = critical_angle(energy, params["V0"])
-        critical = 90.0 if critical is None else math.degrees(critical)
+        critical = 90.0 if math.isnan(critical) else math.degrees(critical)
         raise ValueError(f"--theta-max must be below the critical angle {critical} degrees, "
                           f"got {half_width}")
 
     def solve(theta_deg):
-        profile = angular_current_profile(params["V0"], np.radians(theta_deg), E=energy,
-                                          material=material)
+        profile = angular_current_profile(energy, params["V0"], np.radians(theta_deg), material)
         return {"theta_deg": theta_deg, "T": profile.transmission,
                 "relative_current": profile.relative_current}
 

@@ -78,31 +78,21 @@ def iv_curve(params: DeviceParams, V_grid) -> np.ndarray:
     return sheet_conductivity(params) * params.aspect_ratio * np.asarray(V_grid, dtype=float)
 
 
-def angular_current_profile(
-    V0: float,
-    theta_grid,
-    lambda_F: float | None = None,
-    E: float | None = None,
-    material=None,
-) -> AngularProfile:
-    """I(theta)/I(0) across the step, from the current-labelled transmission.
+def angular_current_profile(E: float, V0: float, theta_grid, material=None) -> AngularProfile:
+    """I(theta)/I(0) across the step at Fermi energy E (eV), from the current-labelled transmission.
 
     Klein tunnelling at normal incidence gives T(0) = 1, so I(theta)/I(0) is
     T(theta): the profile holds that one array under both of its names.
 
-    Exactly one of lambda_F (nm) or E (eV) fixes the Fermi level.  ``material``
-    is a graphene.GrapheneMaterial, graphene.DEFAULT_MATERIAL when None.  Angles
-    beyond the critical angle carry no transmitted wave and raise ValueError
-    (the default device parameters have none).
+    ``material`` is a graphene.GrapheneMaterial, graphene.DEFAULT_MATERIAL
+    when None; graphene.energy_from_wavelength gives E from a Fermi
+    wavelength.  Angles beyond the critical angle carry no transmitted wave
+    and raise ValueError (the default device parameters have none).
     """
     # only this function needs graphene and junction; an iv-curve launch loads neither
     from kleinstep import graphene
     from kleinstep.junction import angle_kinematics, t_paper, transmission_probability
     material = graphene.DEFAULT_MATERIAL if material is None else material
-    if (lambda_F is None) == (E is None):
-        raise ValueError("give exactly one of lambda_F or E")
-    if E is None:
-        E = graphene.energy_from_wavelength(lambda_F, material)
     thetas = np.array(theta_grid, dtype=float).ravel()
     ak = angle_kinematics(E, V0, thetas, material)
     _require((ak.propagating, "incidence angle {theta} rad lies beyond the critical angle"),

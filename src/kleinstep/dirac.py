@@ -145,44 +145,34 @@ def _hamiltonian4(p, m: float) -> np.ndarray:
 
 
 _SPINOR4_COLUMNS = {
-    # (branch, spin) -> function of (signed energy e, px, py, pz, m)
-    ("positive", "up"): lambda e, px, py, pz, m: (e + m, 0.0, pz, px + 1j * py),
-    ("positive", "down"): lambda e, px, py, pz, m: (0.0, e + m, px - 1j * py, -pz),
-    ("negative", "up"): lambda e, px, py, pz, m: (pz, px + 1j * py, e - m, 0.0),
-    ("negative", "down"): lambda e, px, py, pz, m: (px - 1j * py, -pz, 0.0, e - m),
+    # spin -> (positive, negative) branch columns, functions of (signed energy e, px, py, pz, m)
+    "up": (lambda e, px, py, pz, m: (e + m, 0.0, pz, px + 1j * py),
+           lambda e, px, py, pz, m: (pz, px + 1j * py, e - m, 0.0)),
+    "down": (lambda e, px, py, pz, m: (0.0, e + m, px - 1j * py, -pz),
+             lambda e, px, py, pz, m: (px - 1j * py, -pz, 0.0, e - m)),
 }
 
 
-def make_spinor4(
-    E: float,
-    p,
-    m: float,
-    branch: str = "positive",
-    spin: str = "up",
-    normalize: bool = False,
-) -> np.ndarray:
-    """Free-particle four-spinor for energy magnitude E, momentum 3-vector p.
+def make_spinor4(E: float, p, m: float, spin: str = "up", normalize: bool = False) -> np.ndarray:
+    """Free-particle four-spinor for signed energy E, momentum 3-vector p.
 
-    The negative branch substitutes the signed energy -E into the column, so
-    every returned spinor satisfies H4 psi = e psi with e = +E (positive
-    branch) or e = -E (negative branch); see hamiltonian_residual4.
+    E's sign picks the branch cell by cell: E > 0 the positive-energy column,
+    any other E the negative one.  Every returned spinor satisfies
+    H4 psi = E psi; see hamiltonian_residual4.
 
     ``normalize=True`` rescales to 1/sqrt(2 pi) norm, which reproduces the
-    closed-form factors {2 pi [2E(E +- m)]}^(-1/2) on these columns.
+    closed-form factors {2 pi [2|E|(|E| +- m)]}^(-1/2) on these columns.
     """
-    if branch not in ("positive", "negative"):
-        raise ValueError(f"branch must be 'positive' or 'negative', got {branch!r}")
     if spin not in ("up", "down"):
         raise ValueError(f"spin must be 'up' or 'down', got {spin!r}")
     shape, (E, px, py, pz, m) = _flat(E, *p, m)
     _require("E", "m", "px", "py", "pz", _mass(m), E=E, m=m, px=px, py=py, pz=pz)
-    E = np.abs(E)
     E2, shell = E * E, px * px + py * py + pz * pz + m * m
     _require((~(np.abs(E2 - shell) > _ONSHELL_RTOL * np.maximum(np.maximum(E2, shell), 1e-300)),
               "inconsistent (E, p, m): E^2 = {E2} but p^2 + m^2 = {shell}"), E2=E2, shell=shell)
-    e = E if branch == "positive" else -E
-    column = _SPINOR4_COLUMNS[(branch, spin)](e, px, py, pz, m)
-    psi = np.stack(_flat(*column, dtype=complex)[1], axis=-1)
+    positive, negative = (column(E, px, py, pz, m) for column in _SPINOR4_COLUMNS[spin])
+    psi = np.where((E > 0)[:, None], np.stack(_flat(*positive, dtype=complex)[1], axis=-1),
+                   np.stack(_flat(*negative, dtype=complex)[1], axis=-1))
     _require((psi.any(axis=-1), "zero spinor"))
     if normalize:
         psi = (1.0 / (math.sqrt(2.0 * math.pi) * _norm(psi)))[..., None] * psi

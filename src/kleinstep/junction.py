@@ -4,6 +4,7 @@ Two conventions for the hole-like transmitted wave are implemented:
 
 * COMMON: t = 2 s_I cos(theta_I) / [s_I e^{-i theta_I} + s_II e^{i theta_II}],
   interior phase +i k_xII x.  Singular at normal incidence for 0 < E < V0.
+  The incident wave is an electron (E > 0), so s_I = 1 throughout.
 * PAPER:  t = 2 cos(theta_I) / [e^{-i theta_I} + e^{-i theta_II}],
   interior phase -i k_xII x, equal to 1 at normal incidence.
 
@@ -43,7 +44,6 @@ class AngleKinematics(NamedTuple):
     k_y: float
     k_xII: float
     theta_II: float
-    s_I: int
     s_II: int
     propagating: bool
 
@@ -63,7 +63,7 @@ def angle_kinematics(
             E, V0, theta_I, material.hbar_vF)
         k_F, k_y, k_xII = (np.ldexp(k, e) for k in wavevectors)
     return AngleKinematics(*_shaped(
-        shape, theta_I, k_F, k_y, k_xII, theta_II, np.ones_like(s_II), s_II, propagating))
+        shape, theta_I, k_F, k_y, k_xII, theta_II, s_II, propagating))
 
 
 def _amplitude(shape: tuple, propagating, numerator, den_re, den_im, kind: str):
@@ -86,19 +86,18 @@ def _amplitude(shape: tuple, propagating, numerator, den_re, den_im, kind: str):
 
 
 def t_common(ak: AngleKinematics) -> complex:
-    """Momentum-labelled amplitude 2 s_I cos(th_I)/[s_I e^{-i th_I} + s_II e^{i th_II}].
+    """Momentum-labelled amplitude 2 cos(th_I)/[e^{-i th_I} + s_II e^{i th_II}].
 
     The denominator vanishes at normal incidence in the Klein zone
     (s_II = -1, theta_I = theta_II = 0); that point raises SingularityError,
     and an array cell there holds t = inf.
     """
-    shape, (theta_I, theta_II, s_I, s_II, propagating) = _flat(
-        ak.theta_I, ak.theta_II, ak.s_I, ak.s_II, ak.propagating, dtype=None)
+    shape, (theta_I, theta_II, s_II, propagating) = _flat(
+        ak.theta_I, ak.theta_II, ak.s_II, ak.propagating, dtype=None)
     cos_I = np.cos(theta_I)
     return _amplitude(
-        shape, propagating, 2.0 * s_I * cos_I,
-        s_I * cos_I + s_II * np.cos(theta_II),
-        s_I * np.sin(-theta_I) + s_II * np.sin(theta_II), "t_common",
+        shape, propagating, 2.0 * cos_I,
+        cos_I + s_II * np.cos(theta_II), np.sin(-theta_I) + s_II * np.sin(theta_II), "t_common",
     )
 
 
@@ -128,25 +127,21 @@ def transmission_probability(t: complex, ak: AngleKinematics) -> float:
     """
     shape, (theta_I, theta_II, propagating) = _flat(
         ak.theta_I, ak.theta_II, ak.propagating, dtype=None)
-    cos_in = np.cos(theta_I)
-    _require((cos_in != 0.0, "grazing incidence: cos(theta_I) = 0"))
     if not shape:
         _raise_where(~propagating, "non_propagating")
     t = np.broadcast_to(np.asarray(t, dtype=complex), shape).ravel()
-    transmission = np.abs(t) ** 2 * np.cos(theta_II) / cos_in
+    transmission = np.abs(t) ** 2 * np.cos(theta_II) / np.cos(theta_I)
     transmission[~propagating] = 0.0
     return _shaped(shape, transmission)[0]
 
 
-def critical_angle(E: float, V0: float) -> float | None:
+def critical_angle(E: float, V0: float) -> float:
     """arcsin(|E - V0| / E) per cell where |E - V0| < E; where all angles propagate, nan.
 
-    A 0-d call gives None there instead.  The ratio is taken at unit scale, so
-    E - V0 cannot overflow.
+    The ratio is taken at unit scale, so E - V0 cannot overflow.
     """
     shape, (E, V0) = _flat(E, V0)
     _require("E", "V0", _electron(E), E=E, V0=V0)
     _, (E, V0) = _unit_scale(np.maximum(E, np.abs(V0)), E, V0)
     ratio = np.abs(E - V0) / E
-    angle = _shaped(shape, np.where(ratio < 1.0, np.arcsin(np.minimum(ratio, 1.0)), math.nan))[0]
-    return None if not shape and math.isnan(angle) else angle
+    return _shaped(shape, np.where(ratio < 1.0, np.arcsin(np.minimum(ratio, 1.0)), math.nan))[0]

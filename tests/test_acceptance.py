@@ -233,9 +233,9 @@ def test_criterion_07_spinor_eigenresiduals():
             energy = math.sqrt(float(p @ p) + m * m)
             if energy == 0.0:
                 continue
-            for branch, sign in (("positive", 1.0), ("negative", -1.0)):
+            for sign in (1.0, -1.0):  # the energy's sign picks the branch
                 for spin in ("up", "down"):
-                    psi = make_spinor4(energy, p, m, branch, spin)
+                    psi = make_spinor4(sign * energy, p, m, spin)
                     assert hamiltonian_residual4(psi, sign * energy, p, m) < 1e-12
             checked += 1
 
@@ -301,17 +301,17 @@ def test_criterion_09_barrier_convention_equivalence_one_array_call():
 
 def test_criterion_10_angular_profile_reproduction():
     with criterion(10, "angular current profile: unit center, even, oracle points"):
+        E = energy_from_wavelength(50.0)
         thetas = np.radians(np.linspace(-85.0, 85.0, 171))
-        profile = angular_current_profile(0.3, thetas, lambda_F=50.0)
+        profile = angular_current_profile(E, 0.3, thetas)
         values = profile.relative_current
         assert values[85] == 1.0  # theta = 0
         np.testing.assert_allclose(values, values[::-1], atol=1e-12)
-        at45 = angular_current_profile(0.3, [math.radians(45.0)], lambda_F=50.0)
-        at80 = angular_current_profile(0.3, [math.radians(80.0)], lambda_F=50.0)
+        at45 = angular_current_profile(E, 0.3, [math.radians(45.0)])
+        at80 = angular_current_profile(E, 0.3, [math.radians(80.0)])
         assert abs(at45.relative_current[0] - ORACLE_T45) < 1e-6
         assert abs(at80.relative_current[0] - ORACLE_T80) < 1e-6
         # and the oracle function itself still reproduces the frozen constants
-        E = energy_from_wavelength(50.0)
         assert graphene_T_paper(E, 0.3, math.radians(45.0)) == pytest.approx(
             ORACLE_T45, rel=1e-12
         )

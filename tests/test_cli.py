@@ -1384,7 +1384,7 @@ def _beyond_critical():
 
 # t_paper's |den| = 2 cos((theta_I - theta_II)/2) vanishes only for kinematics no step gives
 _T_PAPER_POLE = junction.AngleKinematics(math.pi / 2 - 1e-13, 1.0, 1.0, 1e-13,
-                                         -(math.pi / 2 - 1e-13), 1, 1, True)
+                                         -(math.pi / 2 - 1e-13), 1, True)
 
 
 BAD_CELL_CALLS = [

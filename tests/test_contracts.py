@@ -106,7 +106,7 @@ assert 0.0 <= solution.T <= 1.0
     "angular-profile": """
 import sys
 from kleinstep.device import angular_current_profile
-profile = angular_current_profile(0.3, [0.0, 0.5], lambda_F=50.0)
+profile = angular_current_profile(0.08, 0.3, [0.0, 0.5])
 loaded = sorted(name for name in sys.modules if name.startswith("kleinstep."))
 assert loaded == ["kleinstep.common", "kleinstep.device", "kleinstep.graphene",
                   "kleinstep.junction"], loaded
@@ -206,6 +206,8 @@ NON_FINITE_CASES = [
     (GrapheneMaterial, (math.inf,), {}, "hbar_vF"),
     (DeviceParams, (), {"back_gate": math.nan}, "back_gate"),
     (DeviceParams, (), {"mobility": math.inf}, "mobility"),
+    (DeviceParams, (), {"gate_coefficient": math.inf}, "gate_coefficient"),
+    (DeviceParams, (), {"aspect_ratio": math.nan}, "aspect_ratio"),
     (angle_kinematics, (0.08, math.nan, 0.1), {}, "V0"),
     (angle_kinematics, (math.inf, 0.3, 0.1), {}, "E"),
     (angle_kinematics, (0.08, 0.3, math.nan), {}, "theta_I"),
@@ -220,6 +222,9 @@ NON_FINITE_CASES = [
     (make_spinor2, (2.0, complex(1.0, math.nan), 1.0), {}, "k"),
     (make_spinor2, (2.0, 1.0, math.nan), {}, "m"),
     (make_spinor4, (math.inf, (0.0, 0.0, 0.0), 0.0), {}, "E"),
+    (make_spinor4, (1.0, (0.0, 0.0, 0.0), math.nan), {}, "m"),
+    (make_spinor4, (1.0, (math.nan, 0.0, 0.0), 0.0), {}, "px"),
+    (make_spinor4, (1.0, (0.0, math.inf, 0.0), 0.0), {}, "py"),
     (hamiltonian_residual, ((1.0, 1.0), math.nan, 1.0, 0.0), {}, "eps"),
     (hamiltonian_residual, ((1.0, 1.0), 1.0, math.inf, 0.0), {}, "k"),
     (hamiltonian_residual, ((1.0, 1.0), 1.0, 1.0, math.nan), {}, "m"),

@@ -14,6 +14,7 @@ from kleinstep.device import (
 )
 from kleinstep.graphene import energy_from_wavelength
 from kleinstep.junction import angle_kinematics, t_paper, transmission_probability
+from oracles import fermi_energy
 
 # frozen from tests/oracles.py: alpha |V_b| e mu at V_b = 0.2 V
 SIGMA_02_REF = 3.50876682846e-05
@@ -87,7 +88,7 @@ def test_iv_slope_family_ratios():
 
 def test_angular_profile_reference_points():
     thetas = [0.0, math.radians(45.0), math.radians(80.0)]
-    profile = angular_current_profile(0.3, thetas, lambda_F=50.0)
+    profile = angular_current_profile(energy_from_wavelength(50.0), 0.3, thetas)
     assert profile.relative_current[0] == 1.0
     assert profile.relative_current[1] == pytest.approx(T_45_REF, rel=1e-12)
     assert profile.relative_current[2] == pytest.approx(T_80_REF, rel=1e-12)
@@ -99,7 +100,7 @@ def test_angular_profile_reference_points():
 
 
 def test_angular_profile_is_float_arrays():
-    profile = angular_current_profile(0.3, np.radians([[10.0, 20.0], [30.0, 40.0]]), E=0.08)
+    profile = angular_current_profile(0.08, 0.3, np.radians([[10.0, 20.0], [30.0, 40.0]]))
     for values in (profile.theta, profile.relative_current, profile.transmission):
         assert isinstance(values, np.ndarray) and values.dtype == np.float64
         assert values.shape == (4,)
@@ -109,29 +110,34 @@ def test_angular_profile_is_float_arrays():
 
 def test_angular_profile_even_and_bounded():
     thetas = np.radians(np.linspace(-85.0, 85.0, 35))
-    profile = angular_current_profile(0.3, thetas, lambda_F=50.0)
+    profile = angular_current_profile(energy_from_wavelength(50.0), 0.3, thetas)
     values = profile.relative_current
     assert np.all(values >= 0.0) and np.all(values <= 1.0 + 1e-12)
     np.testing.assert_allclose(values, values[::-1], atol=1e-12)
 
 
 def test_lambda_and_energy_are_exclusive():
-    with pytest.raises(ValueError, match="exactly one"):
-        angular_current_profile(0.3, [0.0], lambda_F=50.0, E=0.08)
-    with pytest.raises(ValueError, match="exactly one"):
-        angular_current_profile(0.3, [0.0])
+    # the Fermi energy is the one way to fix the Fermi level: the old call shapes fail loudly
+    thetas = [0.0, 0.5]
+    with pytest.raises(TypeError):
+        angular_current_profile(0.3, thetas, lambda_F=50.0)
+    with pytest.raises(TypeError):
+        angular_current_profile(0.3, thetas, lambda_F=50.0, E=0.08)
+    with pytest.raises(TypeError):
+        angular_current_profile(0.3, thetas, E=0.08)
 
 
 def test_energy_input_equivalent_to_wavelength():
-    direct = angular_current_profile(0.3, [0.5], E=energy_from_wavelength(50.0))
-    via_wavelength = angular_current_profile(0.3, [0.5], lambda_F=50.0)
+    # lambda_F = 50 nm gives E = hbar v_F 2 pi / lambda_F, the oracle's closed form
+    direct = angular_current_profile(fermi_energy(50.0), 0.3, [0.5])
+    via_wavelength = angular_current_profile(energy_from_wavelength(50.0), 0.3, [0.5])
     assert direct.relative_current[0] == via_wavelength.relative_current[0]
 
 
 def test_angle_beyond_critical_rejected():
     # shallow step: critical angle 30 degrees
     with pytest.raises(ValueError, match="critical"):
-        angular_current_profile(0.45, [math.radians(60.0)], E=0.3)
+        angular_current_profile(0.3, 0.45, [math.radians(60.0)])
 
 
 def test_invalid_params_rejected():
@@ -139,3 +145,5 @@ def test_invalid_params_rejected():
         DeviceParams(mobility=-1.0)
     with pytest.raises(ValueError):
         DeviceParams(aspect_ratio=0.0)
+    with pytest.raises(ValueError, match="^gate coefficient must be positive$"):
+        DeviceParams(gate_coefficient=0.0)

@@ -109,18 +109,21 @@ class TestResidualAndCurrent:
 
 class TestSpinor4:
     def test_positive_up_column(self):
-        psi = make_spinor4(math.sqrt(2.0), (0.0, 0.0, 1.0), 1.0, "positive", "up")
+        psi = make_spinor4(math.sqrt(2.0), (0.0, 0.0, 1.0), 1.0, "up")
         expected = np.array([math.sqrt(2.0) + 1.0, 0.0, 1.0, 0.0])
         assert psi.shape == (4,) and psi.dtype == complex
         np.testing.assert_allclose(psi, expected, rtol=1e-14)
 
     def test_negative_up_column_uses_signed_energy(self):
-        psi = make_spinor4(math.sqrt(2.0), (0.0, 0.0, 1.0), 1.0, "negative", "up")
+        psi = make_spinor4(-math.sqrt(2.0), (0.0, 0.0, 1.0), 1.0, "up")
         expected = np.array([1.0, 0.0, -math.sqrt(2.0) - 1.0, 0.0])
         np.testing.assert_allclose(psi, expected, rtol=1e-14)
+        # the energy's sign is the one way to ask for this branch
+        with pytest.raises(TypeError):
+            make_spinor4(math.sqrt(2.0), (0.0, 0.0, 1.0), 1.0, branch="negative")
 
     def test_rest_frame(self):
-        psi = make_spinor4(1.0, (0.0, 0.0, 0.0), 1.0, "positive", "up")
+        psi = make_spinor4(1.0, (0.0, 0.0, 0.0), 1.0, "up")
         np.testing.assert_allclose(psi, [2.0, 0.0, 0.0, 0.0])
 
     def test_zero_spinor_rejected(self):
@@ -132,14 +135,18 @@ class TestSpinor4:
         with pytest.raises(ValueError, match="inconsistent"):
             make_spinor4(2.0, (0.0, 0.0, 1.0), 1.0)
 
+    def test_unknown_spin_rejected(self):
+        with pytest.raises(ValueError, match="^spin must be 'up' or 'down', got 'left'$"):
+            make_spinor4(2.0, (0.0, 0.0, SQRT3), 1.0, "left")
+
     @pytest.mark.parametrize("branch,sign", [("positive", 1.0), ("negative", -1.0)])
     @pytest.mark.parametrize("spin", ["up", "down"])
     def test_eigenvalue_both_branches(self, branch, sign, spin):
-        # generic momentum direction, not just along z
+        # generic momentum direction, not just along z; the energy's sign picks the branch
         p = (0.6, -0.3, 1.1)
         m = 0.8
         E = math.sqrt(sum(c * c for c in p) + m * m)
-        psi = make_spinor4(E, p, m, branch, spin)
+        psi = make_spinor4(sign * E, p, m, spin)
         assert hamiltonian_residual4(psi, sign * E, p, m) < 1e-12
 
     def test_eigenresidual_grid(self):
@@ -150,9 +157,9 @@ class TestSpinor4:
             E = math.sqrt(float(p @ p) + m * m)
             if E == 0:
                 continue
-            for branch, sign in (("positive", 1.0), ("negative", -1.0)):
+            for sign in (1.0, -1.0):
                 for spin in ("up", "down"):
-                    psi = make_spinor4(E, p, m, branch, spin)
+                    psi = make_spinor4(sign * E, p, m, spin)
                     assert hamiltonian_residual4(psi, sign * E, p, m) < 1e-12
 
     def test_normalized_matches_closed_form_factors(self):
@@ -160,9 +167,9 @@ class TestSpinor4:
         # 1/(sqrt(2 pi) ||column||) on these columns
         E, m = 2.5, 1.0
         pz = math.sqrt(E * E - m * m)
-        for branch in ("positive", "negative"):
-            raw = make_spinor4(E, (0, 0, pz), m, branch, "up")
-            unit = make_spinor4(E, (0, 0, pz), m, branch, "up", normalize=True)
+        for sign in (1.0, -1.0):
+            raw = make_spinor4(sign * E, (0, 0, pz), m, "up")
+            unit = make_spinor4(sign * E, (0, 0, pz), m, "up", normalize=True)
             n_closed = 1.0 / math.sqrt(2 * math.pi * 2 * E * (E + m))
             np.testing.assert_allclose(
                 unit, n_closed * raw, rtol=1e-12
@@ -170,6 +177,26 @@ class TestSpinor4:
             assert np.linalg.norm(unit) == pytest.approx(
                 1 / math.sqrt(2 * math.pi), rel=1e-14
             )
+
+    @pytest.mark.parametrize("spin", ["up", "down"])
+    def test_energy_sign_picks_each_cells_column(self, spin):
+        # the columns of the Dirac representation at the signed energy e, written out
+        def column(e, px, py, pz, m):
+            if e > 0:
+                return ((e + m, 0.0, pz, px + 1j * py) if spin == "up"
+                        else (0.0, e + m, px - 1j * py, -pz))
+            return ((pz, px + 1j * py, e - m, 0.0) if spin == "up"
+                    else (px - 1j * py, -pz, 0.0, e - m))
+
+        rng = np.random.default_rng(11)
+        p, m = rng.uniform(-3, 3, size=(3, 50)), rng.uniform(0.0, 2.0, size=50)
+        E = np.sqrt((p * p).sum(axis=0) + m * m) * np.where(np.arange(50) % 2, -1.0, 1.0)
+        # E = +-0 is on shell with a momentum whose square underflows: the negative column
+        E, m = np.append(E, [0.0, -0.0]), np.append(m, [0.0, 0.0])
+        p = np.append(p, [[1e-200, 1e-200], [0.0, 0.0], [0.0, 0.0]], axis=1)
+        psi = make_spinor4(E, p, m, spin)
+        expected = [column(*cell) for cell in zip(E, *p, m)]
+        assert psi.tobytes() == np.array(expected, dtype=complex).tobytes()
 
     def test_hamiltonian_matrix_is_hermitian(self):
         h = _hamiltonian4((0.4, 0.2, -1.3), 0.7)

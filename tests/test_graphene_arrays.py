@@ -20,7 +20,7 @@ from kleinstep.junction import (
 
 from oracles import barrier_T_kng
 
-KINEMATICS_FIELDS = ("theta_I", "k_F", "k_y", "k_xII", "theta_II", "s_I", "s_II", "propagating")
+KINEMATICS_FIELDS = ("theta_I", "k_F", "k_y", "k_xII", "theta_II", "s_II", "propagating")
 BARRIER_FIELDS = ("r", "t", "R", "T", "interior_propagating")
 
 
@@ -75,6 +75,7 @@ def test_step_kernel_cells_equal_zero_d_calls(axes):
     amplitudes = {"paper": t_paper(ak), "common": t_common(ak)}
     transmissions = {name: transmission_probability(t, ak) for name, t in amplitudes.items()}
     shape = (E.size, V0.size, theta.size)
+    assert ak._fields == KINEMATICS_FIELDS
     assert all(np.shape(getattr(ak, name)) == shape for name in KINEMATICS_FIELDS)
     for cell in np.ndindex(shape):
         point = angle_kinematics(float(E[cell[0]]), float(V0[cell[1]]), float(theta[cell[2]]))
@@ -207,10 +208,8 @@ def test_critical_angle_cells_equal_zero_d_calls(axes, k):
     assert angles.shape == (E.size, V0.size)
     for cell in np.ndindex(angles.shape):
         point = critical_angle(float(E[cell[0], 0]), float(V0[cell[1]]))
-        # nan in an array cell where the 0-d call gives None: every angle propagates
-        assert (point is None) == math.isnan(angles[cell])
-        if point is not None:
-            assert bits(angles[cell]) == bits(point)
+        # nan in an array cell and in the 0-d call alike where every angle propagates
+        assert type(point) is float and bits(angles[cell]) == bits(point)
     # taken at unit scale: a power-of-two energy scale changes no bit
     assert critical_angle(np.ldexp(E, k), np.ldexp(V0, k)).tobytes() == angles.tobytes()
 
@@ -218,7 +217,7 @@ def test_critical_angle_cells_equal_zero_d_calls(axes, k):
 def test_zero_d_results_are_python_scalars():
     ak = angle_kinematics(np.float64(0.08), np.array(0.3), 0.5)
     assert all(type(value) is float for value in (ak.theta_I, ak.k_F, ak.k_y, ak.theta_II))
-    assert (type(ak.s_I), type(ak.s_II), type(ak.propagating)) == (int, int, bool)
+    assert (type(ak.s_II), type(ak.propagating)) == (int, bool)
     assert type(t_paper(ak)) is complex and type(t_common(ak)) is complex
     assert type(transmission_probability(t_paper(ak), ak)) is float
     solution = solve_barrier(0.08, 0.3, np.array(20.0), 0.5)
@@ -261,3 +260,5 @@ def test_validation_names_first_bad_cell_in_c_order():
         solve_barrier(0.1, 0.3, np.array([5.0, math.inf]), 0.1)
     with pytest.raises(ValueError, match="V0 must be finite, got nan"):
         solve_barrier(0.1, np.array([0.3, math.nan]), 5.0, 0.1)
+    with pytest.raises(ValueError, match="^electron incidence only: E must be positive$"):
+        critical_angle(np.array([-0.1, 0.3]), np.array([0.1, math.nan]))
