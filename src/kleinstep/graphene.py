@@ -83,21 +83,18 @@ def _check_barrier(E, V0, D, theta_I) -> None:
 
 
 def _kinematics(E, V0, theta_I, hv):
-    """(e, E, V0, k_F, k_y, k_xII, theta_II, s_II, propagating) of validated flat arrays.
+    """(e, E, V0, k_F, k_y, k_xII, propagating) of validated flat arrays; angles are the caller's.
 
     E, V0 and the wavevectors are at unit scale: E and V0 times 2^-e, e the
-    exponent of max(E, |V0|).  So the energy scale takes no square out of
-    float range, and every angle and ratio is the same bits at any scale.
+    exponent of max(E, |V0|).  So the energy scale takes no square out of float
+    range, and an angle or ratio formed from them is the same bits at any scale.
     """
     e, (E, V0) = _unit_scale(np.maximum(E, np.abs(V0)), E, V0)
     k_F = E / hv
     k_y = k_F * np.sin(theta_I)
-    local = E - V0
-    kx_sq = (local / hv) ** 2 - k_y * k_y
+    kx_sq = ((E - V0) / hv) ** 2 - k_y * k_y
     propagating = kx_sq > 0
-    k_xII = np.sqrt(np.where(propagating, kx_sq, -kx_sq))
-    theta_II = np.where(propagating, np.arctan2(k_y, k_xII), math.nan)
-    return e, E, V0, k_F, k_y, k_xII, theta_II, np.sign(local).astype(int), propagating
+    return e, E, V0, k_F, k_y, np.sqrt(np.where(propagating, kx_sq, -kx_sq)), propagating
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +141,7 @@ def solve_barrier(
     _check_barrier(E, V0, D, theta_I)
     hv = material.hbar_vF
     with np.errstate(over="raise"):  # a wavevector or k_xII D beyond float range raises, not inf
-        e, E, V0, _, k_y, k, _, _, inside = _kinematics(E, V0, theta_I, hv)
+        e, E, V0, _, k_y, k, inside = _kinematics(E, V0, theta_I, hv)
         D = np.ldexp(D, e)  # the width in the unit-scale wavevectors' length unit
         kD = k * D
     sigma = np.where(inside, 1.0, np.exp(-kD))

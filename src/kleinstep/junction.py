@@ -53,17 +53,17 @@ def angle_kinematics(
 ) -> AngleKinematics:
     """Kinematics for incidence angle theta_I in (-pi/2, pi/2), electron side E > 0.
 
-    E, V0 and theta_I may be arrays that broadcast together; the first
-    invalid cell in C order is the one named in the error.
+    theta_II = arctan2(k_y, k_xII) and s_II = sign(E - V0) at _kinematics' unit scale.  E, V0
+    and theta_I may be arrays that broadcast together; the first invalid cell in C order is named.
     """
     shape, (E, V0, theta_I) = _flat(E, V0, theta_I)
     _require(*_incidence(E, V0, theta_I), E=E, V0=V0, theta_I=theta_I)
     with np.errstate(over="raise"):  # a wavevector beyond float range raises, not inf
-        e, _, _, *wavevectors, theta_II, s_II, propagating = _kinematics(
-            E, V0, theta_I, material.hbar_vF)
-        k_F, k_y, k_xII = (np.ldexp(k, e) for k in wavevectors)
+        e, E, V0, k_F, k_y, k_xII, propagating = _kinematics(E, V0, theta_I, material.hbar_vF)
+        theta_II = np.where(propagating, np.arctan2(k_y, k_xII), math.nan)
+        k_F, k_y, k_xII = (np.ldexp(k, e) for k in (k_F, k_y, k_xII))
     return AngleKinematics(*_shaped(
-        shape, theta_I, k_F, k_y, k_xII, theta_II, s_II, propagating))
+        shape, theta_I, k_F, k_y, k_xII, theta_II, np.sign(E - V0).astype(int), propagating))
 
 
 def _amplitude(shape: tuple, propagating, numerator, den_re, den_im, kind: str):

@@ -11,8 +11,8 @@ two rival conventions for the transmitted wave (see common.Convention):
   kappa' = q(E+m)/[p(E+m-V0)] < 0, which yields T < 0 and R > 1 and is
   singular in the massless limit (kappa' -> -1).
 
-Transmission is always computed from current ratios of unnormalized
-spinors, so the normalization factors never enter R or T.
+R = |r|^2, as the reflected spinor carries exactly the negated incident current,
+and T is a current ratio of unnormalized spinors: no normalization enters R or T.
 """
 
 from enum import Enum
@@ -87,17 +87,16 @@ class StepScatteringSolution(NamedTuple):
     """Amplitudes and coefficients from the z = 0 continuity matching.
 
     kappa_value is the convention's matching parameter where it exists
-    (nan in the evanescent regime, inf at the upper threshold).  T is the
-    signed transmitted/incident current ratio; R the reflected one.
+    (nan in the evanescent regime, inf at the upper threshold).  R = |r|^2,
+    and T is the signed transmitted/incident current ratio.
 
-    For an array problem every field except ``convention`` is an array of
-    the problem's shape, ``regime`` one of Regime members.  A singular cell
-    (|1 + kappa'| <= 4 eps or a zero matching determinant: the massless or
-    near-massless Klein step under COMMON) then holds kappa_value = -1, R = inf, T = -inf and
+    For an array problem every field is an array of the problem's shape,
+    ``regime`` one of Regime members.  A singular cell (|1 + kappa'| <= 4 eps
+    or a zero matching determinant: the massless or near-massless Klein step
+    under COMMON) then holds kappa_value = -1, R = inf, T = -inf and
     r = t = nan instead of raising.
     """
 
-    convention: Convention
     kappa_value: float
     r: complex
     t: complex
@@ -218,7 +217,7 @@ def rt_from_kappa(x: float) -> tuple[float, float]:
 def solve_step_numeric(
     problem: StepProblem, convention: Convention = Convention.PAPER
 ) -> StepScatteringSolution:
-    """Solve psi_inc(0) + r psi_refl(0) = t psi_trans(0) and form R, T from currents.
+    """Solve psi_inc(0) + r psi_refl(0) = t psi_trans(0); R = |r|^2, T a current ratio.
 
     The region-II spinor is the convention's forward wave: wavevector -q
     (PAPER) or +q (COMMON) in the Klein zone, +q above the barrier, i*kappa_ev
@@ -268,7 +267,7 @@ def solve_step_numeric(
         _raise_where(singular, "kappa_prime")
     kappa_value[singular], r[singular], t[singular] = -1.0, np.nan, np.nan
     big_r[singular], big_t[singular] = np.inf, -np.inf
-    return StepScatteringSolution(convention, *_shaped(
+    return StepScatteringSolution(*_shaped(
         shape, kappa_value, r, t, big_r, big_t, _REGIMES.take(codes)))
 
 
@@ -279,7 +278,7 @@ def _match(E, m, p, q, eps, lo, codes, convention: Convention) -> tuple:
     Region II's takes eps's rounding error lo into its eps - m.
     Region I's are built at E's own power-of-two scale 2^a and region II's at that
     of max(|E - V0|, m), 2^b, so that below a deep step (V0 >> E) no product of
-    them underflows. The matching then gives r, R and T as they are, and t * 2^(b - a).
+    them underflows. The matching gives r, R = |r|^2 and T as they are, and t * 2^(b - a).
     """
     a, (E, p, m1) = _unit_scale(E, E, p, m)
     b, (eps, q, m2, lo) = _unit_scale(np.maximum(np.abs(eps), m), eps, q, m, lo)
@@ -293,9 +292,8 @@ def _match(E, m, p, q, eps, lo, codes, convention: Convention) -> tuple:
     r = (inc[0] * trans[1] - trans[0] * inc[1]) / det
     t = (inc[0] * refl[1] - refl[0] * inc[1]) / det
 
-    j_inc = current_density(inc)
-    big_r = np.hypot(r.real, r.imag) ** 2 * np.abs(current_density(refl) / j_inc)
-    big_t = np.hypot(t.real, t.imag) ** 2 * current_density(trans) / j_inc
+    big_r = np.hypot(r.real, r.imag) ** 2
+    big_t = np.hypot(t.real, t.imag) ** 2 * current_density(trans) / current_density(inc)
     t.real, t.imag = np.ldexp(t.real, a - b), np.ldexp(t.imag, a - b)
     return r, t, big_r, big_t, zero
 

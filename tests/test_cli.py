@@ -1141,7 +1141,7 @@ def test_step_rt_rows_are_the_fields_of_one_library_call(capsys):
     assert set(sol.regime) == set(step.Regime)  # Klein, both thresholds, evanescent, above
     rows = [",".join(["%.9g" % value for value in (E, 1.0, 5.0)] + ["common", regime.value]
                      + ["%.9g" % value for value in (kappa, r.real, r.imag, t.real, t.imag, R, T)])
-            for E, kappa, r, t, R, T, regime in zip(energies, *sol[1:])]
+            for E, kappa, r, t, R, T, regime in zip(energies, *sol)]
     assert out.split("\n")[1:] == rows + [""]
 
 

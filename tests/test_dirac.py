@@ -20,6 +20,18 @@ SQRT3 = math.sqrt(3.0)
 SQRT8 = math.sqrt(8.0)
 
 
+# Far from unit scale the on-shell tolerance is still 1e-9 of the largest square: an on-shell
+# grid whose squares round is accepted, and the same grid 1.5e-9 E^2 off shell is rejected cell
+# by cell.
+FAR_SCALES = (1e3, 1e5)
+
+
+def far_grid(scale, top):
+    """An 8 x 8 grid: energies E from scale to 2 scale, masses m from 0 to top E."""
+    E = np.broadcast_to(scale * np.linspace(1.0, 2.0, 8)[:, None], (8, 8))
+    return E, E * np.linspace(0.0, top, 8)
+
+
 class TestSpinor2:
     def test_positive_branch(self):
         sp = make_spinor2(2.0, SQRT3, 1.0)
@@ -49,6 +61,12 @@ class TestSpinor2:
     def test_off_shell_rejected(self):
         with pytest.raises(ValueError, match="off-shell"):
             make_spinor2(2.0, 1.0, 1.0)
+        for scale in FAR_SCALES:
+            E, m = far_grid(scale, 0.9)
+            make_spinor2(E, np.sqrt(E * E - m * m), m)
+            for eps, k, mass in zip(E.flat, np.sqrt(E * E - m * m + 1.5e-9 * E * E).flat, m.flat):
+                with pytest.raises(ValueError, match="off-shell"):
+                    make_spinor2(eps, k, mass)
 
     def test_zero_spinor_rejected(self):
         # massless rest frame: both (k, eps - m) and (eps + m, k) vanish
@@ -134,6 +152,15 @@ class TestSpinor4:
     def test_inconsistent_triple_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
             make_spinor4(2.0, (0.0, 0.0, 1.0), 1.0)
+        for scale in FAR_SCALES:
+            E, m = far_grid(scale, 0.8)
+            px, py = 0.3 * E, -0.2 * E
+            pz_sq = E * E - m * m - px * px - py * py
+            make_spinor4(E, (px, py, np.sqrt(pz_sq)), m)
+            off = np.sqrt(pz_sq + 1.5e-9 * E * E)
+            for cell in zip(E.flat, px.flat, py.flat, off.flat, m.flat):
+                with pytest.raises(ValueError, match="inconsistent"):
+                    make_spinor4(cell[0], cell[1:4], cell[4])
 
     def test_unknown_spin_rejected(self):
         with pytest.raises(ValueError, match="^spin must be 'up' or 'down', got 'left'$"):

@@ -161,6 +161,8 @@ class TestRTFromKappa:
         with pytest.raises(SingularityError) as excinfo:
             rt_from_kappa(-1.0)
         assert excinfo.value.denominator == "1 + kappa"
+        with pytest.raises(SingularityError):
+            rt_from_kappa(-1 + 2**-50)  # |1 + x| = 4 eps: the pole band's edge
 
     @given(st.floats(-50.0, 50.0).filter(lambda x: abs(1.0 + x) > 0.1))
     @settings(max_examples=500)

@@ -153,7 +153,7 @@ def test_near_massless_common_step_is_a_singular_cell(E, m, V0):
     assert (sol.kappa_value[0], sol.R[0], sol.T[0]) == (-1.0, math.inf, -math.inf)
     assert bits(sol.r[0]) == bits(sol.t[0]) == bits(math.nan)
     cell = solve_step_numeric(StepProblem(2.0, m, V0), Convention.COMMON)
-    assert [bits(field[1]) for field in sol[1:6]] == [bits(field) for field in cell[1:6]]
+    assert [bits(field[1]) for field in sol[:5]] == [bits(field) for field in cell[:5]]
     with pytest.raises(SingularityError, match="kappa_prime"):
         solve_step_numeric(StepProblem(E, m, V0), Convention.COMMON)
 
@@ -172,8 +172,11 @@ def test_closed_route_is_singular_where_the_solver_is(E, m, V0):
 
 
 def test_array_rt_from_kappa_pole_gives_limits():
-    r_coeff, t_coeff = rt_from_kappa(np.array([-1.0, 1.0]))
-    assert list(r_coeff) == [math.inf, 0.0] and list(t_coeff) == [-math.inf, 1.0]
+    # |1 + x| = 2^-50 = 4 eps is the pole band's edge, inside it; 2^-49 lies outside
+    r_coeff, t_coeff = rt_from_kappa(np.array([-1.0, 1.0, -1 + 2**-50, -1 + 2**-49]))
+    assert list(r_coeff[:3]) == [math.inf, 0.0, math.inf]
+    assert list(t_coeff[:3]) == [-math.inf, 1.0, -math.inf]
+    assert math.isfinite(r_coeff[3]) and math.isfinite(t_coeff[3])
 
 
 def test_validation_names_first_bad_cell_in_c_order():
