@@ -481,9 +481,8 @@ def _iv_curve(request: SweepRequest) -> tuple:
 
 
 def _angular_current(request: SweepRequest) -> tuple:
-    from kleinstep.device import angular_current_profile
     from kleinstep.graphene import _kinematics
-    from kleinstep.junction import critical_angle
+    from kleinstep.junction import angular_current_profile, critical_angle
     params = request.params
     material, energy = _material_and_fermi_energy(params)
     half_width = params["theta_max"]
@@ -500,8 +499,9 @@ def _angular_current(request: SweepRequest) -> tuple:
 
     def solve(theta_deg):
         profile = angular_current_profile(energy, params["V0"], np.radians(theta_deg), material)
+        # I(theta)/I(0) is T(theta): one array in both columns, formatted once per slice
         return {"theta_deg": theta_deg, "T": profile.transmission,
-                "relative_current": profile.relative_current}
+                "relative_current": profile.transmission}
 
     return solve, [thetas_deg]
 

@@ -4,8 +4,7 @@ Diffusive ohmic sheet at zero temperature and low bias: sheet conductivity
 sigma = n e mu with the carrier density set by the back gate, n = alpha |V_b|.
 For normal incidence the step is transparent (unit transmission), so the I-V
 characteristic is that of the bare sheet; the step shows up only in the
-angular dependence of the current, computed from the current-labelled
-step transmission.
+angular dependence of the current, which is junction.angular_current_profile.
 """
 
 from typing import NamedTuple
@@ -15,10 +14,8 @@ import numpy as np
 from kleinstep.common import _require, _validated_make, unwrap
 
 __all__ = [
-    "AngularProfile",
     "DeviceParams",
     "ELEMENTARY_CHARGE",
-    "angular_current_profile",
     "carrier_type",
     "iv_curve",
     "sheet_conductivity",
@@ -48,15 +45,6 @@ class DeviceParams(NamedTuple("DeviceParams", [
     _make = classmethod(_validated_make)
 
 
-class AngularProfile(NamedTuple):
-    """One cell per angle of the grid. relative_current is the transmission array itself,
-    since T(0) = 1: writing into either field changes the other."""
-
-    theta: np.ndarray  # radians
-    relative_current: np.ndarray  # I(theta) / I(0)
-    transmission: np.ndarray  # current-labelled step transmission T(theta)
-
-
 def carrier_type(params: DeviceParams) -> str:
     """'electron' for V_b > 0, 'hole' for V_b < 0, 'neutral' at V_b = 0; per cell for arrays."""
     types = np.array(["hole", "neutral", "electron"])
@@ -77,25 +65,3 @@ def iv_curve(params: DeviceParams, V_grid) -> np.ndarray:
     """Ohmic I = sigma (W/L) V in amperes for each bias in V_grid; sign follows the bias."""
     return sheet_conductivity(params) * params.aspect_ratio * np.asarray(V_grid, dtype=float)
 
-
-def angular_current_profile(E: float, V0: float, theta_grid, material=None) -> AngularProfile:
-    """I(theta)/I(0) across the step at Fermi energy E (eV), from the current-labelled transmission.
-
-    Klein tunnelling at normal incidence gives T(0) = 1, so I(theta)/I(0) is
-    T(theta): the profile holds that one array under both of its names.
-
-    ``material`` is a graphene.GrapheneMaterial, graphene.DEFAULT_MATERIAL
-    when None; graphene.energy_from_wavelength gives E from a Fermi
-    wavelength.  Angles beyond the critical angle carry no transmitted wave
-    and raise ValueError (the default device parameters have none).
-    """
-    # only this function needs graphene and junction; an iv-curve launch loads neither
-    from kleinstep import graphene
-    from kleinstep.junction import angle_kinematics, t_paper, transmission_probability
-    material = graphene.DEFAULT_MATERIAL if material is None else material
-    thetas = np.array(theta_grid, dtype=float).ravel()
-    ak = angle_kinematics(E, V0, thetas, material)
-    _require((ak.propagating, "incidence angle {theta} rad lies beyond the critical angle"),
-             theta=ak.theta_I)
-    transmission = transmission_probability(t_paper(ak), ak)
-    return AngularProfile(thetas, transmission, transmission)

@@ -8,6 +8,9 @@ Two conventions for the hole-like transmitted wave are implemented:
 * PAPER:  t = 2 cos(theta_I) / [e^{-i theta_I} + e^{-i theta_II}],
   interior phase -i k_xII x, equal to 1 at normal incidence.
 
+The angular current profile I(theta)/I(0) across the junction is the PAPER
+transmission T(theta), since normal incidence is fully transmitted: T(0) = 1.
+
 Units, kinematics, array cells and sentinels are as in kleinstep.graphene:
 a 0-d call raises where an array cell holds its sentinel.
 """
@@ -23,7 +26,9 @@ from kleinstep.graphene import (DEFAULT_MATERIAL, GrapheneMaterial, _electron, _
 
 __all__ = [
     "AngleKinematics",
+    "AngularProfile",
     "angle_kinematics",
+    "angular_current_profile",
     "critical_angle",
     "t_common",
     "t_paper",
@@ -145,3 +150,25 @@ def critical_angle(E: float, V0: float) -> float:
     _, (E, V0) = _unit_scale(np.maximum(E, np.abs(V0)), E, V0)
     ratio = np.abs(E - V0) / E
     return _shaped(shape, np.where(ratio < 1.0, np.arcsin(np.minimum(ratio, 1.0)), math.nan))[0]
+
+
+class AngularProfile(NamedTuple):
+    """One cell per angle of the grid."""
+
+    theta: np.ndarray  # radians
+    transmission: np.ndarray  # T_paper(theta) = I(theta) / I(0)
+
+
+def angular_current_profile(
+    E: float, V0: float, theta_grid, material: GrapheneMaterial = DEFAULT_MATERIAL
+) -> AngularProfile:
+    """I(theta)/I(0) = T_paper(theta) across the step at Fermi energy E (eV): T(0) = 1.
+
+    graphene.energy_from_wavelength gives E from a Fermi wavelength.  An angle
+    beyond the critical angle carries no transmitted wave and raises ValueError.
+    """
+    thetas = np.array(theta_grid, dtype=float).ravel()
+    ak = angle_kinematics(E, V0, thetas, material)
+    _require((ak.propagating, "incidence angle {theta} rad lies beyond the critical angle"),
+             theta=ak.theta_I)
+    return AngularProfile(thetas, transmission_probability(t_paper(ak), ak))

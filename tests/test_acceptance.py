@@ -18,7 +18,7 @@ from kleinstep.basis import (
 )
 from kleinstep.cli import main as cli_main
 from kleinstep.common import Convention
-from kleinstep.device import DeviceParams, angular_current_profile, iv_curve
+from kleinstep.device import DeviceParams, iv_curve
 from kleinstep.dirac import (
     current_density,
     hamiltonian_residual,
@@ -27,7 +27,8 @@ from kleinstep.dirac import (
     make_spinor4,
 )
 from kleinstep.graphene import energy_from_wavelength, solve_barrier
-from kleinstep.junction import angle_kinematics, t_paper, transmission_probability
+from kleinstep.junction import (angle_kinematics, angular_current_profile, t_paper,
+                                transmission_probability)
 from kleinstep.step import (
     StepProblem,
     kappa,
@@ -304,13 +305,13 @@ def test_criterion_10_angular_profile_reproduction():
         E = energy_from_wavelength(50.0)
         thetas = np.radians(np.linspace(-85.0, 85.0, 171))
         profile = angular_current_profile(E, 0.3, thetas)
-        values = profile.relative_current
+        values = profile.transmission
         assert values[85] == 1.0  # theta = 0
         np.testing.assert_allclose(values, values[::-1], atol=1e-12)
         at45 = angular_current_profile(E, 0.3, [math.radians(45.0)])
         at80 = angular_current_profile(E, 0.3, [math.radians(80.0)])
-        assert abs(at45.relative_current[0] - ORACLE_T45) < 1e-6
-        assert abs(at80.relative_current[0] - ORACLE_T80) < 1e-6
+        assert abs(at45.transmission[0] - ORACLE_T45) < 1e-6
+        assert abs(at80.transmission[0] - ORACLE_T80) < 1e-6
         # and the oracle function itself still reproduces the frozen constants
         assert graphene_T_paper(E, 0.3, math.radians(45.0)) == pytest.approx(
             ORACLE_T45, rel=1e-12

@@ -1221,7 +1221,8 @@ def test_blocked_sweep_names_its_first_invalid_point(capsys, argv, cells, err):
 def kinematics_calls(monkeypatch):
     """Counts junction.angle_kinematics calls.
 
-    The CLI and device look it up in junction at call time, so it counts their calls too.
+    The CLI and angular_current_profile look it up in junction at call time, so it counts
+    their calls too.
     """
     calls = []
     angle_kinematics = junction.angle_kinematics
@@ -1445,7 +1446,7 @@ COMMAND_MODULES = [
      {"graphene", "junction"}),
     (["barrier", "--lambdaF", "50", "--V0", "0.3", "--D", "10,20"], {"graphene"}),
     (["iv-curve", "--n", "3"], {"device"}),
-    (["angular-current", "--n", "3"], {"device", "graphene", "junction"}),
+    (["angular-current", "--n", "3"], {"graphene", "junction"}),
 ]
 
 

@@ -102,15 +102,23 @@ loaded = sorted(name for name in sys.modules if name.startswith("kleinstep."))
 assert loaded == ["kleinstep.common", "kleinstep.graphene"], loaded
 assert 0.0 <= solution.T <= 1.0
 """,
-    # the angular profile loads graphene and junction, not the package's other modules
+    # the angular profile is junction physics: it loads graphene and junction, not the device
     "angular-profile": """
 import sys
-from kleinstep.device import angular_current_profile
+from kleinstep.junction import angular_current_profile
 profile = angular_current_profile(0.08, 0.3, [0.0, 0.5])
 loaded = sorted(name for name in sys.modules if name.startswith("kleinstep."))
-assert loaded == ["kleinstep.common", "kleinstep.device", "kleinstep.graphene",
-                  "kleinstep.junction"], loaded
+assert loaded == ["kleinstep.common", "kleinstep.graphene", "kleinstep.junction"], loaded
 assert profile.transmission[0] == 1.0
+""",
+    # the ohmic sheet runs on common alone: an I-V curve loads no scattering module
+    "device": """
+import sys
+from kleinstep.device import DeviceParams, iv_curve
+currents = iv_curve(DeviceParams(back_gate=0.2), [0.001])
+loaded = sorted(name for name in sys.modules if name.startswith("kleinstep."))
+assert loaded == ["kleinstep.common", "kleinstep.device"], loaded
+assert currents[0] > 0.0
 """,
     "unknown-name": """
 import kleinstep

@@ -5,15 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from kleinstep.device import (
-    DeviceParams,
-    angular_current_profile,
-    carrier_type,
-    iv_curve,
-    sheet_conductivity,
-)
-from kleinstep.graphene import energy_from_wavelength
-from kleinstep.junction import angle_kinematics, t_paper, transmission_probability
+from kleinstep.device import DeviceParams, carrier_type, iv_curve, sheet_conductivity
+from kleinstep.graphene import GrapheneMaterial, energy_from_wavelength
+from kleinstep.junction import (angle_kinematics, angular_current_profile, t_paper,
+                                transmission_probability)
 from oracles import fermi_energy
 
 # frozen from tests/oracles.py: alpha |V_b| e mu at V_b = 0.2 V
@@ -89,29 +84,36 @@ def test_iv_slope_family_ratios():
 def test_angular_profile_reference_points():
     thetas = [0.0, math.radians(45.0), math.radians(80.0)]
     profile = angular_current_profile(energy_from_wavelength(50.0), 0.3, thetas)
-    assert profile.relative_current[0] == 1.0
-    assert profile.relative_current[1] == pytest.approx(T_45_REF, rel=1e-12)
-    assert profile.relative_current[2] == pytest.approx(T_80_REF, rel=1e-12)
+    assert profile.transmission[0] == 1.0
+    assert profile.transmission[1] == pytest.approx(T_45_REF, rel=1e-12)
+    assert profile.transmission[2] == pytest.approx(T_80_REF, rel=1e-12)
     assert profile.theta.tolist() == thetas
     energy = energy_from_wavelength(50.0)
     for theta, transmission in zip(profile.theta.tolist(), profile.transmission.tolist()):
         ak = angle_kinematics(energy, 0.3, theta)
         assert transmission == transmission_probability(t_paper(ak), ak)
+    # T(theta) is free of hbar v_F, so the default material shows only where a wavevector
+    # overflows: k_F = E / hbar v_F at E = 1.183e308 eV is beyond float range for graphene's
+    # 0.6578 eV nm, not for 0.66
+    with pytest.raises(FloatingPointError):
+        angular_current_profile(1.183e308, 0.5e308, [0.3])
+    wide = angular_current_profile(1.183e308, 0.5e308, [0.3], GrapheneMaterial(0.66))
+    assert wide.transmission[0] > 0.0
 
 
 def test_angular_profile_is_float_arrays():
     profile = angular_current_profile(0.08, 0.3, np.radians([[10.0, 20.0], [30.0, 40.0]]))
-    for values in (profile.theta, profile.relative_current, profile.transmission):
+    for values in profile:
         assert isinstance(values, np.ndarray) and values.dtype == np.float64
         assert values.shape == (4,)
-    # T(0) = 1, so I(theta)/I(0) is T(theta): one array under both names
-    assert profile.relative_current is profile.transmission
+    # T(0) = 1, so I(theta)/I(0) is T(theta): one field, not an alias of another
+    assert profile._fields == ("theta", "transmission")
 
 
 def test_angular_profile_even_and_bounded():
     thetas = np.radians(np.linspace(-85.0, 85.0, 35))
     profile = angular_current_profile(energy_from_wavelength(50.0), 0.3, thetas)
-    values = profile.relative_current
+    values = profile.transmission
     assert np.all(values >= 0.0) and np.all(values <= 1.0 + 1e-12)
     np.testing.assert_allclose(values, values[::-1], atol=1e-12)
 
@@ -131,7 +133,7 @@ def test_energy_input_equivalent_to_wavelength():
     # lambda_F = 50 nm gives E = hbar v_F 2 pi / lambda_F, the oracle's closed form
     direct = angular_current_profile(fermi_energy(50.0), 0.3, [0.5])
     via_wavelength = angular_current_profile(energy_from_wavelength(50.0), 0.3, [0.5])
-    assert direct.relative_current[0] == via_wavelength.relative_current[0]
+    assert direct.transmission[0] == via_wavelength.transmission[0]
 
 
 def test_angle_beyond_critical_rejected():

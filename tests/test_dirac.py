@@ -24,6 +24,10 @@ SQRT8 = math.sqrt(8.0)
 # grid whose squares round is accepted, and the same grid 1.5e-9 E^2 off shell is rejected cell
 # by cell.
 FAR_SCALES = (1e3, 1e5)
+# Where every square is below 1e-300, the tolerance is 1e-9 of that floor: these energies
+# square to exactly 1e-9 * 1e-300, on the tolerance, and to 1.5e-309, beyond it.
+ON_FLOOR_TOLERANCE = float.fromhex("0x1.b22afd2ccdc25p-514")
+BEYOND_FLOOR_TOLERANCE = float.fromhex("0x1.09df5a33c92fdp-513")
 
 
 def far_grid(scale, top):
@@ -67,6 +71,10 @@ class TestSpinor2:
             for eps, k, mass in zip(E.flat, np.sqrt(E * E - m * m + 1.5e-9 * E * E).flat, m.flat):
                 with pytest.raises(ValueError, match="off-shell"):
                     make_spinor2(eps, k, mass)
+        # at the 1e-300 scale floor (k = m = 0): eps^2 on the tolerance passes, 1.5x it fails
+        make_spinor2(ON_FLOOR_TOLERANCE, 0.0, 0.0)
+        with pytest.raises(ValueError, match="off-shell"):
+            make_spinor2(BEYOND_FLOOR_TOLERANCE, 0.0, 0.0)
 
     def test_zero_spinor_rejected(self):
         # massless rest frame: both (k, eps - m) and (eps + m, k) vanish
@@ -161,6 +169,10 @@ class TestSpinor4:
             for cell in zip(E.flat, px.flat, py.flat, off.flat, m.flat):
                 with pytest.raises(ValueError, match="inconsistent"):
                     make_spinor4(cell[0], cell[1:4], cell[4])
+        # at the 1e-300 scale floor (p = 0, m = 0), as for make_spinor2
+        make_spinor4(ON_FLOOR_TOLERANCE, (0.0, 0.0, 0.0), 0.0)
+        with pytest.raises(ValueError, match="inconsistent"):
+            make_spinor4(BEYOND_FLOOR_TOLERANCE, (0.0, 0.0, 0.0), 0.0)
 
     def test_unknown_spin_rejected(self):
         with pytest.raises(ValueError, match="^spin must be 'up' or 'down', got 'left'$"):
